@@ -39,27 +39,27 @@ def _sbp_derivative_1d(n, h):
     carries only boundary entries, which is what the discrete integration by
     parts below relies on.
     """
-    d = sp.lil_matrix((n, n))
-    d[0, 0], d[0, 1] = -1.0 / h, 1.0 / h
-    d[n - 1, n - 2], d[n - 1, n - 1] = -1.0 / h, 1.0 / h
     inv2h = 0.5 / h
-    for i in range(1, n - 1):
-        d[i, i - 1] = -inv2h
-        d[i, i + 1] = inv2h
-    return d.tocsr()
+    main = np.zeros(n)
+    main[0], main[-1] = -1.0 / h, 1.0 / h
+    upper = np.full(n - 1, inv2h)
+    upper[0] = 1.0 / h
+    lower = np.full(n - 1, -inv2h)
+    lower[-1] = -1.0 / h
+    d = sp.diags([lower, main, upper], [-1, 0, 1], format="csr")
+    d.eliminate_zeros()
+    return d
 
 
 def _neumann_laplacian_1d(n, h):
     """Second derivative with mirror ghost nodes (zero normal derivative)."""
-    lap = sp.lil_matrix((n, n))
     inv_h2 = 1.0 / h**2
-    lap[0, 0], lap[0, 1] = -2.0 * inv_h2, 2.0 * inv_h2
-    lap[n - 1, n - 2], lap[n - 1, n - 1] = 2.0 * inv_h2, -2.0 * inv_h2
-    for i in range(1, n - 1):
-        lap[i, i - 1] = inv_h2
-        lap[i, i] = -2.0 * inv_h2
-        lap[i, i + 1] = inv_h2
-    return lap.tocsr()
+    main = np.full(n, -2.0 * inv_h2)
+    upper = np.full(n - 1, inv_h2)
+    upper[0] = 2.0 * inv_h2
+    lower = np.full(n - 1, inv_h2)
+    lower[-1] = 2.0 * inv_h2
+    return sp.diags([lower, main, upper], [-1, 0, 1], format="csr")
 
 
 def _dirichlet_laplacian_1d(n_int, h):
@@ -73,6 +73,48 @@ def _trapezoid_1d(n, h):
     w = np.full(n, h)
     w[0] = w[-1] = 0.5 * h
     return w
+
+
+def _cosine_modes_1d(n, h):
+    """Eigenbasis of the mirror-ghost Neumann second difference.
+
+    The columns cos(pi j k / (n-1)) (the type-I DCT) are scaled to be
+    orthonormal in the trapezoid inner product; the matching eigenvalues of
+    the negative second difference are (4/h^2) sin^2(pi k / (2(n-1))).
+    """
+    k = np.arange(n)
+    q = np.cos(np.pi * np.outer(k, k) / (n - 1))
+    q /= np.sqrt(_trapezoid_1d(n, h) @ q**2)
+    return q, (4.0 / h**2) * np.sin(0.5 * np.pi * k / (n - 1)) ** 2
+
+
+def _sbp_modes_1d(n, h):
+    """Eigenbasis of K = d^T P d restricted to the interior nodes.
+
+    d is the SBP first derivative and P the trapezoid weights; the columns
+    are P-orthonormal, so Q^T P Q = I and Q^T K Q = diag(lam).
+    """
+    d = _sbp_derivative_1d(n, h)
+    p = _trapezoid_1d(n, h)
+    k = (d.T @ sp.diags(p) @ d).toarray()[1:-1, 1:-1]
+    s = 1.0 / np.sqrt(p[1:-1])
+    lam, vec = np.linalg.eigh(s[:, None] * k * s)
+    return s[:, None] * vec, lam
+
+
+def separable_inverse(qx, qy, symbol):
+    """Apply (Qy (x) Qx) diag(1/symbol) (Qy (x) Qx)^T to row-major vectors.
+
+    For P-orthonormal modes Q this is the exact inverse of the operator
+    (Py (x) Px) + sum of Kronecker terms diagonalized by those modes; the
+    work is four dense 1-D mode products.  symbol has shape (ny, nx).
+    """
+    inv = 1.0 / symbol
+    shape = inv.shape
+
+    def apply(r):
+        return (qy @ ((qy.T @ r.reshape(shape) @ qx) * inv) @ qx.T).ravel()
+    return apply
 
 
 @dataclass
@@ -269,6 +311,16 @@ class Grid:
             return a.tocsr()
         return self._op("AN", build)
 
+    def neumann_modes(self):
+        """((Qx, mu_x), (Qy, mu_y)): cosine modes of the Neumann Laplacian."""
+        return self._op("modes_N", lambda: (_cosine_modes_1d(self.nx, self.hx),
+                                            _cosine_modes_1d(self.ny, self.hy)))
+
+    def sbp_modes(self):
+        """((Qx, lam_x), (Qy, lam_y)): interior modes of d^T P d per direction."""
+        return self._op("modes_K", lambda: (_sbp_modes_1d(self.nx, self.hx),
+                                            _sbp_modes_1d(self.ny, self.hy)))
+
     def dirichlet_laplacian_interior(self):
         """Five-point -free Laplacian on interior scalar dof (clamped boundary)."""
         def build():
@@ -280,15 +332,15 @@ class Grid:
         return self._op("Ldir", build)
 
 
-def solve_spd(a, rhs, tol=1e-10, maxiter=None, x0=None, precond_diag=None,
-              precond_apply=None):
+def solve_spd(a, rhs, tol=1e-10, maxiter=None, x0=None, precond_apply=None):
     """Preconditioned conjugate gradients for a sparse SPD system.
 
     Stops at relative residual <= tol; the iteration cap defaults to 10 times
     the number of unknowns, and failure raises SolverError with the final
-    residual attached.  The preconditioner is either a diagonal
-    (precond_diag) or a callable applying an SPD approximate inverse
-    (precond_apply); convergence is always measured on the true residual.
+    residual attached.  precond_apply, when given, is a callable applying an
+    SPD approximate inverse (the integrator passes exact inverses of
+    separable operators close to a, so iteration counts do not grow with
+    1/h); convergence is always measured on the true residual.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = rhs.size
@@ -299,13 +351,7 @@ def solve_spd(a, rhs, tol=1e-10, maxiter=None, x0=None, precond_diag=None,
     bnorm = float(np.linalg.norm(rhs))
     if bnorm == 0.0:
         return np.zeros(n), 0
-    if precond_apply is not None:
-        apply_m = precond_apply
-    elif precond_diag is not None:
-        inv_diag = 1.0 / precond_diag
-        apply_m = lambda v: inv_diag * v
-    else:
-        apply_m = lambda v: v
+    apply_m = precond_apply if precond_apply is not None else (lambda v: v)
     z = apply_m(r)
     p = z.copy()
     rz = float(r @ z)
@@ -383,13 +429,16 @@ def write_snapshot(path, t, fields):
 def read_snapshot(path):
     """Read a snapshot file; returns (t, [fields])."""
     with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        magic, nx, ny, nfields, t = _HEADER.unpack(header)
-        if magic != SNAPSHOT_MAGIC:
-            raise ConfigError(f"{path}: not a snapshot file (bad magic {magic!r})")
-        fields = []
-        for _ in range(nfields):
-            buf = fh.read(8 * nx * ny)
-            arr = np.frombuffer(buf, dtype="<f8").reshape(ny, nx).copy()
-            fields.append(arr)
-    return t, fields
+        raw = fh.read()
+    if len(raw) < _HEADER.size:
+        raise ConfigError(f"{path}: truncated snapshot header: expected "
+                          f"{_HEADER.size} bytes, got {len(raw)}")
+    magic, nx, ny, nfields, t = _HEADER.unpack_from(raw)
+    if magic != SNAPSHOT_MAGIC:
+        raise ConfigError(f"{path}: not a snapshot file (bad magic {magic!r})")
+    expected = _HEADER.size + 8 * nx * ny * nfields
+    if len(raw) != expected:
+        raise ConfigError(f"{path}: snapshot of {nfields} fields on {nx}x{ny} "
+                          f"nodes needs {expected} bytes, file has {len(raw)}")
+    data = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
+    return t, [f.copy() for f in data.reshape(nfields, ny, nx)]

@@ -25,6 +25,20 @@ nondecreasing whenever g >= 0: the viscous heating q converts one-for-one,
 the exchange integral of <B, sym_grad v+> vanishes identically on
 boundary-clamped fields, and the implicit heat solve is an M-matrix, which
 also yields strictly positive temperatures under the diagonal guard.
+
+Both linear systems are solved by conjugate gradients to cg_tol, because the
+identities above hold to solver tolerance.  Each is preconditioned with the
+exact inverse of a nearby separable operator, applied as dense products with
+1-D eigenbases (fast diagonalization), so iteration counts do not grow with
+1/h and nothing is factorized:
+
+* velocity: per component W + a (Wy (x) Kx) + b (Ky (x) Wx), K = d^T P d on
+  interior nodes, with a, b the normal and shear entries of dt D + dt^2 C;
+* heat: W (c_bar - D lap_N) with c_bar the weighted mean of kappa_bar/dt + b,
+  inverted in the cosine (type-I DCT) modes of the Neumann Laplacian.
+
+Only the eps_reg > 0 velocity system, whose high-order term is not diagonal
+in those modes, keeps a sparse LU factorization as its preconditioner.
 """
 
 from __future__ import annotations
@@ -37,7 +51,7 @@ import scipy.sparse as sp
 
 from . import tensors as tn
 from .errors import ConfigError, SolverError, StepError
-from .grid import solve_spd
+from .grid import separable_inverse, solve_spd
 
 
 @dataclass
@@ -248,14 +262,11 @@ class Integrator:
 
     @staticmethod
     def _diag_positions(a):
-        pos = np.empty(a.shape[0], dtype=np.int64)
-        for i in range(a.shape[0]):
-            lo, hi = a.indptr[i], a.indptr[i + 1]
-            cols = a.indices[lo:hi]
-            j = np.searchsorted(cols, i)
-            if j >= hi - lo or cols[j] != i:
-                raise RuntimeError("matrix misses a diagonal entry")
-            pos[i] = lo + j
+        n = a.shape[0]
+        rows = np.repeat(np.arange(n), np.diff(a.indptr))
+        pos = np.flatnonzero(a.indices == rows)
+        if pos.size != n or np.any(rows[pos] != np.arange(n)):
+            raise RuntimeError("matrix misses a diagonal entry")
         return pos
 
     def _velocity_matrix(self, dt):
@@ -264,16 +275,40 @@ class Integrator:
             if len(self._vel_cache) > 8:
                 self._vel_cache.clear()
             m = sp.diags(self.w2_int) + dt * self.A_D + dt * dt * self.A_C
-            pre_apply = None
             if self._reg_block is not None:
                 m = m + dt * self.config.eps_reg * self._reg_block
-                # the high-order term conditions the system like h^{-4m};
-                # an exact factorization preconditioner keeps the iteration
-                # count independent of that (a few refinement passes)
+                # the high-order term conditions the system like h^{-4m} and
+                # is not diagonal in the 1-D modes; an exact factorization
+                # keeps the iteration count independent of that
                 pre_apply = sp.linalg.splu(m.tocsc()).solve
-            m = m.tocsr()
-            self._vel_cache[key] = (m, m.diagonal(), pre_apply)
+            else:
+                pre_apply = self._velocity_preconditioner(dt)
+            self._vel_cache[key] = (m.tocsr(), pre_apply)
         return self._vel_cache[key]
+
+    def _velocity_preconditioner(self, dt):
+        """Exact inverse of the separable block diagonal of the velocity system.
+
+        Each component block is W + a (Wy (x) Kx) + b (Ky (x) Wx) with
+        K = d^T P d on interior nodes: the normal and shear terms of
+        dt D + dt^2 C that act on that component alone.  The dropped cross
+        couplings are bounded through coercivity, so CG iteration counts
+        depend on the anisotropy of the tensors but level off under
+        refinement; only the symbols depend on dt.
+        """
+        (qx, lam_x), (qy, lam_y) = self.grid.sbp_modes()
+        c = dt * self.comp_D + dt * dt * self.comp_C
+        shear = 0.25 * c[2, 2]
+        lam_y = lam_y[:, None]
+        apply_x = separable_inverse(qx, qy, 1.0 + c[0, 0] * lam_x + shear * lam_y)
+        apply_y = separable_inverse(qx, qy, 1.0 + shear * lam_x + c[1, 1] * lam_y)
+        n = self.w2_int.size // 2
+        return lambda r: np.concatenate([apply_x(r[:n]), apply_y(r[n:])])
+
+    def _heat_preconditioner(self, c_bar):
+        """Exact inverse of W (c_bar - D lap_N) in the cosine modes."""
+        (qx, mu_x), (qy, mu_y) = self.grid.neumann_modes()
+        return separable_inverse(qx, qy, c_bar + self.D_diff * (mu_x + mu_y[:, None]))
 
     # -- nodal contractions ------------------------------------------------
     def coupling_field(self, strain):
@@ -302,10 +337,10 @@ class Integrator:
         rhs = (self.w2_int * v_int
                + dt * (-(self.A_C @ u_int) + self.T_B @ theta.ravel()
                        + self.w2_int * f_int))
-        m, diag, pre_apply = self._velocity_matrix(dt)
+        m, pre_apply = self._velocity_matrix(dt)
         x, iters = solve_spd(m, rhs, tol=self.config.cg_tol,
                              maxiter=self.config.cg_maxiter_factor * rhs.size,
-                             x0=v_int if x0 is None else x0, precond_diag=diag,
+                             x0=v_int if x0 is None else x0,
                              precond_apply=pre_apply)
         return x, iters
 
@@ -342,9 +377,11 @@ class Integrator:
         s.data[self._heat_diag_pos] += diag_add
         rhs = self.w_flat * (kappa_bar * theta_old / dt + q + g_field.ravel())
         x0 = theta_old if theta_guess is None else theta_guess.ravel()
+        # weighted mean of the diagonal; exact inverse when it is constant
+        pre_apply = self._heat_preconditioner(float(diag_add.sum()) / g.area)
         theta_new, iters = solve_spd(s, rhs, tol=self.config.cg_tol,
                                      maxiter=self.config.cg_maxiter_factor * rhs.size,
-                                     x0=x0, precond_diag=s.diagonal())
+                                     x0=x0, precond_apply=pre_apply)
         return theta_new.reshape(g.ny, g.nx), iters, b, q, g_field
 
     def adaptive_dt(self, state, v_new):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,9 +113,22 @@ def _forcing_from_config(spec):
     raise ConfigError(f"unknown forcing type {kind!r}")
 
 
+def _reject_non_finite(node, path):
+    """Raise ConfigError naming the first key that holds a NaN or infinity."""
+    if isinstance(node, dict):
+        for key, val in node.items():
+            _reject_non_finite(val, f"{path}.{key}" if path else str(key))
+    elif isinstance(node, (list, tuple)):
+        for i, val in enumerate(node):
+            _reject_non_finite(val, f"{path}[{i}]")
+    elif isinstance(node, float) and not math.isfinite(node):
+        raise ConfigError(f"config key {path} must be a finite number, got {node!r}")
+
+
 def build_scenario(config):
     """Materialize a config mapping into a validated Scenario."""
     cfg = copy.deepcopy(config)
+    _reject_non_finite(cfg, "")
     try:
         grid_cfg = cfg["grid"]
         grid = Grid(nx=int(grid_cfg["nx"]), ny=int(grid_cfg["ny"]),

@@ -6,7 +6,9 @@ import scipy.sparse as sp
 
 from tvsim import tensors as tn
 from tvsim.errors import ConfigError, SolverError
-from tvsim.grid import (Grid, korn_quotients, poincare_korn_quotients,
+from tvsim.grid import (Grid, _cosine_modes_1d, _neumann_laplacian_1d,
+                        _sbp_derivative_1d, _sbp_modes_1d, _trapezoid_1d,
+                        korn_quotients, poincare_korn_quotients,
                         read_snapshot, solve_spd, write_snapshot)
 from conftest import boundary_vanishing_field
 
@@ -175,6 +177,52 @@ class TestKornChecks:
         assert ratio <= 0.5
 
 
+def _lil_derivative(n, h):
+    d = sp.lil_matrix((n, n))
+    d[0, 0], d[0, 1] = -1.0 / h, 1.0 / h
+    d[n - 1, n - 2], d[n - 1, n - 1] = -1.0 / h, 1.0 / h
+    for i in range(1, n - 1):
+        d[i, i - 1], d[i, i + 1] = -0.5 / h, 0.5 / h
+    return d.tocsr()
+
+
+def _lil_neumann(n, h):
+    lap = sp.lil_matrix((n, n))
+    c = 1.0 / h**2
+    lap[0, 0], lap[0, 1] = -2.0 * c, 2.0 * c
+    lap[n - 1, n - 2], lap[n - 1, n - 1] = 2.0 * c, -2.0 * c
+    for i in range(1, n - 1):
+        lap[i, i - 1], lap[i, i], lap[i, i + 1] = c, -2.0 * c, c
+    return lap.tocsr()
+
+
+class TestOneDimensionalOperators:
+    @pytest.mark.parametrize("n, h", [(4, 1.0 / 3), (9, 0.125), (13, 0.1083)])
+    def test_match_entrywise_assembly(self, n, h):
+        for new, ref in [(_sbp_derivative_1d(n, h), _lil_derivative(n, h)),
+                         (_neumann_laplacian_1d(n, h), _lil_neumann(n, h))]:
+            assert new.nnz == ref.nnz
+            assert np.array_equal(new.toarray(), ref.toarray())
+
+    @pytest.mark.parametrize("n, h", [(4, 0.5), (13, 0.1)])
+    def test_cosine_modes_diagonalize_neumann(self, n, h):
+        q, mu = _cosine_modes_1d(n, h)
+        p = np.diag(_trapezoid_1d(n, h))
+        assert np.abs(q.T @ p @ q - np.eye(n)).max() <= 1e-12
+        lap = _neumann_laplacian_1d(n, h).toarray()
+        assert np.abs(lap @ q + q * mu).max() <= 1e-10 * mu.max()
+
+    @pytest.mark.parametrize("n, h", [(5, 0.25), (13, 0.1)])
+    def test_sbp_modes_diagonalize_interior_form(self, n, h):
+        q, lam = _sbp_modes_1d(n, h)
+        d = _sbp_derivative_1d(n, h).toarray()
+        p = np.diag(_trapezoid_1d(n, h))
+        k = (d.T @ p @ d)[1:-1, 1:-1]
+        assert np.abs(q.T @ p[1:-1, 1:-1] @ q - np.eye(n - 2)).max() <= 1e-12
+        assert np.abs(q.T @ k @ q - np.diag(lam)).max() <= 1e-10 * lam.max()
+        assert lam.min() > 0
+
+
 class TestSolveSpd:
     def test_identity(self, rng):
         a = sp.identity(40, format="csr")
@@ -238,4 +286,26 @@ class TestSnapshots:
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOPE" + b"\0" * 60)
         with pytest.raises(ConfigError):
+            read_snapshot(str(path))
+
+    def test_truncated_file_rejected(self, tmp_path, rng):
+        path = tmp_path / "cut.bin"
+        write_snapshot(str(path), 0.5, [rng.standard_normal((5, 5))])
+        path.write_bytes(path.read_bytes()[:32 + 40])
+        with pytest.raises(ConfigError) as err:
+            read_snapshot(str(path))
+        msg = str(err.value)
+        assert str(path) in msg and "232" in msg and "72" in msg
+
+    def test_truncated_header_rejected(self, tmp_path):
+        path = tmp_path / "stub.bin"
+        path.write_bytes(b"TVS1" + b"\0" * 8)
+        with pytest.raises(ConfigError, match="expected 32 bytes, got 12"):
+            read_snapshot(str(path))
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "long.bin"
+        write_snapshot(str(path), 0.5, [np.zeros((4, 4))])
+        path.write_bytes(path.read_bytes() + b"\0" * 8)
+        with pytest.raises(ConfigError, match="needs 160 bytes, file has 168"):
             read_snapshot(str(path))

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from tvsim.errors import ConfigError, StepError
-from tvsim.grid import Grid
+from tvsim.grid import Grid, _sbp_derivative_1d, _trapezoid_1d, solve_spd
 from tvsim.integrator import (CallableForcing, FieldState, Integrator,
                               SolverConfig, ZeroForcing)
 from tvsim.materials import ConstantCapacity, DebyeLikeCapacity
@@ -85,12 +85,100 @@ class TestVelocityStep:
         st.theta = 1.0 + 0.3 * rng.random((g.ny, g.nx))
         dt = 0.01
         v_int, _ = itg.velocity_step(st, ZeroForcing(), dt)
-        m, _, _ = itg._velocity_matrix(dt)
+        m, _ = itg._velocity_matrix(dt)
         rhs = (itg.w2_int * g.interior_vec(st.v)
                + dt * (-(itg.A_C @ g.interior_vec(st.u))
                        + itg.T_B @ st.theta.ravel()))
         dense = np.linalg.solve(m.toarray(), rhs)
         assert np.abs(v_int - dense).max() <= 1e-9
+
+
+ANISO = np.array([[3.0, 1.0, 0.5], [1.0, 2.0, -0.4], [0.5, -0.4, 1.0]])
+
+
+def _aniso_tensors():
+    # coercive, with every normal/shear coupling present; the separable
+    # preconditioner drops all of those couplings
+    return tn.ElasticityTensors(D4=tn.onb_matrix_to_tensor(ANISO),
+                                C4=tn.onb_matrix_to_tensor(ANISO[::-1, ::-1]),
+                                B=0.5 * np.eye(2))
+
+
+def _interior_form_1d(n, h):
+    d = _sbp_derivative_1d(n, h)
+    return (d.T @ sp.diags(_trapezoid_1d(n, h)) @ d).toarray()[1:-1, 1:-1]
+
+
+class TestSeparablePreconditioners:
+    """Each preconditioner is the exact inverse of its separable operator."""
+
+    @staticmethod
+    def nonsquare_integrator(tensors=None, d_diff=0.7):
+        g = Grid(13, 9, Lx=1.3)
+        tens = tensors or tn.ElasticityTensors(D4=tn.isotropic_tensor(1, 1),
+                                               C4=tn.isotropic_tensor(2, 0.5),
+                                               B=0.5 * np.eye(2))
+        itg = Integrator(g, tens, ConstantCapacity(1.0), SolverConfig())
+        return itg.set_diffusivity(d_diff), g
+
+    @pytest.mark.parametrize("aniso", [False, True])
+    def test_velocity_inverts_kronecker_operator(self, rng, aniso):
+        itg, g = self.nonsquare_integrator(_aniso_tensors() if aniso else None)
+        dt = 0.03
+        c = dt * itg.comp_D + dt * dt * itg.comp_C
+        kx = _interior_form_1d(g.nx, g.hx)
+        ky = _interior_form_1d(g.ny, g.hy)
+        wx, wy = g.hx * np.eye(g.nx - 2), g.hy * np.eye(g.ny - 2)
+
+        def block(a, b):
+            return np.kron(wy, wx) + a * np.kron(wy, kx) + b * np.kron(ky, wx)
+        zero = np.zeros(((g.nx - 2) * (g.ny - 2),) * 2)
+        op = np.block([[block(c[0, 0], 0.25 * c[2, 2]), zero],
+                       [zero, block(0.25 * c[2, 2], c[1, 1])]])
+        _, pre = itg._velocity_matrix(dt)
+        x = rng.standard_normal(op.shape[0])
+        assert np.abs(pre(op @ x) - x).max() <= 1e-12 * np.abs(x).max()
+        r = rng.standard_normal(op.shape[0])
+        assert np.abs(op @ pre(r) - r).max() <= 1e-12 * np.abs(r).max()
+
+    def test_heat_inverts_shifted_neumann_operator(self, rng):
+        itg, g = self.nonsquare_integrator()
+        c_bar = 37.5
+        op = (c_bar * sp.diags(itg.w_flat) - itg.D_diff * itg.A_N).toarray()
+        pre = itg._heat_preconditioner(c_bar)
+        x = rng.standard_normal(g.n_nodes)
+        assert np.abs(pre(op @ x) - x).max() <= 1e-12 * np.abs(x).max()
+        r = rng.standard_normal(g.n_nodes)
+        assert np.abs(op @ pre(r) - r).max() <= 1e-12 * np.abs(r).max()
+
+    @pytest.mark.parametrize("aniso", [False, True])
+    def test_cold_velocity_solves_do_not_grow_with_refinement(self, aniso):
+        counts = []
+        for n in (16, 32, 64):
+            itg, _ = make_integrator(n=n, tensors=_aniso_tensors() if aniso else None)
+            m, pre = itg._velocity_matrix(0.01)
+            rhs = np.random.default_rng(n).standard_normal(m.shape[0])
+            x, iters = solve_spd(m, rhs, tol=1e-12, precond_apply=pre)
+            assert np.linalg.norm(m @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+            counts.append(iters)
+        assert max(counts) <= 60, counts
+
+
+class TestDiagPositions:
+    def test_points_at_diagonal_entries(self):
+        itg, g = make_integrator(n=9)
+        a = itg._heat_base
+        pos = Integrator._diag_positions(a)
+        assert np.array_equal(a.data[pos], a.diagonal())
+        rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+        assert np.array_equal(rows[pos], np.arange(a.shape[0]))
+        assert np.array_equal(a.indices[pos], np.arange(a.shape[0]))
+
+    def test_missing_diagonal_entry_raises(self):
+        a = sp.csr_matrix(np.array([[2.0, 1.0, 0.0], [1.0, 0.0, 1.0],
+                                    [0.0, 1.0, 2.0]]))
+        with pytest.raises(RuntimeError, match="misses a diagonal entry"):
+            Integrator._diag_positions(a)
 
 
 class TestDisplacementStep:
@@ -329,7 +417,7 @@ class TestFullStep:
 
     def test_velocity_system_symmetric_positive_definite(self):
         itg, g = make_integrator(n=8, eps_reg=1e-5, m=2)
-        m, _, _ = itg._velocity_matrix(0.01)
+        m, _ = itg._velocity_matrix(0.01)
         assert abs(m - m.T).max() <= 1e-14
         assert np.linalg.eigvalsh(m.toarray()).min() > 0
 

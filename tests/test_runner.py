@@ -54,6 +54,22 @@ class TestScenarioBuild:
         with pytest.raises(ConfigError):
             build_scenario(cfg)
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("material", "D", math.nan), (None, "t_final", math.nan),
+        ("solver", "dt_max", math.inf), ("grid", "Lx", -math.inf)])
+    def test_non_finite_value_rejected(self, section, key, value):
+        cfg = short_default()
+        (cfg[section] if section else cfg)[key] = value
+        name = f"{section}.{key}" if section else key
+        with pytest.raises(ConfigError, match=rf"\b{name}\b"):
+            build_scenario(cfg)
+
+    def test_non_finite_list_entry_rejected(self):
+        cfg = short_default()
+        cfg["output"]["window_starts"] = [0.5, math.nan]
+        with pytest.raises(ConfigError, match=r"output\.window_starts\[1\]"):
+            build_scenario(cfg)
+
 
 class TestRun:
     def test_trivial_scenario(self, tmp_path):
