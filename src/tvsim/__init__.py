@@ -14,8 +14,7 @@ from .integrator import (FieldState, Forcing, Integrator, PulseForcing,
 from .materials import (ConstantCapacity, DebyeLikeCapacity, HeatCapacity,
                         PowerGrowthCapacity, ScalarFunctionals,
                         SlowDecayCapacity, TabulatedCapacity,
-                        admissibility_check, model_from_config,
-                        regularize_kappa)
+                        admissibility_check, model_from_config)
 from .runner import convergence_study, run, sweep
 from .scenarios import build_scenario, builtin_scenarios
 from .tensors import (ElasticityTensors, coercivity_constant, contract4,
@@ -30,7 +29,6 @@ __all__ = [
     "ConstantCapacity", "DebyeLikeCapacity", "HeatCapacity",
     "PowerGrowthCapacity", "ScalarFunctionals", "SlowDecayCapacity",
     "TabulatedCapacity", "admissibility_check", "model_from_config",
-    "regularize_kappa",
     "Diagnostics", "DiagnosticsRecord", "WindowMetrics",
     "energy_balance_residual", "entropy_balance_residual",
     "log_entropy_inequality", "theta_infinity", "window_metrics",

@@ -18,6 +18,7 @@ energy and entropy exchange terms cancel exactly rather than to O(h^2).
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -211,9 +212,6 @@ class Grid:
 
     def _mat_flat(self, a):
         return np.concatenate([a[..., k].ravel() for k in range(3)])
-
-    def _scalar_flat(self, f):
-        return f.ravel()
 
     def interior_vec(self, v):
         """Interior degrees of freedom of a vector field (component-major)."""
@@ -415,21 +413,35 @@ def poincare_korn_quotients(grid, n_samples=100, seed=0):
     return out
 
 
+def write_atomic(path, data):
+    """Write bytes to path through a temporary file and os.replace.
+
+    A process killed mid-write leaves the old file or none, never a
+    complete-looking partial one.
+    """
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+    os.replace(tmp, path)
+
+
 def write_snapshot(path, t, fields):
     """Write fields (list of (ny, nx) float arrays) with the 32-byte header."""
     ny, nx = fields[0].shape
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(SNAPSHOT_MAGIC, nx, ny, len(fields), float(t)))
-        for f in fields:
-            if f.shape != (ny, nx):
-                raise ConfigError("snapshot fields must share one grid shape")
-            fh.write(np.ascontiguousarray(f, dtype="<f8").tobytes())
+    if any(f.shape != (ny, nx) for f in fields):
+        raise ConfigError("snapshot fields must share one grid shape")
+    header = _HEADER.pack(SNAPSHOT_MAGIC, nx, ny, len(fields), float(t))
+    write_atomic(path, header + b"".join(
+        np.ascontiguousarray(f, dtype="<f8").tobytes() for f in fields))
 
 
 def read_snapshot(path):
     """Read a snapshot file; returns (t, [fields])."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read snapshot ({exc})") from exc
     if len(raw) < _HEADER.size:
         raise ConfigError(f"{path}: truncated snapshot header: expected "
                           f"{_HEADER.size} bytes, got {len(raw)}")

@@ -321,16 +321,16 @@ class Integrator:
         return np.einsum("ab,...a,...b->...", self.comp_D, strain, strain)
 
     # -- step operations ----------------------------------------------------
-    def velocity_step(self, state, forcing, dt, theta_force=None, x0=None):
+    def velocity_step(self, state, f_field, dt, theta_force=None, x0=None):
         """Implicit velocity update; theta_force defaults to state.theta.
 
-        The system matrix contains the viscous form, the optional high-order
+        f_field is the momentum source f(t + dt), shape (ny, nx, 2).  The
+        system matrix contains the viscous form, the optional high-order
         regularization and the dt^2 elastic term that evaluates the elastic
         force at the end-of-step displacement.
         """
         g = self.grid
         theta = state.theta if theta_force is None else theta_force
-        f_field = forcing.f(state.t + dt, g)
         u_int = g.interior_vec(state.u)
         v_int = g.interior_vec(state.v)
         f_int = g.interior_vec(f_field)
@@ -349,11 +349,12 @@ class Integrator:
         """u+ = u + dt v+, consistent with the implicit elastic pairing."""
         return u + dt * v_new
 
-    def temperature_step(self, state, v_new, forcing, dt, theta_guess=None,
+    def temperature_step(self, state, v_new, g_field, dt, theta_guess=None,
                          kappa_bar=None):
         """Positivity-preserving implicit heat update given the new velocity.
 
-        Solves [kappa_bar/dt + b - D lap_N] theta+ = kappa_bar theta/dt + q + g.
+        Solves [kappa_bar/dt + b - D lap_N] theta+ = kappa_bar theta/dt + q + g
+        with g_field the heat source g(t + dt), shape (ny, nx).
         The system is an M-matrix whenever the diagonal guard
         kappa_bar/dt + b > 0 holds at every node; a violation raises StepError
         (the step is rejected, never clamped).
@@ -370,7 +371,6 @@ class Integrator:
             node = int(np.argmin(kappa_bar / dt + b))
             raise StepError("temperature diagonal guard failed "
                             f"(kappa/dt + b <= 0 at node {node})", node=node, dt=dt)
-        g_field = forcing.g(state.t + dt, g)
         if g_field.min() < 0.0:
             raise ConfigError("heat source g must be nonnegative")
         s = self._heat_base.copy()
@@ -382,7 +382,7 @@ class Integrator:
         theta_new, iters = solve_spd(s, rhs, tol=self.config.cg_tol,
                                      maxiter=self.config.cg_maxiter_factor * rhs.size,
                                      x0=x0, precond_apply=pre_apply)
-        return theta_new.reshape(g.ny, g.nx), iters, b, q, g_field
+        return theta_new.reshape(g.ny, g.nx), iters, b, q
 
     def adaptive_dt(self, state, v_new):
         """Largest admissible dt for the positivity guard, capped at dt_max.
@@ -442,6 +442,10 @@ class Integrator:
         g = self.grid
         model = self.model
         theta_old = state.theta
+        t_new = state.t + dt
+        # one evaluation of the sources per attempt, shared by every solve
+        f_field = forcing.f(t_new, g)
+        g_field = forcing.g(t_new, g)
         kappa_bar = model.kappa(theta_old).ravel()
         theta_force = theta_old
         v_guess = None
@@ -449,13 +453,13 @@ class Integrator:
         picard_iters = 0
         it_v_total = it_h_total = 0
         for picard_iters in range(1, cfg.picard_max + 1):
-            v_int, it_v = self.velocity_step(state, forcing, dt,
+            v_int, it_v = self.velocity_step(state, f_field, dt,
                                              theta_force=theta_force, x0=v_guess)
             it_v_total += it_v
             v_guess = v_int
             v_full = g.vec_from_interior(v_int)
-            theta_new, it_h, b, q, g_field = self.temperature_step(
-                state, v_full, forcing, dt, theta_guess=theta_field,
+            theta_new, it_h, b, _ = self.temperature_step(
+                state, v_full, g_field, dt, theta_guess=theta_field,
                 kappa_bar=kappa_bar)
             it_h_total += it_h
             change = float(np.abs(theta_new - theta_force).max())
@@ -477,11 +481,10 @@ class Integrator:
                             node=node, dt=dt)
 
         u_new = self.displacement_step(state.u, v_full, dt)
-        t_new = state.t + dt
         new_state = FieldState(u_new, v_full, theta_new, t_new)
 
-        report = self._bookkeeping(state, new_state, forcing, dt, v_int, b, q,
-                                   g_field, picard_iters, it_v_total, it_h_total)
+        report = self._bookkeeping(state, new_state, f_field, g_field, dt, v_int,
+                                   b, picard_iters, it_v_total, it_h_total)
         return new_state, report
 
     # -- exact energy / entropy bookkeeping --------------------------------
@@ -498,10 +501,9 @@ class Integrator:
         """S = integral of ell(theta) for the integrated (floored) law."""
         return float(np.sum(self.w_flat * self.model.ell(state.theta).ravel()))
 
-    def _bookkeeping(self, state, new_state, forcing, dt, v_int, b, q, g_field,
+    def _bookkeeping(self, state, new_state, f_field, g_field, dt, v_int, b,
                      picard_iters, it_v, it_h):
         g = self.grid
-        f_field = forcing.f(new_state.t, g)
         work_f = dt * g.integrate(f_field[..., 0] * new_state.v[..., 0]
                                   + f_field[..., 1] * new_state.v[..., 1])
         work_g = dt * g.integrate(g_field)

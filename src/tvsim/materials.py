@@ -599,11 +599,6 @@ class FlooredCapacity(HeatCapacity):
                                heuristic=flags.heuristic)
 
 
-def regularize_kappa(model, eps):
-    """Floor a heat-capacity law at eps in (0, 1); see HeatCapacity.floor."""
-    return model.floor(eps)
-
-
 def model_from_config(cfg):
     """Build a heat-capacity law from its config mapping."""
     try:

@@ -77,7 +77,7 @@ class ManufacturedProblem:
 
         # g is affine in the ramp slope s: pick the smallest s with g >= margin
         g0 = g_expr.subs(s_off, 0)
-        gs = sp.simplify(sp.diff(g_expr, s_off))
+        gs = sp.diff(g_expr, s_off)
         g0_fn = sp.lambdify((x, y, t), g0, "numpy")
         gs_fn = sp.lambdify((x, y, t), gs, "numpy")
         xs = np.linspace(0, lx, 41)

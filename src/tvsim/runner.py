@@ -8,7 +8,14 @@ A run produces, inside its output directory:
   windows.csv       unit-window stabilization metrics per window start
   manifest.json     summary: limits, violation counts, stabilization numbers
   snapshot_*.bin    binary field snapshots at requested times
-  checkpoint.bin/.txt  restartable state at the configured checkpoint time
+  checkpoint.bin/.txt  restartable state at the configured checkpoint time,
+                    with the grid dims and the hash of the physics config
+
+manifest.json, the checkpoint and the snapshots are written through a
+temporary file and os.replace, so a killed run never leaves a partial one,
+and a run first removes the manifest an earlier run left in its directory.
+A restart is refused unless the run's config matches the checkpoint's outside
+the sections in _RESTART_FREE.
 
 Violations are counted per accepted step: an energy residual above
 +energy_tol_rel * F(0), an entropy decrease or entropy-balance deficit beyond
@@ -31,13 +38,18 @@ from . import __version__
 from .diagnostics import (Diagnostics, WindowSample, log_entropy_inequality,
                           theta_infinity, window_metrics)
 from .errors import AdmissibilityError, ConfigError
-from .grid import read_snapshot, write_snapshot
+from .grid import read_snapshot, write_atomic, write_snapshot
 from .integrator import FieldState, Integrator
 from .mms import ManufacturedProblem
 from .scenarios import (admissibility, build_scenario, builtin_scenarios,
                         canonical_json, mms_forcing_wrapper)
 
 _FMT = "{:.17g}"
+# config sections a restart may change: they name the run, steer its output
+# and set where it ends, but leave the physics of the checkpoint alone
+_RESTART_FREE = ("name", "output", "t_final")
+_CHECKPOINT_KEYS = ("config_hash", "nx", "ny", "t", "dt_prev", "f0_ref",
+                    "work_f", "work_g", "eps_diss", "step_index")
 
 
 def _fmt_row(values):
@@ -46,6 +58,10 @@ def _fmt_row(values):
 
 def config_hash(config):
     return hashlib.sha256(canonical_json(config).encode()).hexdigest()
+
+
+def _physics_hash(config):
+    return config_hash({k: v for k, v in config.items() if k not in _RESTART_FREE})
 
 
 class _WindowStore:
@@ -73,6 +89,10 @@ def run(config, outdir, restart_from=None):
     """
     scenario = build_scenario(config)
     os.makedirs(outdir, exist_ok=True)
+    manifest_path = os.path.join(outdir, "manifest.json")
+    # the manifest marks a finished run; one left by an earlier run goes
+    if os.path.exists(manifest_path):
+        os.remove(manifest_path)
     adm = admissibility(scenario)
     if not adm.passed:
         raise AdmissibilityError(
@@ -92,7 +112,8 @@ def run(config, outdir, restart_from=None):
     step_index = 0
     wrote_checkpoint = restart_from is not None
     if restart_from is not None:
-        state, extra = _load_checkpoint(restart_from, g)
+        state, extra = _load_checkpoint(restart_from, g,
+                                        _physics_hash(scenario.config))
         integ.dt_prev = extra["dt_prev"]
         f0_ref = extra["f0_ref"]
         work_f, work_g = extra["work_f"], extra["work_g"]
@@ -160,8 +181,11 @@ def run(config, outdir, restart_from=None):
             _write_state(os.path.join(outdir, f"snapshot_t{t_snap:.6f}.bin"), state)
         if (not wrote_checkpoint and plan.checkpoint_time is not None
                 and state.t >= plan.checkpoint_time - 1e-12):
-            _write_checkpoint(outdir, state, integ.dt_prev, f0_ref,
-                              work_f, work_g, eps_diss, step_index)
+            _write_checkpoint(outdir, state, g, _physics_hash(scenario.config),
+                              [("dt_prev", integ.dt_prev), ("f0_ref", f0_ref),
+                               ("work_f", work_f), ("work_g", work_g),
+                               ("eps_diss", eps_diss),
+                               ("step_index", step_index)])
             wrote_checkpoint = True
 
     # -- large-time limits and windows ----------------------------------
@@ -224,9 +248,8 @@ def run(config, outdir, restart_from=None):
             "theta_initial_deviation": theta0_dev,
         },
     }
-    with open(os.path.join(outdir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(manifest_path,
+                 (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
     return manifest
 
 
@@ -242,29 +265,41 @@ def _write_state(path, state):
                                    state.v[..., 0], state.v[..., 1], state.theta])
 
 
-def _write_checkpoint(outdir, state, dt_prev, f0_ref, work_f, work_g,
-                      eps_diss, step_index):
+def _write_checkpoint(outdir, state, grid, physics_hash, values):
     _write_state(os.path.join(outdir, "checkpoint.bin"), state)
-    with open(os.path.join(outdir, "checkpoint.txt"), "w") as fh:
-        for key, val in [("t", state.t), ("dt_prev", dt_prev),
-                         ("f0_ref", f0_ref), ("work_f", work_f),
-                         ("work_g", work_g), ("eps_diss", eps_diss),
-                         ("step_index", step_index)]:
-            fh.write(f"{key}={_FMT.format(val)}\n")
+    lines = [f"config_hash={physics_hash}", f"nx={grid.nx}", f"ny={grid.ny}"]
+    lines += [f"{key}={_FMT.format(val)}" for key, val in [("t", state.t)] + values]
+    write_atomic(os.path.join(outdir, "checkpoint.txt"),
+                 "".join(line + "\n" for line in lines).encode())
 
 
-def _load_checkpoint(prefix, grid):
+def _load_checkpoint(prefix, grid, physics_hash):
+    """State and run totals of a checkpoint written under the same physics."""
     if os.path.isdir(prefix):
         prefix = os.path.join(prefix, "checkpoint")
+    extra = {}
+    try:
+        with open(prefix + ".txt") as fh:
+            for line in fh:
+                key, val = line.strip().split("=")
+                extra[key] = val if key == "config_hash" else float(val)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{prefix}.txt: unreadable checkpoint ({exc})") from exc
+    missing = [key for key in _CHECKPOINT_KEYS if key not in extra]
+    if missing:
+        raise ConfigError(f"{prefix}.txt: checkpoint misses {', '.join(missing)}")
+    if (extra["nx"], extra["ny"]) != (grid.nx, grid.ny):
+        raise ConfigError(f"{prefix}.txt: checkpoint grid is "
+                          f"{extra['nx']:g}x{extra['ny']:g}, the run's is "
+                          f"{grid.nx}x{grid.ny}")
+    if extra["config_hash"] != physics_hash:
+        raise ConfigError(f"{prefix}.txt: checkpoint was written under a "
+                          "different config (outside "
+                          f"{'/'.join(_RESTART_FREE)}); refusing to restart")
     t, fields = read_snapshot(prefix + ".bin")
     u = np.stack([fields[0], fields[1]], axis=-1)
     v = np.stack([fields[2], fields[3]], axis=-1)
     state = FieldState(u=u, v=v, theta=fields[4], t=t)
-    extra = {}
-    with open(prefix + ".txt") as fh:
-        for line in fh:
-            key, val = line.strip().split("=")
-            extra[key] = float(val)
     return state, extra
 
 
@@ -333,6 +368,7 @@ def convergence_study(config, levels=3, base_nx=8, dt_over_h2=8.0,
                       temporal_dt_ref=1e-3, t_final=1.0):
     """Manufactured-solution convergence orders of the full scheme.
 
+    The study builds one manufactured problem, which no grid or dt changes.
     Spatial: grids double from base_nx with dt slaved to h^2, so the total
     error scales like h^2 when the scheme is second order in space and first
     order in time.  Temporal: one grid, errors measured against a small-dt
@@ -343,13 +379,15 @@ def convergence_study(config, levels=3, base_nx=8, dt_over_h2=8.0,
     scenario = build_scenario(config)
     if scenario.model_raw.describe().get("variant") != "constant":
         raise ConfigError("convergence study needs a constant heat capacity")
-    kappa0 = scenario.model_raw.k0
+    mms = ManufacturedProblem(scenario.tensors, scenario.model_raw.k0,
+                              scenario.d_diff, lx=scenario.grid.Lx,
+                              ly=scenario.grid.Ly, t_final=t_final,
+                              amp_u=0.08, amp_theta=0.25)
 
     spatial_rows = []
     for lev in range(levels):
         nx = base_nx * 2 ** lev
-        sub = _mms_run(scenario, kappa0, nx, None, t_final, dt_over_h2)
-        spatial_rows.append(sub)
+        spatial_rows.append(_mms_run(scenario, mms, nx, None, dt_over_h2))
     for prev, cur in zip(spatial_rows[:-1], spatial_rows[1:]):
         cur["order_u"] = math.log2(prev["err_u"] / cur["err_u"]) \
             if cur["err_u"] > 0 and prev["err_u"] > 0 else math.inf
@@ -358,12 +396,10 @@ def convergence_study(config, levels=3, base_nx=8, dt_over_h2=8.0,
     monotone = all(a["err_u"] >= b["err_u"] and a["err_theta"] >= b["err_theta"]
                    for a, b in zip(spatial_rows[:-1], spatial_rows[1:]))
 
-    ref = _mms_run(scenario, kappa0, temporal_nx, temporal_dt_ref, t_final,
-                   None, keep_state=True)
+    ref = _mms_run(scenario, mms, temporal_nx, temporal_dt_ref, keep_state=True)
     temporal_rows = []
     for dt in temporal_dts:
-        sub = _mms_run(scenario, kappa0, temporal_nx, dt, t_final, None,
-                       keep_state=True)
+        sub = _mms_run(scenario, mms, temporal_nx, dt, keep_state=True)
         du = sub["state"].u - ref["state"].u
         dth = sub["state"].theta - ref["state"].theta
         gsub = sub["grid"]
@@ -385,15 +421,11 @@ def convergence_study(config, levels=3, base_nx=8, dt_over_h2=8.0,
     }
 
 
-def _mms_run(scenario, kappa0, nx, dt, t_final, dt_over_h2, keep_state=False,
-             amp_u=0.08, amp_theta=0.25):
+def _mms_run(scenario, mms, nx, dt, dt_over_h2=None, keep_state=False):
     from .grid import Grid
     from .integrator import SolverConfig
 
     g = Grid(nx, nx, scenario.grid.Lx, scenario.grid.Ly)
-    mms = ManufacturedProblem(scenario.tensors, kappa0, scenario.d_diff,
-                              lx=g.Lx, ly=g.Ly, t_final=t_final,
-                              amp_u=amp_u, amp_theta=amp_theta)
     if dt is None:
         dt = dt_over_h2 * g.hx ** 2
     cfg = SolverConfig(dt0=dt, dt_min=min(dt, 1e-7), dt_max=dt, dt_growth=1.0,
@@ -402,8 +434,8 @@ def _mms_run(scenario, kappa0, nx, dt, t_final, dt_over_h2, keep_state=False,
                        cfg).set_diffusivity(scenario.d_diff)
     forcing = mms_forcing_wrapper(mms.forcing_f, mms.forcing_g)
     state = mms.initial_state(g)
-    while state.t < t_final - 1e-12:
-        state, _ = integ.step(state, forcing, dt_request=t_final - state.t)
+    while state.t < mms.t_final - 1e-12:
+        state, _ = integ.step(state, forcing, dt_request=mms.t_final - state.t)
     err_u, err_theta = mms.errors(state, g)
     row = {"nx": nx, "h": g.hx, "dt": dt, "err_u": err_u, "err_theta": err_theta}
     if keep_state:

@@ -31,12 +31,6 @@ _ONB = np.array([
 ])
 
 
-def sym_part(a):
-    """Symmetric part (A + A^T)/2 of a 2x2 matrix."""
-    a = np.asarray(a, dtype=float)
-    return 0.5 * (a + a.T)
-
-
 def mat_inner(a, b):
     """Frobenius inner product of two 2x2 matrices."""
     return float(np.sum(np.asarray(a) * np.asarray(b)))

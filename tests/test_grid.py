@@ -282,6 +282,16 @@ class TestSnapshots:
         for a, b in zip(fields, back):
             assert np.array_equal(a, b)
 
+    def test_missing_file_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read snapshot"):
+            read_snapshot(str(tmp_path / "absent.bin"))
+
+    def test_shape_mismatch_writes_nothing(self, tmp_path):
+        path = tmp_path / "mixed.bin"
+        with pytest.raises(ConfigError):
+            write_snapshot(str(path), 0.0, [np.zeros((4, 5)), np.zeros((5, 4))])
+        assert os.listdir(tmp_path) == []
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOPE" + b"\0" * 60)

@@ -63,7 +63,7 @@ class TestVelocityStep:
     def test_rest_with_uniform_temperature_is_equilibrium(self):
         itg, g = make_integrator()
         st = rest_state(g, theta=3.0)
-        v_int, _ = itg.velocity_step(st, ZeroForcing(), 0.01)
+        v_int, _ = itg.velocity_step(st, np.zeros((g.ny, g.nx, 2)), 0.01)
         assert np.abs(v_int).max() <= 1e-14
 
     def test_free_decay_contracts_kinetic_energy(self):
@@ -71,7 +71,7 @@ class TestVelocityStep:
         st = rest_state(g)
         st.v[..., 0] = np.sin(np.pi * g.X) * np.sin(np.pi * g.Y)
         st.v[g.boundary_mask] = 0.0
-        v_int, _ = itg.velocity_step(st, ZeroForcing(), 0.01)
+        v_int, _ = itg.velocity_step(st, np.zeros((g.ny, g.nx, 2)), 0.01)
         v_new = g.vec_from_interior(v_int)
         e_old = g.integrate(st.v[..., 0] ** 2 + st.v[..., 1] ** 2)
         e_new = g.integrate(v_new[..., 0] ** 2 + v_new[..., 1] ** 2)
@@ -84,7 +84,7 @@ class TestVelocityStep:
         st.u[1:-1, 1:-1, :] = 0.1 * rng.standard_normal((g.ny - 2, g.nx - 2, 2))
         st.theta = 1.0 + 0.3 * rng.random((g.ny, g.nx))
         dt = 0.01
-        v_int, _ = itg.velocity_step(st, ZeroForcing(), dt)
+        v_int, _ = itg.velocity_step(st, np.zeros((g.ny, g.nx, 2)), dt)
         m, _ = itg._velocity_matrix(dt)
         rhs = (itg.w2_int * g.interior_vec(st.v)
                + dt * (-(itg.A_C @ g.interior_vec(st.u))
@@ -224,9 +224,9 @@ class TestTemperatureStep:
         a = 0.3
         v = np.stack([a * g.X, a * g.Y], axis=-1)  # sym_grad = a I everywhere
         g_const = 0.2
-        forcing = CallableForcing(g_fn=lambda t, gr: np.full((gr.ny, gr.nx), g_const))
+        g_field = np.full((g.ny, g.nx), g_const)
         dt = 0.01
-        theta_new, _, b, q, _ = itg.temperature_step(st, v, forcing, dt)
+        theta_new, _, b, q = itg.temperature_step(st, v, g_field, dt)
         b_val = a * (0.5 + 0.5)  # <B, aI> with B = 0.5 I
         q_val = 8.0 * a * a      # <D: aI, aI> = <4aI, aI> for iso(1,1)
         assert np.allclose(b, b_val)
@@ -238,8 +238,8 @@ class TestTemperatureStep:
         itg, g = make_integrator()
         st = rest_state(g)
         st.theta = 1.0 + rng.random((g.ny, g.nx))
-        theta_new, _, _, _, _ = itg.temperature_step(
-            st, np.zeros((g.ny, g.nx, 2)), ZeroForcing(), 0.01)
+        theta_new, _, _, _ = itg.temperature_step(
+            st, np.zeros((g.ny, g.nx, 2)), np.zeros((g.ny, g.nx)), 0.01)
         w = g.weights
         kap = itg.model.kappa(st.theta)
         assert np.sum(w * kap * theta_new) == pytest.approx(
@@ -255,7 +255,8 @@ class TestTemperatureStep:
         tens = tn.ElasticityTensors(D4=tn.isotropic_tensor(1, 1),
                                     C4=tn.isotropic_tensor(1, 1), B=np.zeros((2, 2)))
         itg0, _ = make_integrator(tensors=tens)
-        theta_new, _, b, q, _ = itg0.temperature_step(st, v, ZeroForcing(), 0.01)
+        theta_new, _, b, q = itg0.temperature_step(st, v, np.zeros((g.ny, g.nx)),
+                                                   0.01)
         assert np.all(b == 0.0)
         assert q.max() > 0
         assert np.all(theta_new >= st.theta - 1e-13)
@@ -266,7 +267,7 @@ class TestTemperatureStep:
         a = -200.0  # b = -200 << -kappa/dt = -100
         v = np.stack([a * g.X, a * g.Y], axis=-1)
         with pytest.raises(StepError):
-            itg.temperature_step(st, v, ZeroForcing(), 0.01)
+            itg.temperature_step(st, v, np.zeros((g.ny, g.nx)), 0.01)
 
 
 class TestAdaptiveDt:
@@ -306,6 +307,37 @@ class TestAdaptiveDt:
             b = itg.coupling_field(strain)
             kap = itg.model.kappa(st.theta)
             assert np.all(kap / dt + b > 0)
+
+
+class CountingForcing(CallableForcing):
+    """Records the times at which f and g are evaluated."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.f_times, self.g_times = [], []
+
+    def f(self, t, grid):
+        self.f_times.append(t)
+        return super().f(t, grid)
+
+    def g(self, t, grid):
+        self.g_times.append(t)
+        return super().g(t, grid)
+
+
+def _rejecting_setup():
+    # strong thermal forcing at a large trial dt violates the diagonal
+    # guard mid-iteration; the step halves dt and leaves the input alone
+    g = Grid(13, 13)
+    tens = tn.ElasticityTensors(D4=tn.isotropic_tensor(1, 1),
+                                C4=tn.isotropic_tensor(1, 1),
+                                B=3.0 * np.eye(2))
+    cfg = SolverConfig(dt0=0.5, dt_max=0.5, dt_min=1e-9, picard_max=200)
+    itg = Integrator(g, tens, ConstantCapacity(0.05), cfg).set_diffusivity(1.0)
+    theta = 1.0 + 30.0 * np.exp(-((g.X - 0.5) ** 2 + (g.Y - 0.5) ** 2)
+                                / (2 * 0.15 ** 2))
+    st = FieldState(np.zeros((13, 13, 2)), np.zeros((13, 13, 2)), theta, 0.0)
+    return itg, g, st
 
 
 class TestFullStep:
@@ -397,23 +429,34 @@ class TestFullStep:
             assert rep.work_g == pytest.approx(rep.dt * 0.05, rel=1e-12)
 
     def test_rejected_steps_halve_dt_without_mutating_state(self):
-        # strong thermal forcing at a large trial dt violates the diagonal
-        # guard mid-iteration; the step halves dt and leaves the input alone
-        g = Grid(13, 13)
-        tens = tn.ElasticityTensors(D4=tn.isotropic_tensor(1, 1),
-                                    C4=tn.isotropic_tensor(1, 1),
-                                    B=3.0 * np.eye(2))
-        cfg = SolverConfig(dt0=0.5, dt_max=0.5, dt_min=1e-9, picard_max=200)
-        itg = Integrator(g, tens, ConstantCapacity(0.05), cfg).set_diffusivity(1.0)
-        theta = 1.0 + 30.0 * np.exp(-((g.X - 0.5) ** 2 + (g.Y - 0.5) ** 2)
-                                    / (2 * 0.15 ** 2))
-        st = FieldState(np.zeros((13, 13, 2)), np.zeros((13, 13, 2)), theta, 0.0)
+        itg, g, st = _rejecting_setup()
         theta_before = st.theta.copy()
         new, rep = itg.step(st, ZeroForcing())
         assert rep.rejections >= 1
         assert rep.dt < 0.5
         assert rep.min_theta > 0
         assert np.array_equal(st.theta, theta_before) and st.t == 0.0
+
+    def test_sources_evaluated_once_per_accepted_step(self):
+        itg, g = make_integrator()
+        st = sine_velocity_state(g)
+        forcing = CountingForcing(g_fn=lambda t, gr: np.full((gr.ny, gr.nx), 0.05))
+        for _ in range(5):
+            t_old = st.t
+            st, rep = itg.step(st, forcing)
+            assert rep.rejections == 0 and rep.picard_iters > 1
+            assert forcing.f_times[-1] == forcing.g_times[-1] == t_old + rep.dt
+        assert len(forcing.f_times) == len(forcing.g_times) == 5
+
+    def test_sources_evaluated_once_per_step_attempt(self):
+        itg, g, st = _rejecting_setup()
+        forcing = CountingForcing()
+        _, rep = itg.step(st, forcing)
+        assert rep.rejections >= 1
+        assert len(forcing.f_times) == len(forcing.g_times) == 1 + rep.rejections
+        # each retry halves dt, and the sources follow the attempt's end time
+        assert forcing.g_times == [rep.dt * 2.0 ** k
+                                   for k in range(rep.rejections, -1, -1)]
 
     def test_velocity_system_symmetric_positive_definite(self):
         itg, g = make_integrator(n=8, eps_reg=1e-5, m=2)

@@ -105,6 +105,74 @@ class TestRun:
         assert full[0] == res[0]
         assert full[-(len(res) - 1):] == res[1:]
 
+    def test_restart_across_output_and_t_final_is_byte_identical(self, tmp_path):
+        # a restart may change the output plan, t_final and the name
+        full = short_default(t_final=1.0)
+        runner.run(full, str(tmp_path / "full"))
+        first = short_default(t_final=0.6, name="first-half")
+        first["output"]["checkpoint_time"] = 0.5
+        runner.run(first, str(tmp_path / "first"))
+        runner.run(full, str(tmp_path / "resumed"),
+                   restart_from=str(tmp_path / "first"))
+        whole = (tmp_path / "full" / "diagnostics.csv").read_bytes()
+        # a resumed run records the steps after the checkpoint at t = 0.5
+        header, _, rows = (tmp_path / "resumed" / "diagnostics.csv").read_bytes() \
+            .partition(b"\n")
+        assert whole.startswith(header + b"\n")
+        assert rows.count(b"\n") == 50 and whole.endswith(rows)
+
+    @pytest.mark.parametrize("section, key, value, match", [
+        ("material", "D", 5.0, "different config"),
+        ("material", "kappa", {"variant": "constant", "k0": 2.0},
+         "different config"),
+        ("grid", "nx", 24, "grid is 32x32"),
+    ])
+    def test_restart_under_different_physics_refused(self, tmp_path, section,
+                                                     key, value, match):
+        cfg = short_default(t_final=0.1)
+        cfg["output"]["checkpoint_time"] = 0.05
+        runner.run(cfg, str(tmp_path / "a"))
+        other = copy.deepcopy(cfg)
+        other.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigError, match=match):
+            runner.run(other, str(tmp_path / "b"), restart_from=str(tmp_path / "a"))
+        assert not (tmp_path / "b" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("text, match", [
+        ("t=0.5\n", "misses config_hash"),
+        ("config_hash=abc\nnx=oops\n", "unreadable checkpoint"),
+    ])
+    def test_corrupt_checkpoint_text_refused(self, tmp_path, text, match):
+        cfg = short_default(t_final=0.1)
+        cfg["output"]["checkpoint_time"] = 0.05
+        runner.run(cfg, str(tmp_path / "a"))
+        (tmp_path / "a" / "checkpoint.txt").write_text(text)
+        with pytest.raises(ConfigError, match=match):
+            runner.run(cfg, str(tmp_path / "b"), restart_from=str(tmp_path / "a"))
+
+    def test_atomic_writes_leave_no_temporary_files(self, tmp_path):
+        cfg = short_default(t_final=0.1)
+        cfg["output"].update(checkpoint_time=0.05, snapshot_times=[0.03])
+        runner.run(cfg, str(tmp_path / "w"))
+        names = sorted(os.listdir(tmp_path / "w"))
+        assert not [n for n in names if n.endswith(".tmp")]
+        assert {"manifest.json", "checkpoint.bin", "checkpoint.txt"} <= set(names)
+        assert (tmp_path / "w" / "checkpoint.txt").read_text().startswith(
+            "config_hash=")
+
+    def test_killed_rerun_leaves_no_manifest(self, tmp_path, monkeypatch):
+        cfg = short_default(t_final=0.1)
+        runner.run(cfg, str(tmp_path / "k"))
+        assert (tmp_path / "k" / "manifest.json").exists()
+
+        # the rerun dies after the bytes are written, before the rename
+        def killed(src, dst):
+            raise RuntimeError("killed")
+        monkeypatch.setattr(os, "replace", killed)
+        with pytest.raises(RuntimeError, match="killed"):
+            runner.run(cfg, str(tmp_path / "k"))
+        assert not (tmp_path / "k" / "manifest.json").exists()
+
     def test_snapshots_written(self, tmp_path):
         cfg = short_default(t_final=0.2)
         cfg["output"]["snapshot_times"] = [0.1]
@@ -244,6 +312,22 @@ class TestManufactured:
             # zero normal derivative: mirror symmetry of the cosine profile
             assert np.abs(th[:, 0] - th[:, 1]).max() <= \
                 0.5 * np.abs(th[:, 1] - th[:, 2]).max() + 1e-12
+
+    def test_study_builds_one_problem(self, monkeypatch):
+        built = []
+
+        class CountingProblem(ManufacturedProblem):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "ManufacturedProblem", CountingProblem)
+        table = runner.convergence_study(
+            builtin_scenarios()["default-relaxation"], base_nx=4, temporal_nx=8,
+            temporal_dts=(0.1, 0.05, 0.025), temporal_dt_ref=0.0125, t_final=0.5)
+        assert len(built) == 1
+        assert built[0]["t_final"] == 0.5
+        assert len(table["spatial"]) == 3 and len(table["temporal"]) == 3
 
     def test_anisotropic_tensor_rejected(self):
         bad = isotropic_tensor(1.0, 1.0).copy()
