@@ -11,11 +11,16 @@ T_B the thermal-force operator, b = <B, sym_grad v+> and
 q = <D: sym_grad v+, sym_grad v+> are nodal fields, and kappa_bar is the
 chord mean of the (floored) heat capacity over [theta, theta+].
 
-The velocity and temperature solves are iterated to a joint fixed point, so
-the thermal force uses the same end-of-step temperature that the heat
-equation cools with, and the dt^2 elastic term evaluates the elastic force
-at the end-of-step displacement.  With those choices the discrete total
-energy obeys
+Each step finds the fixed point of G(x) = heat(velocity(x), kappa_bar =
+chord of kappa over [theta, x]): x forces the velocity solve and is the
+chord point of the heat solve.  The iteration mixes the last three G(x) by
+type-II Anderson acceleration (depth 2, falling back to the plain update
+G(x) when the mix is not strictly positive) and stops once
+|G(x) - x| <= picard_tol (1 + |G(x)|), returning theta+ = G(x).  So the
+thermal force is the end-of-step temperature the heat equation cools with,
+to picard_tol, and the dt^2 elastic term evaluates the elastic force at the
+end-of-step displacement.  With those choices the discrete total energy
+obeys
 
     F+ - F = -1/2 |v+ - v|_W^2 - dt^2/2 <C: sym_grad v+, sym_grad v+>
              - dt eps |lap^m v+|^2 + dt (f . v+) + dt int g
@@ -52,6 +57,33 @@ import scipy.sparse as sp
 from . import tensors as tn
 from .errors import ConfigError, SolverError, StepError
 from .grid import separable_inverse, solve_spd
+
+
+# residual differences the Picard loop mixes over (Anderson depth)
+_ANDERSON_DEPTH = 2
+
+
+def _anderson_update(g_hist, f_hist, g_new, f_new):
+    """Next fixed-point iterate by type-II Anderson mixing (Walker & Ni 2011).
+
+    g_new = G(x) and f_new = G(x) - x belong to the current iterate x; the
+    histories, oldest first, keep them for the last _ANDERSON_DEPTH + 1
+    iterates and are updated in place.  Returns G(x) - dG gamma, with gamma
+    the least-squares fit of f_new on the residual differences dF, or the
+    plain G(x) when that mixed iterate is not strictly positive, so the chord
+    of kappa and the diagonal guard only ever see positive temperatures.
+    """
+    g_hist.append(g_new)
+    f_hist.append(f_new)
+    if len(f_hist) > _ANDERSON_DEPTH + 1:
+        del g_hist[0], f_hist[0]
+    if len(f_hist) == 1:
+        return g_new
+    d_f = np.diff(np.stack(f_hist, axis=1), axis=1)
+    d_g = np.diff(np.stack(g_hist, axis=1), axis=1)
+    gamma = np.linalg.lstsq(d_f, f_new, rcond=None)[0]
+    mixed = g_new - d_g @ gamma
+    return mixed if mixed.min() > 0.0 else g_new
 
 
 @dataclass
@@ -93,8 +125,6 @@ class SolverConfig:
     cg_maxiter_factor: int = 10
     picard_tol: float = 1e-11
     picard_max: int = 80
-    kappa_secant: bool = True
-    single_pass: bool = False
     dt_growth: float = 1.2
 
     def validate(self):
@@ -189,7 +219,6 @@ class StepReport:
     picard_iters: int
     cg_iters_velocity: int
     cg_iters_heat: int
-    rejections: int
     work_f: float
     work_g: float
     eps_dissipation: float
@@ -204,6 +233,11 @@ class StepReport:
     prod_source: float
     exchange_sum: float
     min_theta: float
+    rejection_reasons: tuple = ()  # messages of the retried attempts, in order
+
+    @property
+    def rejections(self):
+        return len(self.rejection_reasons)
 
 
 class Integrator:
@@ -421,19 +455,19 @@ class Integrator:
         if dt_request is not None:
             dt = min(dt, dt_request)
         dt = min(dt, self.adaptive_dt(state, state.v))
-        rejections = 0
+        reasons = []
         while True:
             try:
                 result = self._attempt(state, forcing, dt)
                 break
             except (StepError, SolverError) as err:
-                rejections += 1
+                reasons.append(str(err))
                 dt *= 0.5
                 if dt < cfg.dt_min:
                     raise StepError(
                         f"step rejected below dt_min ({err})", dt=dt) from err
         new_state, report = result
-        report.rejections = rejections
+        report.rejection_reasons = tuple(reasons)
         self.dt_prev = report.dt
         return new_state, report
 
@@ -447,30 +481,29 @@ class Integrator:
         f_field = forcing.f(t_new, g)
         g_field = forcing.g(t_new, g)
         kappa_bar = model.kappa(theta_old).ravel()
-        theta_force = theta_old
+        # the iterate x is both the thermal force and the chord point of kappa_bar
+        x = theta_old.ravel()
         v_guess = None
-        theta_field = theta_old
-        picard_iters = 0
+        theta_guess = theta_old
+        g_hist, f_hist = [], []
         it_v_total = it_h_total = 0
         for picard_iters in range(1, cfg.picard_max + 1):
             v_int, it_v = self.velocity_step(state, f_field, dt,
-                                             theta_force=theta_force, x0=v_guess)
+                                             theta_force=x, x0=v_guess)
             it_v_total += it_v
             v_guess = v_int
             v_full = g.vec_from_interior(v_int)
             theta_new, it_h, b, _ = self.temperature_step(
-                state, v_full, g_field, dt, theta_guess=theta_field,
+                state, v_full, g_field, dt, theta_guess=theta_guess,
                 kappa_bar=kappa_bar)
             it_h_total += it_h
-            change = float(np.abs(theta_new - theta_force).max())
-            scale = 1.0 + float(np.abs(theta_new).max())
-            theta_force = theta_new
-            theta_field = theta_new
-            if cfg.kappa_secant:
-                kappa_bar = np.asarray(
-                    model.kappa_chord(theta_old.ravel(), theta_new.ravel()))
-            if cfg.single_pass or change <= cfg.picard_tol * scale:
+            theta_guess = theta_new
+            resid = theta_new.ravel() - x
+            change = float(np.abs(resid).max())
+            if change <= cfg.picard_tol * (1.0 + float(np.abs(theta_new).max())):
                 break
+            x = _anderson_update(g_hist, f_hist, theta_new.ravel(), resid)
+            kappa_bar = np.asarray(model.kappa_chord(theta_old.ravel(), x))
         else:
             raise StepError(f"fixed-point iteration did not converge (last "
                             f"change {change:.2e})", dt=dt)
@@ -532,7 +565,7 @@ class Integrator:
 
         return StepReport(
             t_new=new_state.t, dt=dt, picard_iters=picard_iters,
-            cg_iters_velocity=it_v, cg_iters_heat=it_h, rejections=0,
+            cg_iters_velocity=it_v, cg_iters_heat=it_h,
             work_f=work_f, work_g=work_g, eps_dissipation=eps_diss,
             energy_residual=energy_residual, entropy_residual=entropy_residual,
             F_old=f_old, F_new=f_new, S_old=s_old, S_new=s_new,

@@ -6,7 +6,8 @@ A run produces, inside its output directory:
   diagnostics.csv   one row per record, fixed header, 17-significant-digit
                     floats (byte-identical across repeated runs)
   windows.csv       unit-window stabilization metrics per window start
-  manifest.json     summary: limits, violation counts, stabilization numbers
+  manifest.json     summary: limits, violation counts, rejected step attempts
+                    counted by reason, stabilization numbers
   snapshot_*.bin    binary field snapshots at requested times
   checkpoint.bin/.txt  restartable state at the configured checkpoint time,
                     with the grid dims and the hash of the physics config
@@ -30,6 +31,7 @@ import hashlib
 import json
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -62,6 +64,11 @@ def config_hash(config):
 
 def _physics_hash(config):
     return config_hash({k: v for k, v in config.items() if k not in _RESTART_FREE})
+
+
+def _rejection_kind(reason):
+    """A rejection message without its node, dt or number details."""
+    return reason.split(" (", 1)[0].split(" at ", 1)[0]
 
 
 class _WindowStore:
@@ -132,7 +139,7 @@ def run(config, outdir, restart_from=None):
     csv_rows = []
     violations = {"energy": 0, "entropy_monotone": 0, "entropy_balance": 0,
                   "log_entropy": 0}
-    rejections = 0
+    rejections = Counter()
     min_theta_run = float(state.theta.min()) if restart_from else math.inf
     u_norm_max = 0.0
     pending_snapshots = sorted(t for t in plan.snapshot_times if t > state.t + 1e-12)
@@ -149,7 +156,7 @@ def run(config, outdir, restart_from=None):
         dt_request = t_final - state.t
         state, rep = integ.step(state, scenario.forcing, dt_request=dt_request)
         step_index += 1
-        rejections += rep.rejections
+        rejections.update(_rejection_kind(r) for r in rep.rejection_reasons)
         work_f += rep.work_f
         work_g += rep.work_g
         eps_diss += rep.eps_dissipation
@@ -225,7 +232,8 @@ def run(config, outdir, restart_from=None):
                           "K_integral": adm.K_integral,
                           "cells_below_floor": adm.cells_below_floor},
         "run": {
-            "steps": step_index, "rejections": rejections,
+            "steps": step_index, "rejections": rejections.total(),
+            "rejection_reasons": dict(rejections),
             "t_final": state.t, "F0": f0_ref, "F_final": rec_final.F,
             "S_final": rec_final.S, "work_f_total": work_f,
             "work_g_total": work_g, "eps_dissipation_total": eps_diss,

@@ -5,8 +5,9 @@ import scipy.sparse as sp
 from tvsim.errors import ConfigError, StepError
 from tvsim.grid import Grid, _sbp_derivative_1d, _trapezoid_1d, solve_spd
 from tvsim.integrator import (CallableForcing, FieldState, Integrator,
-                              SolverConfig, ZeroForcing)
+                              SolverConfig, ZeroForcing, _anderson_update)
 from tvsim.materials import ConstantCapacity, DebyeLikeCapacity
+from tvsim.scenarios import build_scenario, builtin_scenarios
 from tvsim import tensors as tn
 
 
@@ -407,13 +408,14 @@ class TestFullStep:
         st, rep = itg.step(st, ZeroForcing())
         assert rep.eps_dissipation > 0.0
 
-    def test_single_pass_mode_runs(self):
-        itg, g = make_integrator(single_pass=True)
-        st = sine_velocity_state(g)
-        for _ in range(20):
-            st, rep = itg.step(st, ZeroForcing())
-            assert rep.picard_iters == 1
-            assert rep.min_theta > 0
+    def test_structure_breaking_solver_keys_refused(self):
+        # a single pass (thermal force != new temperature) or a frozen
+        # kappa_bar would break the exact energy identity; neither is a key
+        for key, value in (("single_pass", True), ("kappa_secant", False)):
+            cfg = builtin_scenarios()["default-relaxation"]
+            cfg["solver"][key] = value
+            with pytest.raises(ConfigError, match="unknown solver keys"):
+                build_scenario(cfg)
 
     def test_work_accounting_with_sources(self):
         itg, g = make_integrator()
@@ -433,6 +435,9 @@ class TestFullStep:
         theta_before = st.theta.copy()
         new, rep = itg.step(st, ZeroForcing())
         assert rep.rejections >= 1
+        assert rep.rejections == len(rep.rejection_reasons)
+        assert all(r.startswith("temperature diagonal guard failed (")
+                   for r in rep.rejection_reasons)
         assert rep.dt < 0.5
         assert rep.min_theta > 0
         assert np.array_equal(st.theta, theta_before) and st.t == 0.0
@@ -505,3 +510,80 @@ class TestFullStep:
         itg = Integrator(g, tens, ConstantCapacity(1.0), SolverConfig())
         with pytest.raises(ConfigError):
             itg.step(rest_state(g), ZeroForcing())
+
+
+def _apply_fixed_point_map(itg, old, theta, dt):
+    """G(theta): velocity solve forced by theta, then the heat solve with the
+    chord of kappa over [theta_old, theta]."""
+    g = itg.grid
+    v_int, _ = itg.velocity_step(old, np.zeros((g.ny, g.nx, 2)), dt,
+                                 theta_force=theta)
+    kappa_bar = itg.model.kappa_chord(old.theta.ravel(), theta.ravel())
+    theta_g, _, _, _ = itg.temperature_step(old, g.vec_from_interior(v_int),
+                                            np.zeros((g.ny, g.nx)), dt,
+                                            kappa_bar=kappa_bar)
+    return theta_g
+
+
+class TestPicardFixedPoint:
+    def test_anderson_solves_linear_map_in_few_iterations(self, rng):
+        # G(x) = A x + c with contraction 0.98: plain iteration needs ~1300
+        # steps to 1e-12; depth-2 mixing is GMRES(2)-like on a 2-D system
+        q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+        a = q @ np.diag([0.98, -0.5]) @ q.T
+        c = np.array([3.0, 2.0])
+        fixed = np.linalg.solve(np.eye(2) - a, c)
+        x = np.array([1.0, 1.0])
+        g_hist, f_hist = [], []
+        for it in range(1, 20):
+            gx = a @ x + c
+            if np.abs(gx - x).max() <= 1e-12 * (1 + np.abs(gx).max()):
+                break
+            x = _anderson_update(g_hist, f_hist, gx, gx - x)
+            assert len(f_hist) <= 3
+        assert it <= 6
+        assert np.allclose(gx, fixed, rtol=0, atol=1e-10)
+
+    def test_nonpositive_mix_falls_back_to_plain_update(self):
+        g_hist = [np.array([1.0, 1.0])]
+        f_hist = [np.array([1.0, 0.0])]
+        g_new, f_new = np.array([0.1, 1.0]), np.array([0.5, 0.0])
+        # the least-squares fit extrapolates g to -0.8 in the first entry
+        x = _anderson_update(g_hist, f_hist, g_new, f_new)
+        assert x is g_new
+
+    @pytest.mark.parametrize("law", ["relaxation", "floored-debye"])
+    def test_accepted_step_is_a_fixed_point(self, law):
+        if law == "relaxation":
+            itg, g = make_integrator(n=13)
+            old = sine_velocity_state(g)
+        else:
+            itg, g = make_integrator(
+                n=13, model=DebyeLikeCapacity(1.0, 1.0).floor(1e-3))
+            old = rest_state(g)
+            r2 = (g.X - 0.5) ** 2 + (g.Y - 0.5) ** 2
+            bump = np.exp(-r2 / (2 * 0.18 ** 2))
+            old.theta = 2.0 * (np.maximum(bump - 0.4, 0.0) / 0.6) ** 2
+            old.u[..., 0] = 0.2 * np.sin(np.pi * g.X) * np.sin(np.pi * g.Y)
+            old.u[g.boundary_mask] = 0.0
+        for _ in range(3):
+            new, rep = itg.step(old, ZeroForcing())
+            assert rep.picard_iters > 1
+            theta = new.theta
+            gap = np.abs(_apply_fixed_point_map(itg, old, theta, rep.dt)
+                         - theta).max()
+            assert gap <= 10 * itg.config.picard_tol * (1 + np.abs(theta).max())
+            old = new
+
+    def test_debye_hotspot_first_step_needs_one_rejection(self):
+        # plain Picard iteration stalls at dt = 5e-3 ... 7.8e-5 here and needs
+        # 8 rejections; with mixing only the diagonal guard at dt = 0.01 binds
+        sc = build_scenario(builtin_scenarios()["debye-hotspot"])
+        assert (sc.grid.nx, sc.grid.ny) == (32, 32)
+        itg = Integrator(sc.grid, sc.tensors, sc.model,
+                         sc.solver).set_diffusivity(sc.d_diff)
+        _, rep = itg.step(sc.initial, sc.forcing)
+        assert rep.rejections <= 1
+        assert all(r.startswith("temperature diagonal guard failed")
+                   for r in rep.rejection_reasons)
+        assert rep.min_theta > 0.0

@@ -224,6 +224,17 @@ class TestRun:
         rows = (tmp_path / "cad" / "diagnostics.csv").read_text().splitlines()
         assert len(rows) - 1 == 1 + 50 // 5  # initial record plus every 5th step
 
+    @pytest.mark.parametrize("reason, kind", [
+        ("temperature diagonal guard failed (kappa/dt + b <= 0 at node 515)",
+         "temperature diagonal guard failed"),
+        ("fixed-point iteration did not converge (last change 1.04e+00)",
+         "fixed-point iteration did not converge"),
+        ("temperature positivity lost at node 7", "temperature positivity lost"),
+        ("conjugate gradients stalled at relative residual 1.000e-03 after "
+         "40 iterations", "conjugate gradients stalled")])
+    def test_rejection_kind_drops_details(self, reason, kind):
+        assert runner._rejection_kind(reason) == kind
+
     def test_debye_scenario_positive(self, tmp_path):
         cfg = copy.deepcopy(builtin_scenarios()["debye-hotspot"])
         cfg["t_final"] = 0.5
@@ -232,6 +243,14 @@ class TestRun:
         assert man["run"]["min_theta"] > 0.0
         assert man["violations"]["total"] == 0
         assert man["kappa_hypotheses"]["variant"] == "debye"
+        # the first step trips the diagonal guard at dt = 0.01; rejections
+        # are counted by reason, and the manifest still repeats byte for byte
+        assert man["run"]["rejections"] == 1
+        assert man["run"]["rejection_reasons"] == {
+            "temperature diagonal guard failed": 1}
+        runner.run(cfg, str(tmp_path / "d2"))
+        assert ((tmp_path / "d" / "manifest.json").read_bytes()
+                == (tmp_path / "d2" / "manifest.json").read_bytes())
 
 
 class TestSweep:
