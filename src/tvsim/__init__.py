@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .diagnostics import (Diagnostics, DiagnosticsRecord, WindowMetrics,
-                          energy_balance_residual, entropy_balance_residual,
                           log_entropy_inequality, theta_infinity,
                           window_metrics)
 from .errors import (AdmissibilityError, ConfigError, SolverError, StepError,
@@ -12,9 +11,9 @@ from .grid import Grid, read_snapshot, solve_spd, write_snapshot
 from .integrator import (FieldState, Forcing, Integrator, PulseForcing,
                          SolverConfig, StepReport, ZeroForcing)
 from .materials import (ConstantCapacity, DebyeLikeCapacity, HeatCapacity,
-                        PowerGrowthCapacity, ScalarFunctionals,
-                        SlowDecayCapacity, TabulatedCapacity,
-                        admissibility_check, model_from_config)
+                        PowerGrowthCapacity, SlowDecayCapacity,
+                        TabulatedCapacity, admissibility_check,
+                        model_from_config)
 from .runner import convergence_study, run, sweep
 from .scenarios import build_scenario, builtin_scenarios
 from .tensors import (ElasticityTensors, coercivity_constant, contract4,
@@ -27,10 +26,9 @@ __all__ = [
     "FieldState", "Forcing", "Integrator", "PulseForcing", "SolverConfig",
     "StepReport", "ZeroForcing",
     "ConstantCapacity", "DebyeLikeCapacity", "HeatCapacity",
-    "PowerGrowthCapacity", "ScalarFunctionals", "SlowDecayCapacity",
-    "TabulatedCapacity", "admissibility_check", "model_from_config",
+    "PowerGrowthCapacity", "SlowDecayCapacity", "TabulatedCapacity",
+    "admissibility_check", "model_from_config",
     "Diagnostics", "DiagnosticsRecord", "WindowMetrics",
-    "energy_balance_residual", "entropy_balance_residual",
     "log_entropy_inequality", "theta_infinity", "window_metrics",
     "run", "sweep", "convergence_study", "build_scenario", "builtin_scenarios",
     "ElasticityTensors", "coercivity_constant", "contract4",

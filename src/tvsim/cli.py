@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import runner
-from .errors import AdmissibilityError, TvsimError
+from .errors import AdmissibilityError, ConfigError, TvsimError
 from .scenarios import build_scenario, builtin_scenarios
 
 
@@ -31,8 +31,14 @@ def _load_config(spec):
     presets = builtin_scenarios()
     if spec in presets:
         return presets[spec]
-    with open(spec) as fh:
-        return json.load(fh)
+    try:
+        with open(spec) as fh:
+            config = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{spec}: cannot read a JSON config ({exc})") from exc
+    if not isinstance(config, dict):
+        raise ConfigError(f"{spec}: a config must be a JSON object")
+    return config
 
 
 def _cmd_run(args):

@@ -2,12 +2,14 @@
 
 All integrals use the solver's own discrete operators and quadrature, so the
 exact cancellations the scheme was built around carry over to the reported
-balances instead of failing by discretization mismatch.  Two diffusion
+balances instead of failing by discretization mismatch.  Energies, entropy
+and the productions of the entropy balance come from the integrator's ledger
+of the state; a record adds the reporting functionals.  Two diffusion
 production forms appear:
 
   * P_diff, the nodal-gradient form D int |grad theta|^2 / theta^2 used for
     reporting, and
-  * prod_diff_edge, the edge (Dirichlet-form) representation
+  * prod_diff_edge, the ledger's edge (Dirichlet-form) representation
     D (1/theta) . (W lap_N) theta that the implicit heat step produces
     exactly; the per-step entropy balance is one-sided only in this form.
 """
@@ -21,6 +23,7 @@ import numpy as np
 
 from . import tensors as tn
 from .errors import ConfigError
+from .integrator import _safe_ratio
 from .materials import M_DEFAULT
 
 _E = math.e
@@ -84,15 +87,6 @@ class LimitReport:
     converged: bool
 
 
-def _safe_ratio(num, den):
-    """num / den with the 0/0 convention -> 0 (numerator-null integrands)."""
-    out = np.zeros_like(num)
-    nz = num != 0.0
-    with np.errstate(divide="ignore"):
-        out[nz] = num[nz] / den[nz]
-    return out
-
-
 class Diagnostics:
     """Bound evaluator: one grid, one tensor set, one (floored) law, one M."""
 
@@ -100,28 +94,20 @@ class Diagnostics:
         if m_shift < M_DEFAULT - 1e-9:
             raise ConfigError("diagnostics need M >= e^4")
         self.grid = grid
-        self.tensors = tensors
         self.model = model
         self.d_diff = float(d_diff)
         self.m_shift = float(m_shift)
         self.comp_D = tn.component_matrix(tensors.D4)
-        self.comp_C = tn.component_matrix(tensors.C4)
-        self.a_n = grid.neumann_weighted()
 
-    def record(self, state, forcing):
+    def record(self, state, ledger):
+        """The record of state around its ledger: the StepReport of the step
+        that ended at state, or Integrator.ledger(state, g) for other states."""
         g = self.grid
-        model = self.model
         m_shift = self.m_shift
         theta = state.theta
         v = state.v
 
         speed2 = v[..., 0] ** 2 + v[..., 1] ** 2
-        kinetic = 0.5 * g.integrate(speed2)
-        strain_u = g.sym_grad(state.u)
-        elastic = 0.5 * g.integrate(
-            np.einsum("ab,ija,ijb->ij", self.comp_C, strain_u, strain_u))
-        thermal = g.integrate(model.K(theta))
-
         strain = g.sym_grad(v)
         qd = np.einsum("ab,ija,ijb->ij", self.comp_D, strain, strain)
         strain_sq = strain[..., 0] ** 2 + strain[..., 1] ** 2 + 2.0 * strain[..., 2] ** 2
@@ -131,11 +117,8 @@ class Diagnostics:
         grad_sq = gt[..., 0] ** 2 + gt[..., 1] ** 2
 
         with np.errstate(divide="ignore", invalid="ignore"):
-            s_val = g.integrate(model.ell(theta))
             p_diff = self.d_diff * g.integrate(_safe_ratio(grad_sq, theta ** 2))
             p_visc = g.integrate(_safe_ratio(qd, theta))
-            g_field = forcing.g(state.t, g)
-            p_src = g.integrate(_safe_ratio(g_field, theta))
             log_e = np.log(theta + _E) ** 2
             l1 = self.d_diff * g.integrate(log_e * grad_sq / (theta + 1.0) ** 2)
             l2 = g.integrate(log_e * strain_sq / (theta + 1.0))
@@ -144,54 +127,24 @@ class Diagnostics:
             log_m = np.log(theta + m_shift) ** 2
             corner_t1 = g.integrate(log_m * grad_sq / (theta + m_shift) ** 2)
             corner_t2 = g.integrate(log_m * strain_sq / (theta + m_shift))
-            if theta.min() > 0.0:
-                prod_edge = self.d_diff * float(
-                    (1.0 / theta.ravel()) @ (self.a_n @ theta.ravel()))
-            else:
-                # an edge with theta = 0 next to theta > 0 makes the
-                # Dirichlet-form production genuinely infinite
-                prod_edge = math.inf
-            visc_lb = self.tensors.kD * g.integrate(_safe_ratio(strain_sq, theta))
 
         return DiagnosticsRecord(
             t=state.t,
-            kinetic=kinetic, elastic=elastic, thermal=thermal,
-            F=kinetic + elastic + thermal,
-            S=s_val,
-            S_hat=g.integrate(model.ell_hat(theta, m_shift)),
-            P_diff=p_diff, P_visc=p_visc, P_src=p_src,
+            kinetic=ledger.kinetic, elastic=ledger.elastic,
+            thermal=ledger.thermal, F=ledger.F, S=ledger.S,
+            S_hat=g.integrate(self.model.ell_hat(theta, m_shift)),
+            P_diff=p_diff, P_visc=p_visc, P_src=ledger.prod_source,
             L1=l1, L2=l2,
             llogl=g.integrate(strain_abs * np.log(strain_abs + _E)),
             lnsq=lnsq,
             u_norm=math.sqrt(g.integrate(state.u[..., 0] ** 2 + state.u[..., 1] ** 2)),
             v_l1=g.integrate(np.sqrt(speed2)),
             theta_l1=g.integrate(np.abs(theta)),
-            prod_diff_edge=prod_edge,
-            visc_lb=visc_lb,
+            prod_diff_edge=ledger.prod_diffusion,
+            visc_lb=ledger.prod_viscous_lb,
             corner_t1=corner_t1, corner_t2=corner_t2,
             min_theta=float(theta.min()), max_theta=float(theta.max()),
         )
-
-
-def energy_balance_residual(rec_k, rec_k1, step_work):
-    """F(t+) - F(t) + eps-dissipation - work done by the sources.
-
-    The semi-implicit step makes this exactly the (nonpositive) numerical
-    dissipation, so values above +1e-9 F(0) indicate a broken balance.
-    """
-    return (rec_k1.F - rec_k.F + step_work.eps_dissipation
-            - step_work.work_f - step_work.work_g)
-
-
-def entropy_balance_residual(rec_k, rec_k1, dt):
-    """Entropy increment minus dt times the solver-consistent production.
-
-    Uses the edge-form diffusion production and the coercivity-lower-bounded
-    viscous production at the end state; the implicit step makes the result
-    nonnegative up to solver tolerance whenever g >= 0.
-    """
-    production = rec_k1.prod_diff_edge + rec_k1.visc_lb + rec_k1.P_src
-    return (rec_k1.S - rec_k.S) - dt * production
 
 
 def log_entropy_inequality(rec_k, rec_k1, dt, tensors, d_diff, area,

@@ -210,9 +210,29 @@ class CallableForcing(Forcing):
         return {"type": self.label}
 
 
+def _safe_ratio(num, den):
+    """num / den with the 0/0 convention -> 0 (numerator-null integrands)."""
+    with np.errstate(divide="ignore"):
+        return np.divide(num, den, out=np.zeros_like(num), where=num != 0.0)
+
+
 @dataclass
-class StepReport:
-    """Exact per-step bookkeeping used by the diagnostics and the manifest."""
+class Ledger:
+    """Energy, entropy and the entropy productions of one state."""
+
+    kinetic: float
+    elastic: float
+    thermal: float
+    F: float
+    S: float
+    prod_diffusion: float
+    prod_viscous_lb: float
+    prod_source: float
+
+
+@dataclass
+class StepReport(Ledger):
+    """Exact per-step bookkeeping: the ledger of the end state, the balances."""
 
     t_new: float
     dt: float
@@ -225,15 +245,13 @@ class StepReport:
     energy_residual: float
     entropy_residual: float
     F_old: float
-    F_new: float
     S_old: float
-    S_new: float
-    prod_diffusion: float
-    prod_viscous_lb: float
-    prod_source: float
     exchange_sum: float
     min_theta: float
     rejection_reasons: tuple = ()  # messages of the retried attempts, in order
+    # F and S of the end state under the names the balances use
+    F_new = property(lambda self: self.F)
+    S_new = property(lambda self: self.S)
 
     @property
     def rejections(self):
@@ -520,19 +538,50 @@ class Integrator:
                                    b, picard_iters, it_v_total, it_h_total)
         return new_state, report
 
-    # -- exact energy / entropy bookkeeping --------------------------------
-    def total_energy(self, state):
-        """F = kinetic + elastic + thermal with the solver's own quadrature."""
+    # -- the energy / entropy ledger ----------------------------------------
+    def _energies(self, state):
+        """Kinetic, elastic and thermal energy with the solver's own quadrature."""
         g = self.grid
         kinetic = 0.5 * g.integrate(state.v[..., 0] ** 2 + state.v[..., 1] ** 2)
         u_int = g.interior_vec(state.u)
         elastic = 0.5 * float(u_int @ (self.A_C @ u_int))
         thermal = float(np.sum(self.w_flat * self.model.K(state.theta).ravel()))
-        return kinetic + elastic + thermal
+        return kinetic, elastic, thermal
+
+    def total_energy(self, state):
+        """F = kinetic + elastic + thermal with the solver's own quadrature."""
+        return sum(self._energies(state))
 
     def entropy(self, state):
         """S = integral of ell(theta) for the integrated (floored) law."""
         return float(np.sum(self.w_flat * self.model.ell(state.theta).ravel()))
+
+    def ledger(self, state, g_field):
+        """The Ledger of state, with g_field the heat source at state.t.
+
+        The productions are those the implicit step balances the entropy
+        with: edge diffusion D (1/theta) . (W lap_N) theta, the viscous lower
+        bound kD int |sym_grad v|^2 / theta and int g / theta.  Nodal ratios
+        take 0/0 -> 0; a zero temperature makes the edge production infinite.
+        """
+        theta = state.theta.ravel()
+        strain = self.grid.sym_grad(state.v)
+        strain_sq = (strain[..., 0] ** 2 + strain[..., 1] ** 2
+                     + 2.0 * strain[..., 2] ** 2).ravel()
+        kinetic, elastic, thermal = self._energies(state)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s_val = self.entropy(state)
+            # an edge with theta = 0 next to theta > 0 makes the
+            # Dirichlet-form production genuinely infinite
+            prod_diff = (self.D_diff * float((1.0 / theta) @ (self.A_N @ theta))
+                         if theta.min() > 0.0 else math.inf)
+            visc_lb = self.tensors.kD * float(
+                np.sum(_safe_ratio(self.w_flat * strain_sq, theta)))
+            src = float(np.sum(_safe_ratio(self.w_flat * g_field.ravel(), theta)))
+        return Ledger(kinetic=kinetic, elastic=elastic, thermal=thermal,
+                      F=kinetic + elastic + thermal, S=s_val,
+                      prod_diffusion=prod_diff, prod_viscous_lb=visc_lb,
+                      prod_source=src)
 
     def _bookkeeping(self, state, new_state, f_field, g_field, dt, v_int, b,
                      picard_iters, it_v, it_h):
@@ -545,29 +594,19 @@ class Integrator:
             half = self._reg_half @ v_int
             eps_diss = dt * self.config.eps_reg * self.grid.hx * self.grid.hy \
                 * float(half @ half)
+        end = self.ledger(new_state, g_field)
+        # F and S of the input state are evaluated, not carried over from the
+        # step before: a caller may edit a state between steps
         f_old = self.total_energy(state)
-        f_new = self.total_energy(new_state)
-        energy_residual = f_new - f_old + eps_diss - work_f - work_g
-
         s_old = self.entropy(state)
-        s_new = self.entropy(new_state)
-        theta_new_flat = new_state.theta.ravel()
-        prod_diff = self.D_diff * float(
-            (1.0 / theta_new_flat) @ (self.A_N @ theta_new_flat))
-        strain = g.sym_grad(new_state.v)
-        strain_sq = (strain[..., 0] ** 2 + strain[..., 1] ** 2
-                     + 2.0 * strain[..., 2] ** 2)
-        visc_lb = self.tensors.kD * float(
-            np.sum(self.w_flat * strain_sq.ravel() / theta_new_flat))
-        src = float(np.sum(self.w_flat * g_field.ravel() / theta_new_flat))
-        entropy_residual = (s_new - s_old) - dt * (prod_diff + visc_lb + src)
-        exchange = float(np.sum(self.w_flat * b))
+        energy_residual = end.F - f_old + eps_diss - work_f - work_g
+        entropy_residual = (end.S - s_old) - dt * (
+            end.prod_diffusion + end.prod_viscous_lb + end.prod_source)
 
         return StepReport(
-            t_new=new_state.t, dt=dt, picard_iters=picard_iters,
+            **vars(end), t_new=new_state.t, dt=dt, picard_iters=picard_iters,
             cg_iters_velocity=it_v, cg_iters_heat=it_h,
             work_f=work_f, work_g=work_g, eps_dissipation=eps_diss,
             energy_residual=energy_residual, entropy_residual=entropy_residual,
-            F_old=f_old, F_new=f_new, S_old=s_old, S_new=s_new,
-            prod_diffusion=prod_diff, prod_viscous_lb=visc_lb, prod_source=src,
-            exchange_sum=exchange, min_theta=float(new_state.theta.min()))
+            F_old=f_old, S_old=s_old, exchange_sum=float(np.sum(self.w_flat * b)),
+            min_theta=float(new_state.theta.min()))

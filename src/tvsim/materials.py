@@ -620,33 +620,6 @@ def model_from_config(cfg):
 
 
 @dataclass(frozen=True)
-class ScalarFunctionals:
-    """Evaluators for K, ell, ell_hat and Lambda bound to one law and one M."""
-
-    model: HeatCapacity
-    m_shift: float = M_DEFAULT
-
-    def __post_init__(self):
-        if self.m_shift < M_MIN - 1e-9:
-            raise ConfigError(f"scalar functionals need M >= e^4, got {self.m_shift}")
-
-    def K(self, xi):
-        return self.model.K(xi)
-
-    def ell(self, xi):
-        return self.model.ell(xi)
-
-    def ell_hat(self, xi):
-        return self.model.ell_hat(xi, self.m_shift)
-
-    def Lambda(self, xi):
-        return self.model.Lambda(xi)
-
-    def ell_inverse(self, z):
-        return self.model.ell_inverse(z)
-
-
-@dataclass(frozen=True)
 class AdmissibilityReport:
     """Outcome of the initial-temperature admissibility check."""
 

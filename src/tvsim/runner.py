@@ -18,10 +18,11 @@ and a run first removes the manifest an earlier run left in its directory.
 A restart is refused unless the run's config matches the checkpoint's outside
 the sections in _RESTART_FREE.
 
-Violations are counted per accepted step: an energy residual above
-+energy_tol_rel * F(0), an entropy decrease or entropy-balance deficit beyond
-ineq_tol_rel slack, or a failed log-weighted entropy inequality.  The exit
-status of the CLI is nonzero unless the violation count is zero.
+Violations are counted per accepted step by one function, _broken_laws, fed
+by the integrator's ledger: an energy residual above +energy_tol_rel * F(0),
+an entropy decrease or entropy-balance deficit beyond ineq_tol_rel slack, or
+a failed log-weighted entropy inequality between the records the step
+closes.  The exit status of the CLI is nonzero unless the count is zero.
 """
 
 from __future__ import annotations
@@ -64,6 +65,18 @@ def config_hash(config):
 
 def _physics_hash(config):
     return config_hash({k: v for k, v in config.items() if k not in _RESTART_FREE})
+
+
+def _broken_laws(rep, corner, energy_tol, ineq_tol):
+    """Manifest names of the laws that the step of rep breaks; corner is the
+    log-entropy check of the record the step closes, None if not recorded."""
+    broken = {
+        "energy": rep.energy_residual > energy_tol,
+        "entropy_monotone": rep.S_new - rep.S_old < -ineq_tol * (1.0 + abs(rep.S_old)),
+        "entropy_balance": rep.entropy_residual < -ineq_tol * (1.0 + abs(rep.S_new)),
+        "log_entropy": corner is not None and not corner["holds"],
+    }
+    return [law for law, failed in broken.items() if failed]
 
 
 def _rejection_kind(reason):
@@ -137,14 +150,14 @@ def run(config, outdir, restart_from=None):
     windows = _WindowStore(plan.window_starts, t_final)
     records = []
     csv_rows = []
-    violations = {"energy": 0, "entropy_monotone": 0, "entropy_balance": 0,
-                  "log_entropy": 0}
+    violations = Counter(energy=0, entropy_monotone=0, entropy_balance=0,
+                         log_entropy=0)
     rejections = Counter()
     min_theta_run = float(state.theta.min()) if restart_from else math.inf
     u_norm_max = 0.0
     pending_snapshots = sorted(t for t in plan.snapshot_times if t > state.t + 1e-12)
 
-    rec = diag.record(state, scenario.forcing)
+    rec = diag.record(state, integ.ledger(state, scenario.forcing.g(state.t, g)))
     last_rec = rec
     if restart_from is None:
         records.append(rec)
@@ -162,26 +175,19 @@ def run(config, outdir, restart_from=None):
         eps_diss += rep.eps_dissipation
         min_theta_run = min(min_theta_run, rep.min_theta)
 
-        if rep.energy_residual > energy_tol:
-            violations["energy"] += 1
-        if rep.S_new - rep.S_old < -ineq_tol * (1.0 + abs(rep.S_old)):
-            violations["entropy_monotone"] += 1
-        if rep.entropy_residual < -ineq_tol * (1.0 + abs(rep.S_new)):
-            violations["entropy_balance"] += 1
-
+        corner = None
         if step_index % plan.record_every == 0 or state.t >= t_final - 1e-12:
-            rec = diag.record(state, scenario.forcing)
+            rec = diag.record(state, rep)
             corner = log_entropy_inequality(last_rec, rec, state.t - last_rec.t,
                                             scenario.tensors, scenario.d_diff,
                                             g.area, scenario.m_shift,
                                             rel_tol=ineq_tol)
-            if not corner["holds"]:
-                violations["log_entropy"] += 1
             records.append(rec)
             csv_rows.append(rec.as_row())
             windows.offer(state.t, state.theta, rec.v_l1)
             u_norm_max = max(u_norm_max, rec.u_norm)
             last_rec = rec
+        violations.update(_broken_laws(rep, corner, energy_tol, ineq_tol))
 
         while pending_snapshots and state.t >= pending_snapshots[0] - 1e-12:
             t_snap = pending_snapshots.pop(0)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,23 +63,41 @@ class Scenario:
     t_final: float
 
 
+def _section(val, path):
+    """val, the config section at path, which must be a JSON object."""
+    if not isinstance(val, dict):
+        raise ConfigError(f"config section {path} must be an object, got {val!r}")
+    return val
+
+
+def _number(val, path, integral=False):
+    """val, the config value at path, as a float (an int if integral)."""
+    if (not isinstance(val, numbers.Real) or isinstance(val, bool)
+            or (integral and val != int(val))):
+        kind = "an integer" if integral else "a number"
+        raise ConfigError(f"config key {path} must be {kind}, got {val!r}")
+    return int(val) if integral else float(val)
+
+
 def _theta_profile(grid, spec):
     kind = spec.get("type", "constant")
+    def num(key, default):
+        return _number(spec.get(key, default), f"initial.theta.{key}")
     if kind == "constant":
-        return np.full((grid.ny, grid.nx), float(spec.get("value", 1.0)))
-    cx = float(spec.get("cx", 0.5 * grid.Lx))
-    cy = float(spec.get("cy", 0.5 * grid.Ly))
+        return np.full((grid.ny, grid.nx), num("value", 1.0))
+    cx = num("cx", 0.5 * grid.Lx)
+    cy = num("cy", 0.5 * grid.Ly)
     r2 = (grid.X - cx) ** 2 + (grid.Y - cy) ** 2
     if kind == "hotspot":
-        base = float(spec.get("base", 1.0))
-        peak = float(spec.get("peak", 2.0))
-        width = float(spec.get("width", 0.12))
+        base = num("base", 1.0)
+        peak = num("peak", 2.0)
+        width = num("width", 0.12)
         return base + (peak - base) * np.exp(-r2 / (2.0 * width ** 2))
     if kind == "with_zeros":
         # smooth profile that touches zero with zero slope outside a disc
-        peak = float(spec.get("peak", 2.0))
-        width = float(spec.get("width", 0.18))
-        clip = float(spec.get("clip", 0.4))
+        peak = num("peak", 2.0)
+        width = num("width", 0.18)
+        clip = num("clip", 0.4)
         if not 0.0 < clip < 1.0:
             raise ConfigError("with_zeros profile needs clip in (0, 1)")
         bump = np.exp(-r2 / (2.0 * width ** 2))
@@ -86,13 +105,13 @@ def _theta_profile(grid, spec):
     raise ConfigError(f"unknown initial temperature type {kind!r}")
 
 
-def _vector_profile(grid, spec):
+def _vector_profile(grid, spec, path):
     kind = spec.get("type", "zero")
     out = np.zeros((grid.ny, grid.nx, 2))
     if kind == "zero":
         return out
     if kind == "sine":
-        amp = float(spec.get("amplitude", 0.5))
+        amp = _number(spec.get("amplitude", 0.5), f"{path}.amplitude")
         out[..., 0] = amp * np.sin(np.pi * grid.X / grid.Lx) \
             * np.sin(np.pi * grid.Y / grid.Ly)
         out[grid.boundary_mask] = 0.0
@@ -105,11 +124,10 @@ def _forcing_from_config(spec):
     if kind == "zero":
         return ZeroForcing()
     if kind == "pulse":
-        return PulseForcing(amp_f=float(spec.get("amp_f", 0.0)),
-                            t0=float(spec.get("t0", 1.0)),
-                            tau_f=float(spec.get("tau_f", 0.25)),
-                            amp_g=float(spec.get("amp_g", 0.0)),
-                            tau_g=float(spec.get("tau_g", 1.0)))
+        defaults = {"amp_f": 0.0, "t0": 1.0, "tau_f": 0.25, "amp_g": 0.0,
+                    "tau_g": 1.0}
+        return PulseForcing(**{key: _number(spec.get(key, val), f"forcing.{key}")
+                               for key, val in defaults.items()})
     raise ConfigError(f"unknown forcing type {kind!r}")
 
 
@@ -130,17 +148,19 @@ def build_scenario(config):
     cfg = copy.deepcopy(config)
     _reject_non_finite(cfg, "")
     try:
-        grid_cfg = cfg["grid"]
-        grid = Grid(nx=int(grid_cfg["nx"]), ny=int(grid_cfg["ny"]),
-                    Lx=float(grid_cfg.get("Lx", 1.0)),
-                    Ly=float(grid_cfg.get("Ly", 1.0)))
-        tensors = tensors_from_config(cfg["tensors"])
-        mat = cfg["material"]
-        model_raw = materials.model_from_config(mat["kappa"])
-        d_diff = float(mat["D"])
-        m_shift = float(mat.get("M") or materials.M_DEFAULT)
-        eps_kappa = float(mat.get("eps_kappa", 0.0))
-        t_final = float(cfg["t_final"])
+        grid_cfg = _section(cfg["grid"], "grid")
+        grid = Grid(nx=_number(grid_cfg["nx"], "grid.nx", integral=True),
+                    ny=_number(grid_cfg["ny"], "grid.ny", integral=True),
+                    Lx=_number(grid_cfg.get("Lx", 1.0), "grid.Lx"),
+                    Ly=_number(grid_cfg.get("Ly", 1.0), "grid.Ly"))
+        tensors = tensors_from_config(_section(cfg["tensors"], "tensors"))
+        mat = _section(cfg["material"], "material")
+        model_raw = materials.model_from_config(
+            _section(mat["kappa"], "material.kappa"))
+        d_diff = _number(mat["D"], "material.D")
+        m_shift = _number(mat.get("M") or materials.M_DEFAULT, "material.M")
+        eps_kappa = _number(mat.get("eps_kappa", 0.0), "material.eps_kappa")
+        t_final = _number(cfg["t_final"], "t_final")
     except KeyError as exc:
         raise ConfigError(f"config misses required key: {exc}") from exc
     if d_diff <= 0:
@@ -151,33 +171,41 @@ def build_scenario(config):
         raise ConfigError("eps_kappa must lie in [0, 1)")
     model = model_raw.floor(eps_kappa) if eps_kappa > 0 else model_raw
 
-    solver_cfg = cfg.get("solver", {})
+    solver_cfg = _section(cfg.get("solver", {}), "solver")
     unknown = set(solver_cfg) - set(_SOLVER_KEYS)
     if unknown:
         raise ConfigError(f"unknown solver keys: {sorted(unknown)}")
-    solver = SolverConfig(**solver_cfg)
+    solver = SolverConfig(**{
+        key: _number(val, f"solver.{key}",
+                     integral=isinstance(getattr(SolverConfig, key), int))
+        for key, val in solver_cfg.items()})
     solver.validate()
 
-    out_cfg = cfg.get("output", {})
+    out_cfg = _section(cfg.get("output", {}), "output")
     output = OutputPlan(
-        record_every=int(out_cfg.get("record_every", 1)),
+        record_every=_number(out_cfg.get("record_every", 1),
+                             "output.record_every", integral=True),
         snapshot_times=tuple(out_cfg.get("snapshot_times", ())),
         window_starts=tuple(out_cfg.get("window_starts", ())),
         checkpoint_time=out_cfg.get("checkpoint_time"),
-        theta_floor=float(out_cfg.get("theta_floor", 0.0)),
-        energy_tol_rel=float(out_cfg.get("energy_tol_rel", 1e-9)),
-        ineq_tol_rel=float(out_cfg.get("ineq_tol_rel", 1e-8)),
+        theta_floor=_number(out_cfg.get("theta_floor", 0.0), "output.theta_floor"),
+        energy_tol_rel=_number(out_cfg.get("energy_tol_rel", 1e-9),
+                               "output.energy_tol_rel"),
+        ineq_tol_rel=_number(out_cfg.get("ineq_tol_rel", 1e-8), "output.ineq_tol_rel"),
     )
     output.validate()
 
-    init_cfg = cfg.get("initial", {})
-    theta0 = _theta_profile(grid, init_cfg.get("theta", {"type": "constant"}))
-    v0 = _vector_profile(grid, init_cfg.get("velocity", {"type": "zero"}))
-    u0 = _vector_profile(grid, init_cfg.get("displacement", {"type": "zero"}))
+    init_cfg = _section(cfg.get("initial", {}), "initial")
+    theta0 = _theta_profile(grid, _section(
+        init_cfg.get("theta", {"type": "constant"}), "initial.theta"))
+    v0, u0 = (_vector_profile(grid, _section(init_cfg.get(key, {"type": "zero"}),
+                                             f"initial.{key}"), f"initial.{key}")
+              for key in ("velocity", "displacement"))
     initial = FieldState(u=u0, v=v0, theta=theta0, t=0.0)
     initial.validate(grid)
 
-    forcing = _forcing_from_config(cfg.get("forcing", {"type": "zero"}))
+    forcing = _forcing_from_config(_section(cfg.get("forcing", {"type": "zero"}),
+                                            "forcing"))
     _validate_heat_source(forcing, grid, t_final)
 
     return Scenario(name=str(cfg.get("name", "unnamed")), config=cfg, grid=grid,

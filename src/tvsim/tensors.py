@@ -42,12 +42,6 @@ def triple_to_mat(t):
     return np.array([[a11, a12], [a12, a22]])
 
 
-def mat_to_triple(a):
-    """Dense symmetric 2x2 -> (a11, a22, a12)."""
-    a = np.asarray(a, dtype=float)
-    return np.array([a[0, 0], a[1, 1], 0.5 * (a[0, 1] + a[1, 0])])
-
-
 def _isotropic_raw(lam, mu):
     """T_ijkl = mu (d_ik d_jl + d_il d_jk) + lam d_ij d_kl, no validation."""
     eye = np.eye(2)

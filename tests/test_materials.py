@@ -219,8 +219,6 @@ class TestRegularization:
     def test_rejects_small_m_shift(self):
         with pytest.raises(ConfigError):
             mat.ConstantCapacity(1.0).ell_hat(1.0, math.exp(4) - 1.0)
-        with pytest.raises(ConfigError):
-            mat.ScalarFunctionals(mat.ConstantCapacity(1.0), 2.0)
 
 
 class TestChordMean:

@@ -9,6 +9,7 @@ import pytest
 from tvsim import cli, runner
 from tvsim.errors import AdmissibilityError, ConfigError
 from tvsim.grid import read_snapshot
+from tvsim.integrator import Integrator, PulseForcing
 from tvsim.mms import ManufacturedProblem
 from tvsim.scenarios import build_scenario, builtin_scenarios
 from tvsim.tensors import ElasticityTensors, isotropic_tensor
@@ -252,6 +253,57 @@ class TestRun:
         assert ((tmp_path / "d" / "manifest.json").read_bytes()
                 == (tmp_path / "d2" / "manifest.json").read_bytes())
 
+    @pytest.mark.parametrize("name, t_final", [("default-relaxation", 0.2),
+                                               ("debye-hotspot", 0.1)])
+    def test_records_report_the_step_ledger(self, tmp_path, monkeypatch, name,
+                                            t_final):
+        # one ledger: each stepped row shows the accepted step's own values
+        reports = []
+        step = Integrator.step
+
+        def observed(integ, *args, **kwargs):
+            new, rep = step(integ, *args, **kwargs)
+            reports.append(rep)
+            return new, rep
+
+        monkeypatch.setattr(Integrator, "step", observed)
+        cfg = copy.deepcopy(builtin_scenarios()[name])
+        cfg["t_final"] = t_final
+        cfg["output"]["window_starts"] = []
+        runner.run(cfg, str(tmp_path / "out"))
+        lines = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, map(float, line.split(",")))) for line in lines[1:]]
+        assert len(rows) == len(reports) + 1 > 10
+        pairs = [("F", "F_new"), ("S", "S_new"), ("P_src", "prod_source"),
+                 ("visc_lb", "prod_viscous_lb"),
+                 ("prod_diff_edge", "prod_diffusion")]
+        for row, rep in zip(rows[1:], reports):
+            assert row["t"] == rep.t_new
+            for column, attr in pairs:
+                assert row[column].hex() == float(getattr(rep, attr)).hex()
+        # a with_zeros start keeps the infinite edge production at t = 0
+        zero_start = name == "debye-hotspot"
+        assert (rows[0]["prod_diff_edge"] == math.inf) == zero_start
+        assert (rows[0]["min_theta"] == 0.0) == zero_start
+
+    def test_heat_source_evaluations(self, tmp_path, monkeypatch):
+        # 20 steps of one attempt, the t = 0 record and 17 validation calls;
+        # stepped records take the source production from the step
+        times = []
+        source = PulseForcing.g
+
+        def counted(forcing, t, grid):
+            times.append(t)
+            return source(forcing, t, grid)
+
+        monkeypatch.setattr(PulseForcing, "g", counted)
+        cfg = copy.deepcopy(builtin_scenarios()["pulsed-forcing"])
+        cfg["t_final"] = 0.2
+        man = runner.run(cfg, str(tmp_path / "out"))
+        assert man["run"]["steps"] == 20 and man["run"]["rejections"] == 0
+        assert len(times) == 38
+
 
 class TestSweep:
     def test_regularization_axis_increases_dissipation(self, tmp_path):
@@ -394,3 +446,34 @@ class TestCli:
         rc = cli.main(["run", "inadmissible-zero-cell",
                        "--out", str(tmp_path / "x")])
         assert rc == 2
+
+    @pytest.mark.parametrize("content, named", [
+        (None, "cfg.json"),  # no such file
+        ("{not json", "cfg.json"),
+        ("[1, 2]", "cfg.json"),
+        (("grid", 5), "section grid "),
+        (("tensors", None), "section tensors "),
+        (("material", []), "section material "),
+        (("output", 7), "section output "),
+        (("initial.theta", 3), "section initial.theta "),
+        (("grid.nx", "a"), "key grid.nx "),
+        (("t_final", "x"), "key t_final "),
+        (("grid.nx", 40.7), "key grid.nx "),
+        (("grid.ny", 40.7), "key grid.ny "),
+        (("output.record_every", 2.5), "key output.record_every "),
+    ], ids=["missing", "not-json", "not-object", "grid", "tensors", "material",
+            "output", "initial.theta", "nx-string", "t_final-string",
+            "nx-fraction", "ny-fraction", "record_every-fraction"])
+    def test_bad_config_input_exits_3(self, tmp_path, capsys, content, named):
+        path = tmp_path / "cfg.json"
+        if isinstance(content, str):
+            path.write_text(content)
+        elif content is not None:
+            cfg = short_default(t_final=0.1)
+            runner._set_by_path(cfg, *content)
+            path.write_text(json.dumps(cfg))
+        rc = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("error: ") and named in err
+        assert not (tmp_path / "out").exists()
