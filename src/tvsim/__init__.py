@@ -9,7 +9,7 @@ from .errors import (AdmissibilityError, ConfigError, SolverError, StepError,
                      TvsimError)
 from .grid import Grid, read_snapshot, solve_spd, write_snapshot
 from .integrator import (FieldState, Forcing, Integrator, PulseForcing,
-                         SolverConfig, StepReport, ZeroForcing)
+                         SolverConfig, StepReport)
 from .materials import (ConstantCapacity, DebyeLikeCapacity, HeatCapacity,
                         PowerGrowthCapacity, SlowDecayCapacity,
                         TabulatedCapacity, admissibility_check,
@@ -24,7 +24,7 @@ __all__ = [
     "AdmissibilityError", "ConfigError", "SolverError", "StepError", "TvsimError",
     "Grid", "read_snapshot", "solve_spd", "write_snapshot",
     "FieldState", "Forcing", "Integrator", "PulseForcing", "SolverConfig",
-    "StepReport", "ZeroForcing",
+    "StepReport",
     "ConstantCapacity", "DebyeLikeCapacity", "HeatCapacity",
     "PowerGrowthCapacity", "SlowDecayCapacity", "TabulatedCapacity",
     "admissibility_check", "model_from_config",

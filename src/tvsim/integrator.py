@@ -16,9 +16,9 @@ chord of kappa over [theta, x]): x forces the velocity solve and is the
 chord point of the heat solve.  The iteration mixes the last three G(x) by
 type-II Anderson acceleration (depth 2, falling back to the plain update
 G(x) when the mix is not strictly positive) and stops once
-|G(x) - x| <= picard_tol (1 + |G(x)|), returning theta+ = G(x).  So the
+|G(x) - x| <= _PICARD_TOL (1 + |G(x)|), returning theta+ = G(x).  So the
 thermal force is the end-of-step temperature the heat equation cools with,
-to picard_tol, and the dt^2 elastic term evaluates the elastic force at the
+to _PICARD_TOL, and the dt^2 elastic term evaluates the elastic force at the
 end-of-step displacement.  With those choices the discrete total energy
 obeys
 
@@ -31,7 +31,7 @@ the exchange integral of <B, sym_grad v+> vanishes identically on
 boundary-clamped fields, and the implicit heat solve is an M-matrix, which
 also yields strictly positive temperatures under the diagonal guard.
 
-Both linear systems are solved by conjugate gradients to cg_tol, because the
+Both linear systems are solved by conjugate gradients to _CG_TOL, because the
 identities above hold to solver tolerance.  Each is preconditioned with the
 exact inverse of a nearby separable operator, applied as dense products with
 1-D eigenbases (fast diagonalization), so iteration counts do not grow with
@@ -44,6 +44,10 @@ exact inverse of a nearby separable operator, applied as dense products with
 
 Only the eps_reg > 0 velocity system, whose high-order term is not diagonal
 in those modes, keeps a sparse LU factorization as its preconditioner.
+
+The solver tolerances and caps, the dt growth and the positivity safety
+factor are module constants: the identities hold only to about _CG_TOL and
+_PICARD_TOL, so a setting that loosened them could only break the structure.
 """
 
 from __future__ import annotations
@@ -61,6 +65,12 @@ from .grid import separable_inverse, solve_spd
 
 # residual differences the Picard loop mixes over (Anderson depth)
 _ANDERSON_DEPTH = 2
+_CG_TOL = 1e-12          # relative residual of both CG solves
+_CG_MAXITER_FACTOR = 10  # CG iteration cap per unknown
+_PICARD_TOL = 1e-11      # stop once |G(x) - x| <= _PICARD_TOL (1 + |G(x)|)
+_PICARD_MAX = 80         # Picard iterations before an attempt is rejected
+_DT_GROWTH = 1.2         # dt growth after an accepted step, up to dt_max
+_THETA_SAFETY = 0.5      # share of the positivity guard's dt bound used
 
 
 def _anderson_update(g_hist, f_hist, g_new, f_new):
@@ -120,12 +130,6 @@ class SolverConfig:
     dt_max: float = 0.01
     eps_reg: float = 0.0
     m: int = 1
-    theta_safety: float = 0.5
-    cg_tol: float = 1e-12
-    cg_maxiter_factor: int = 10
-    picard_tol: float = 1e-11
-    picard_max: int = 80
-    dt_growth: float = 1.2
 
     def validate(self):
         if not (0 < self.dt_min <= self.dt0 <= self.dt_max):
@@ -134,8 +138,6 @@ class SolverConfig:
             raise ConfigError("eps_reg must be >= 0")
         if self.eps_reg > 0 and not 1 <= self.m <= 3:
             raise ConfigError("regularization order m must lie in 1..3")
-        if not 0.0 < self.theta_safety < 1.0:
-            raise ConfigError("theta_safety must lie in (0, 1)")
 
 
 class Forcing:
@@ -151,20 +153,19 @@ class Forcing:
         return {"type": "zero"}
 
 
-class ZeroForcing(Forcing):
-    pass
-
-
 class PulseForcing(Forcing):
     """Time-compact mechanical pulse and exponentially decaying heat source.
 
     Both envelopes are integrable in time, so the decay hypotheses of the
-    stabilization results hold along these runs.
+    stabilization results hold along these runs; that needs tau_f, tau_g > 0.
     """
 
     def __init__(self, amp_f=0.0, t0=1.0, tau_f=0.25, amp_g=0.0, tau_g=1.0):
         if amp_g < 0:
             raise ConfigError("heat-source amplitude must be >= 0")
+        for key, tau in (("tau_f", tau_f), ("tau_g", tau_g)):
+            if not tau > 0:
+                raise ConfigError(f"pulse time scale {key} must be > 0, got {tau!r}")
         self.amp_f = amp_f
         self.t0 = t0
         self.tau_f = tau_f
@@ -390,8 +391,8 @@ class Integrator:
                + dt * (-(self.A_C @ u_int) + self.T_B @ theta.ravel()
                        + self.w2_int * f_int))
         m, pre_apply = self._velocity_matrix(dt)
-        x, iters = solve_spd(m, rhs, tol=self.config.cg_tol,
-                             maxiter=self.config.cg_maxiter_factor * rhs.size,
+        x, iters = solve_spd(m, rhs, tol=_CG_TOL,
+                             maxiter=_CG_MAXITER_FACTOR * rhs.size,
                              x0=v_int if x0 is None else x0,
                              precond_apply=pre_apply)
         return x, iters
@@ -431,17 +432,17 @@ class Integrator:
         x0 = theta_old if theta_guess is None else theta_guess.ravel()
         # weighted mean of the diagonal; exact inverse when it is constant
         pre_apply = self._heat_preconditioner(float(diag_add.sum()) / g.area)
-        theta_new, iters = solve_spd(s, rhs, tol=self.config.cg_tol,
-                                     maxiter=self.config.cg_maxiter_factor * rhs.size,
+        theta_new, iters = solve_spd(s, rhs, tol=_CG_TOL,
+                                     maxiter=_CG_MAXITER_FACTOR * rhs.size,
                                      x0=x0, precond_apply=pre_apply)
         return theta_new.reshape(g.ny, g.nx), iters, b, q
 
     def adaptive_dt(self, state, v_new):
         """Largest admissible dt for the positivity guard, capped at dt_max.
 
-        Requires dt <= safety * kappa(theta) / max(0, -b) at every node; when
-        b >= 0 everywhere the guard does not bind.  Falling below dt_min is
-        reported with the offending node.
+        Requires dt <= _THETA_SAFETY kappa(theta) / max(0, -b) at every node;
+        when b >= 0 everywhere the guard does not bind.  Falling below dt_min
+        is reported with the offending node.
         """
         strain = self.grid.sym_grad(v_new)
         b = self.coupling_field(strain)
@@ -450,7 +451,7 @@ class Integrator:
         dt = self.config.dt_max
         if np.any(neg > 0):
             ratios = np.where(neg > 0, kap / np.where(neg > 0, neg, 1.0), np.inf)
-            bound = self.config.theta_safety * float(ratios.min())
+            bound = _THETA_SAFETY * float(ratios.min())
             if bound < self.config.dt_min:
                 node = int(np.argmin(ratios))
                 raise StepError(
@@ -469,7 +470,7 @@ class Integrator:
         cfg = self.config
         if self.D_diff is None:
             raise ConfigError("set_diffusivity must be called before stepping")
-        dt = min(cfg.dt_max, self.dt_prev * cfg.dt_growth)
+        dt = min(cfg.dt_max, self.dt_prev * _DT_GROWTH)
         if dt_request is not None:
             dt = min(dt, dt_request)
         dt = min(dt, self.adaptive_dt(state, state.v))
@@ -490,7 +491,6 @@ class Integrator:
         return new_state, report
 
     def _attempt(self, state, forcing, dt):
-        cfg = self.config
         g = self.grid
         model = self.model
         theta_old = state.theta
@@ -505,7 +505,7 @@ class Integrator:
         theta_guess = theta_old
         g_hist, f_hist = [], []
         it_v_total = it_h_total = 0
-        for picard_iters in range(1, cfg.picard_max + 1):
+        for picard_iters in range(1, _PICARD_MAX + 1):
             v_int, it_v = self.velocity_step(state, f_field, dt,
                                              theta_force=x, x0=v_guess)
             it_v_total += it_v
@@ -518,7 +518,7 @@ class Integrator:
             theta_guess = theta_new
             resid = theta_new.ravel() - x
             change = float(np.abs(resid).max())
-            if change <= cfg.picard_tol * (1.0 + float(np.abs(theta_new).max())):
+            if change <= _PICARD_TOL * (1.0 + float(np.abs(theta_new).max())):
                 break
             x = _anderson_update(g_hist, f_hist, theta_new.ravel(), resid)
             kappa_bar = np.asarray(model.kappa_chord(theta_old.ravel(), x))

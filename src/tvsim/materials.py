@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _number, _numbers
 
 #: smallest admissible weight shift for the log-weighted entropy
 M_MIN = math.exp(4.0)
@@ -600,22 +600,27 @@ class FlooredCapacity(HeatCapacity):
 
 
 def model_from_config(cfg):
-    """Build a heat-capacity law from its config mapping."""
+    """Build a heat-capacity law from its config mapping (material.kappa)."""
     try:
         variant = cfg["variant"]
     except (KeyError, TypeError) as exc:
         raise ConfigError("kappa config needs a 'variant' key") from exc
+
+    def num(key):
+        return _number(cfg[key], f"material.kappa.{key}")
+
     if variant == "constant":
-        return ConstantCapacity(k0=float(cfg["k0"]))
+        return ConstantCapacity(k0=num("k0"))
     if variant == "power_growth":
-        return PowerGrowthCapacity(k0=float(cfg["k0"]), omega=float(cfg["omega"]))
+        return PowerGrowthCapacity(k0=num("k0"), omega=num("omega"))
     if variant == "debye":
-        return DebyeLikeCapacity(k0=float(cfg["k0"]), xi_d=float(cfg["xi_d"]))
+        return DebyeLikeCapacity(k0=num("k0"), xi_d=num("xi_d"))
     if variant == "slow_decay":
-        return SlowDecayCapacity(k0=float(cfg["k0"]), alpha=float(cfg["alpha"]))
+        return SlowDecayCapacity(k0=num("k0"), alpha=num("alpha"))
     if variant == "tabulated":
-        return TabulatedCapacity(xi_pts=np.asarray(cfg["xi_pts"], dtype=float),
-                                 kappa_pts=np.asarray(cfg["kappa_pts"], dtype=float))
+        return TabulatedCapacity(
+            xi_pts=np.array(_numbers(cfg["xi_pts"], "material.kappa.xi_pts")),
+            kappa_pts=np.array(_numbers(cfg["kappa_pts"], "material.kappa.kappa_pts")))
     raise ConfigError(f"unknown heat-capacity variant {variant!r}")
 
 

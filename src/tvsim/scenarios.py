@@ -4,6 +4,11 @@ A scenario is one self-contained mapping (stored as JSON) with sections
 grid / tensors / material / forcing / initial / solver / output plus the
 final time.  Everything a run needs is captured here so the manifest can
 reproduce the experiment exactly.
+
+The top level and the grid, material, initial, solver and output sections
+have fixed keys and refuse any other.  The solver tolerances and the slack
+of the law checks are not keys but constants of tvsim.integrator and
+tvsim.runner, because the discrete laws hold only to those values.
 """
 
 from __future__ import annotations
@@ -11,19 +16,22 @@ from __future__ import annotations
 import copy
 import json
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import materials
-from .errors import ConfigError
+from .errors import ConfigError, _number, _numbers, _section
 from .grid import Grid
-from .integrator import (CallableForcing, FieldState, Forcing, PulseForcing,
-                         SolverConfig, ZeroForcing)
+from .integrator import FieldState, Forcing, PulseForcing, SolverConfig
 from .tensors import ElasticityTensors, tensors_from_config
 
-_SOLVER_KEYS = {f: None for f in SolverConfig.__dataclass_fields__}
+# the keys of the sections whose keys do not depend on a type
+_TOP_KEYS = ("name", "grid", "tensors", "material", "forcing", "initial",
+             "solver", "output", "t_final")
+_GRID_KEYS = ("nx", "ny", "Lx", "Ly")
+_MATERIAL_KEYS = ("kappa", "D", "M", "eps_kappa")
+_INITIAL_KEYS = ("theta", "velocity", "displacement")
 
 
 @dataclass
@@ -33,14 +41,10 @@ class OutputPlan:
     window_starts: tuple = ()
     checkpoint_time: float | None = None
     theta_floor: float = 0.0
-    energy_tol_rel: float = 1e-9   # slack on the energy balance, times F(0)
-    ineq_tol_rel: float = 1e-8     # slack on per-step entropy inequalities
 
     def validate(self):
         if self.record_every < 1:
             raise ConfigError("record_every must be >= 1")
-        if self.energy_tol_rel <= 0 or self.ineq_tol_rel <= 0:
-            raise ConfigError("tolerances must be positive")
 
 
 @dataclass
@@ -61,22 +65,6 @@ class Scenario:
     solver: SolverConfig
     output: OutputPlan
     t_final: float
-
-
-def _section(val, path):
-    """val, the config section at path, which must be a JSON object."""
-    if not isinstance(val, dict):
-        raise ConfigError(f"config section {path} must be an object, got {val!r}")
-    return val
-
-
-def _number(val, path, integral=False):
-    """val, the config value at path, as a float (an int if integral)."""
-    if (not isinstance(val, numbers.Real) or isinstance(val, bool)
-            or (integral and val != int(val))):
-        kind = "an integer" if integral else "a number"
-        raise ConfigError(f"config key {path} must be {kind}, got {val!r}")
-    return int(val) if integral else float(val)
 
 
 def _theta_profile(grid, spec):
@@ -122,7 +110,7 @@ def _vector_profile(grid, spec, path):
 def _forcing_from_config(spec):
     kind = spec.get("type", "zero")
     if kind == "zero":
-        return ZeroForcing()
+        return Forcing()
     if kind == "pulse":
         defaults = {"amp_f": 0.0, "t0": 1.0, "tau_f": 0.25, "amp_g": 0.0,
                     "tau_g": 1.0}
@@ -147,14 +135,15 @@ def build_scenario(config):
     """Materialize a config mapping into a validated Scenario."""
     cfg = copy.deepcopy(config)
     _reject_non_finite(cfg, "")
+    _section(cfg, "top-level", _TOP_KEYS)
     try:
-        grid_cfg = _section(cfg["grid"], "grid")
+        grid_cfg = _section(cfg["grid"], "grid", _GRID_KEYS)
         grid = Grid(nx=_number(grid_cfg["nx"], "grid.nx", integral=True),
                     ny=_number(grid_cfg["ny"], "grid.ny", integral=True),
                     Lx=_number(grid_cfg.get("Lx", 1.0), "grid.Lx"),
                     Ly=_number(grid_cfg.get("Ly", 1.0), "grid.Ly"))
         tensors = tensors_from_config(_section(cfg["tensors"], "tensors"))
-        mat = _section(cfg["material"], "material")
+        mat = _section(cfg["material"], "material", _MATERIAL_KEYS)
         model_raw = materials.model_from_config(
             _section(mat["kappa"], "material.kappa"))
         d_diff = _number(mat["D"], "material.D")
@@ -171,31 +160,31 @@ def build_scenario(config):
         raise ConfigError("eps_kappa must lie in [0, 1)")
     model = model_raw.floor(eps_kappa) if eps_kappa > 0 else model_raw
 
-    solver_cfg = _section(cfg.get("solver", {}), "solver")
-    unknown = set(solver_cfg) - set(_SOLVER_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown solver keys: {sorted(unknown)}")
+    solver_cfg = _section(cfg.get("solver", {}), "solver",
+                          SolverConfig.__dataclass_fields__)
     solver = SolverConfig(**{
         key: _number(val, f"solver.{key}",
                      integral=isinstance(getattr(SolverConfig, key), int))
         for key, val in solver_cfg.items()})
     solver.validate()
 
-    out_cfg = _section(cfg.get("output", {}), "output")
+    out_cfg = _section(cfg.get("output", {}), "output",
+                       OutputPlan.__dataclass_fields__)
+    checkpoint_time = out_cfg.get("checkpoint_time")
     output = OutputPlan(
         record_every=_number(out_cfg.get("record_every", 1),
                              "output.record_every", integral=True),
-        snapshot_times=tuple(out_cfg.get("snapshot_times", ())),
-        window_starts=tuple(out_cfg.get("window_starts", ())),
-        checkpoint_time=out_cfg.get("checkpoint_time"),
+        snapshot_times=tuple(_numbers(out_cfg.get("snapshot_times", []),
+                                      "output.snapshot_times")),
+        window_starts=tuple(_numbers(out_cfg.get("window_starts", []),
+                                     "output.window_starts")),
+        checkpoint_time=None if checkpoint_time is None else _number(
+            checkpoint_time, "output.checkpoint_time"),
         theta_floor=_number(out_cfg.get("theta_floor", 0.0), "output.theta_floor"),
-        energy_tol_rel=_number(out_cfg.get("energy_tol_rel", 1e-9),
-                               "output.energy_tol_rel"),
-        ineq_tol_rel=_number(out_cfg.get("ineq_tol_rel", 1e-8), "output.ineq_tol_rel"),
     )
     output.validate()
 
-    init_cfg = _section(cfg.get("initial", {}), "initial")
+    init_cfg = _section(cfg.get("initial", {}), "initial", _INITIAL_KEYS)
     theta0 = _theta_profile(grid, _section(
         init_cfg.get("theta", {"type": "constant"}), "initial.theta"))
     v0, u0 = (_vector_profile(grid, _section(init_cfg.get(key, {"type": "zero"}),
@@ -305,6 +294,3 @@ def builtin_scenarios():
         "inadmissible-zero-cell": inadmissible,
     }
 
-
-def mms_forcing_wrapper(f_fn, g_fn, label="manufactured"):
-    return CallableForcing(f_fn=f_fn, g_fn=g_fn, label=label)

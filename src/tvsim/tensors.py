@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _number, _numbers, _section
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -196,15 +196,16 @@ class ElasticityTensors:
 
 
 def _tensor_from_config(node, name):
+    path = f"tensors.{name}"
     if isinstance(node, dict) and "isotropic" in node:
-        iso = node["isotropic"]
+        iso = _section(node["isotropic"], f"{path}.isotropic")
         try:
-            lam = float(iso["lambda"])
-            mu = float(iso["mu"])
-        except (KeyError, TypeError) as exc:
+            lam = _number(iso["lambda"], f"{path}.isotropic.lambda")
+            mu = _number(iso["mu"], f"{path}.isotropic.mu")
+        except KeyError as exc:
             raise ConfigError(f"tensor {name}: isotropic form needs lambda and mu") from exc
         return isotropic_tensor(lam, mu)
-    arr = np.asarray(node, dtype=float).reshape(-1)
+    arr = np.array(_numbers(node, path))
     if arr.size != 16:
         raise ConfigError(
             f"tensor {name}: expected isotropic spec or 16 row-major entries, got {arr.size}")
@@ -216,8 +217,8 @@ def _tensor_from_config(node, name):
 
 def _coupling_from_config(node):
     if isinstance(node, dict) and "scale_identity" in node:
-        return float(node["scale_identity"]) * np.eye(2)
-    arr = np.asarray(node, dtype=float).reshape(-1)
+        return _number(node["scale_identity"], "tensors.B.scale_identity") * np.eye(2)
+    arr = np.array(_numbers(node, "tensors.B"))
     if arr.size == 3:
         return triple_to_mat(arr)
     if arr.size == 4:

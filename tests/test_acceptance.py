@@ -16,7 +16,7 @@ import pytest
 from tvsim import runner
 from tvsim import tensors as tn
 from tvsim.grid import Grid
-from tvsim.integrator import Integrator, ZeroForcing
+from tvsim.integrator import Forcing, Integrator
 from tvsim.materials import ConstantCapacity, M_DEFAULT, PowerGrowthCapacity, TabulatedCapacity
 from tvsim.scenarios import build_scenario, builtin_scenarios
 from conftest import boundary_vanishing_field, random_sym2, random_sym_tensor
@@ -75,7 +75,7 @@ class TestCriterion02EnergyRefinement:
             state = scenario.initial
             total = 0.0
             while state.t < 1.0 - 1e-12:
-                state, rep = integ.step(state, ZeroForcing(),
+                state, rep = integ.step(state, Forcing(),
                                         dt_request=1.0 - state.t)
                 total += rep.energy_residual
             totals.append(abs(total))

@@ -10,8 +10,8 @@ from tvsim.diagnostics import (Diagnostics, WindowSample,
                                window_metrics)
 from tvsim.errors import ConfigError
 from tvsim.grid import Grid
-from tvsim.integrator import (CallableForcing, FieldState, Integrator,
-                              SolverConfig, ZeroForcing)
+from tvsim.integrator import (CallableForcing, FieldState, Forcing,
+                              Integrator, SolverConfig)
 from tvsim.materials import ConstantCapacity, M_DEFAULT
 
 E = math.e
@@ -31,7 +31,7 @@ def make_setup(n=13, b_scale=0.5, dt=0.01, d_diff=1.0):
 
 def record(diag, itg, st, forcing=None):
     """The record of a state no step produced, around the integrator's ledger."""
-    forcing = ZeroForcing() if forcing is None else forcing
+    forcing = Forcing() if forcing is None else forcing
     return diag.record(st, itg.ledger(st, forcing.g(st.t, itg.grid)))
 
 
@@ -98,7 +98,7 @@ class TestRecord:
         g, tens, model, diag, itg = make_setup()
         st = relaxation_state(g)
         for _ in range(30):
-            st, rep = itg.step(st, ZeroForcing())
+            st, rep = itg.step(st, Forcing())
             rec = diag.record(st, rep)
             assert rec.F == pytest.approx(rec.kinetic + rec.elastic + rec.thermal)
             for name in ("kinetic", "elastic", "thermal", "S_hat", "P_diff",
@@ -119,7 +119,7 @@ class TestEnergyBalance:
     def test_zero_state(self):
         g, tens, model, diag, itg = make_setup()
         st = rest_state(g)
-        new, rep = itg.step(st, ZeroForcing())
+        new, rep = itg.step(st, Forcing())
         assert rep.energy_residual == pytest.approx(0.0, abs=1e-14)
 
     def test_dissipative_along_run(self):
@@ -128,7 +128,7 @@ class TestEnergyBalance:
         rec = record(diag, itg, st)
         f0 = rec.F
         for _ in range(200):
-            st, rep = itg.step(st, ZeroForcing())
+            st, rep = itg.step(st, Forcing())
             rec1 = diag.record(st, rep)
             assert rep.energy_residual <= 1e-9 * f0
             # the records carry the same energies the residual was built from
@@ -144,7 +144,7 @@ class TestEnergyBalance:
             st = relaxation_state(g)
             total = 0.0
             while st.t < 0.5 - 1e-12:
-                st, rep = itg.step(st, ZeroForcing(), dt_request=0.5 - st.t)
+                st, rep = itg.step(st, Forcing(), dt_request=0.5 - st.t)
                 total += rep.energy_residual
             totals.append(abs(total))
         assert totals[0] / totals[1] == pytest.approx(2.0, rel=0.2)
@@ -155,7 +155,7 @@ class TestEntropyBalance:
     def test_stationary(self):
         g, tens, model, diag, itg = make_setup()
         st = rest_state(g, 2.0)
-        new, rep = itg.step(st, ZeroForcing())
+        new, rep = itg.step(st, Forcing())
         assert rep.entropy_residual == pytest.approx(0.0, abs=1e-13)
 
     def test_pure_heat_diffusion(self):
@@ -165,7 +165,7 @@ class TestEntropyBalance:
         st.theta = 1.0 + np.exp(-r2 / (2 * 0.15 ** 2))
         rec = record(diag, itg, st)
         for _ in range(100):
-            st, rep = itg.step(st, ZeroForcing())
+            st, rep = itg.step(st, Forcing())
             rec1 = diag.record(st, rep)
             res = rep.entropy_residual
             assert res >= -1e-8 * (1 + abs(rec1.S))
@@ -195,7 +195,7 @@ class TestLogEntropyInequality:
         g, tens0, model, diag, itg = make_setup(b_scale=0.0)
         st = rest_state(g, 2.0)
         rec0 = record(diag, itg, st)
-        new, rep = itg.step(st, ZeroForcing())
+        new, rep = itg.step(st, Forcing())
         rec1 = diag.record(new, rep)
         tens = tn.ElasticityTensors(D4=tn.isotropic_tensor(1, 1),
                                     C4=tn.isotropic_tensor(1, 1),
@@ -217,7 +217,7 @@ class TestLogEntropyInequality:
         st = relaxation_state(g)
         rec = record(diag, itg, st)
         for _ in range(50):
-            st, rep = itg.step(st, ZeroForcing())
+            st, rep = itg.step(st, Forcing())
             rec1 = diag.record(st, rep)
             out = log_entropy_inequality(rec, rec1, rep.dt, tens, 1.0, g.area)
             assert out["holds"]
@@ -240,7 +240,7 @@ class TestLogEntropyInequality:
         st = relaxation_state(g)
         rec = record(diag, itg, st)
         for _ in range(100):
-            st, rep = itg.step(st, ZeroForcing())
+            st, rep = itg.step(st, Forcing())
             rec1 = diag.record(st, rep)
             out = log_entropy_inequality(rec, rec1, rep.dt, tens, 1.0, g.area)
             assert out["holds"]
@@ -307,7 +307,7 @@ class TestGradientLogIntegrabilityChain:
         g, tens, model, diag, itg = make_setup()
         st = relaxation_state(g)
         for k in range(20):
-            st, rep = itg.step(st, ZeroForcing())
+            st, rep = itg.step(st, Forcing())
             rec = diag.record(st, rep)
             bound = (8.0 * rec.L2 + 8.0 * E ** 2 * (rec.theta_l1 + E * g.area)
                      + rec.theta_l1 + E ** 2 * g.area)

@@ -4,8 +4,9 @@ import scipy.sparse as sp
 
 from tvsim.errors import ConfigError, StepError
 from tvsim.grid import Grid, _sbp_derivative_1d, _trapezoid_1d, solve_spd
-from tvsim.integrator import (CallableForcing, FieldState, Integrator,
-                              SolverConfig, ZeroForcing, _anderson_update)
+from tvsim.integrator import (_PICARD_TOL, CallableForcing, FieldState,
+                              Forcing, Integrator, SolverConfig,
+                              _anderson_update)
 from tvsim.materials import ConstantCapacity, DebyeLikeCapacity
 from tvsim.scenarios import build_scenario, builtin_scenarios
 from tvsim import tensors as tn
@@ -205,11 +206,11 @@ class TestDisplacementStep:
         gaps = []
         for dt in (0.008, 0.004, 0.002):
             itg, g = make_integrator(n=11, dt=dt)
-            one, _ = itg.step(smooth_state(g), ZeroForcing(), dt_request=dt)
+            one, _ = itg.step(smooth_state(g), Forcing(), dt_request=dt)
             itg2, _ = make_integrator(n=11, dt=dt / 2)
             half = smooth_state(g)
             for _ in range(2):
-                half, _ = itg2.step(half, ZeroForcing(), dt_request=dt / 2)
+                half, _ = itg2.step(half, Forcing(), dt_request=dt / 2)
             gaps.append(np.abs(one.u - half.u).max()
                         + np.abs(one.theta - half.theta).max())
         assert gaps[0] / gaps[1] == pytest.approx(4.0, rel=0.4)
@@ -280,7 +281,7 @@ class TestAdaptiveDt:
 
     def test_guard_formula(self):
         # kappa = 1, b = -10 uniformly, safety 0.5 -> dt = 0.05
-        itg, g = make_integrator(dt=10.0, theta_safety=0.5, dt_min=1e-9)
+        itg, g = make_integrator(dt=10.0, dt_min=1e-9)
         st = rest_state(g)
         v = np.stack([-10.0 * g.X, 0.0 * g.Y], axis=-1)  # <B, sym_grad> = -5... scale
         # sym_grad = diag(-10, 0): b = 0.5*(-10) = -5 -> dt = 0.5 * 1/5 = 0.1
@@ -289,7 +290,7 @@ class TestAdaptiveDt:
         assert itg.adaptive_dt(st, v2) == pytest.approx(0.05)
 
     def test_below_dt_min_reports_node(self):
-        itg, g = make_integrator(dt=1.0, dt_min=0.5, theta_safety=0.5)
+        itg, g = make_integrator(dt=1.0, dt_min=0.5)
         st = rest_state(g)
         v = np.stack([-10.0 * g.X, -10.0 * g.Y], axis=-1)
         with pytest.raises(StepError) as err:
@@ -333,7 +334,7 @@ def _rejecting_setup():
     tens = tn.ElasticityTensors(D4=tn.isotropic_tensor(1, 1),
                                 C4=tn.isotropic_tensor(1, 1),
                                 B=3.0 * np.eye(2))
-    cfg = SolverConfig(dt0=0.5, dt_max=0.5, dt_min=1e-9, picard_max=200)
+    cfg = SolverConfig(dt0=0.5, dt_max=0.5, dt_min=1e-9)
     itg = Integrator(g, tens, ConstantCapacity(0.05), cfg).set_diffusivity(1.0)
     theta = 1.0 + 30.0 * np.exp(-((g.X - 0.5) ** 2 + (g.Y - 0.5) ** 2)
                                 / (2 * 0.15 ** 2))
@@ -345,7 +346,7 @@ class TestFullStep:
     def test_stationary_point(self):
         itg, g = make_integrator()
         st = rest_state(g, theta=2.5)
-        new, rep = itg.step(st, ZeroForcing())
+        new, rep = itg.step(st, Forcing())
         assert np.abs(new.u).max() == 0.0
         assert np.abs(new.v).max() <= 1e-15
         assert np.abs(new.theta - 2.5).max() <= 1e-12
@@ -356,7 +357,7 @@ class TestFullStep:
         st = sine_velocity_state(g)
         f0 = itg.total_energy(st)
         for _ in range(200):
-            st, rep = itg.step(st, ZeroForcing())
+            st, rep = itg.step(st, Forcing())
             assert rep.energy_residual <= 1e-9 * f0
             assert rep.S_new >= rep.S_old - 1e-8 * (1 + abs(rep.S_old))
             assert rep.entropy_residual >= -1e-8 * (1 + abs(rep.S_new))
@@ -371,7 +372,7 @@ class TestFullStep:
             itg, g = make_integrator(n=17, dt=dt)
             st = sine_velocity_state(g)
             while st.t < 0.5 - 1e-12:
-                st, _ = itg.step(st, ZeroForcing(), dt_request=0.5 - st.t)
+                st, _ = itg.step(st, Forcing(), dt_request=0.5 - st.t)
             diffs.append(st)
         d1 = np.abs(diffs[0].theta - diffs[1].theta).max()
         d2 = np.abs(diffs[1].theta - diffs[2].theta).max()
@@ -388,7 +389,7 @@ class TestFullStep:
         st.u[g.boundary_mask] = 0.0
         assert st.theta.min() == 0.0
         for _ in range(50):
-            st, rep = itg.step(st, ZeroForcing())
+            st, rep = itg.step(st, Forcing())
             assert rep.min_theta > 0.0
 
     def test_high_order_regularization_dissipates(self):
@@ -397,7 +398,7 @@ class TestFullStep:
         total = 0.0
         f0 = itg.total_energy(st)
         for _ in range(20):
-            st, rep = itg.step(st, ZeroForcing())
+            st, rep = itg.step(st, Forcing())
             total += rep.eps_dissipation
             assert rep.energy_residual <= 1e-9 * f0
         assert total > 0.0
@@ -405,7 +406,7 @@ class TestFullStep:
     def test_regularization_order_two_runs(self):
         itg, g = make_integrator(eps_reg=1e-6, m=2)
         st = sine_velocity_state(g)
-        st, rep = itg.step(st, ZeroForcing())
+        st, rep = itg.step(st, Forcing())
         assert rep.eps_dissipation > 0.0
 
     def test_structure_breaking_solver_keys_refused(self):
@@ -433,7 +434,7 @@ class TestFullStep:
     def test_rejected_steps_halve_dt_without_mutating_state(self):
         itg, g, st = _rejecting_setup()
         theta_before = st.theta.copy()
-        new, rep = itg.step(st, ZeroForcing())
+        new, rep = itg.step(st, Forcing())
         assert rep.rejections >= 1
         assert rep.rejections == len(rep.rejection_reasons)
         assert all(r.startswith("temperature diagonal guard failed (")
@@ -475,7 +476,7 @@ class TestFullStep:
         st = sine_velocity_state(g)
         for _ in range(5):
             v_old = st.v.copy()
-            st, rep = itg.step(st, ZeroForcing())
+            st, rep = itg.step(st, Forcing())
             dv = st.v - v_old
             dv_norm = g.integrate(dv[..., 0] ** 2 + dv[..., 1] ** 2)
             v_int = g.interior_vec(st.v)
@@ -497,7 +498,7 @@ class TestFullStep:
         st.theta = 1.0 + 0.5 * np.cos(np.pi * g.X / g.Lx) * np.cos(np.pi * g.Y / g.Ly)
         f0 = itg.total_energy(st)
         for _ in range(30):
-            st, rep = itg.step(st, ZeroForcing())
+            st, rep = itg.step(st, Forcing())
             assert rep.energy_residual <= 1e-9 * f0
             assert rep.entropy_residual >= -1e-10 * (1 + abs(rep.S_new))
             assert abs(rep.exchange_sum) <= 1e-12
@@ -509,7 +510,7 @@ class TestFullStep:
                                     C4=tn.isotropic_tensor(1, 1), B=np.eye(2))
         itg = Integrator(g, tens, ConstantCapacity(1.0), SolverConfig())
         with pytest.raises(ConfigError):
-            itg.step(rest_state(g), ZeroForcing())
+            itg.step(rest_state(g), Forcing())
 
 
 def _apply_fixed_point_map(itg, old, theta, dt):
@@ -567,12 +568,12 @@ class TestPicardFixedPoint:
             old.u[..., 0] = 0.2 * np.sin(np.pi * g.X) * np.sin(np.pi * g.Y)
             old.u[g.boundary_mask] = 0.0
         for _ in range(3):
-            new, rep = itg.step(old, ZeroForcing())
+            new, rep = itg.step(old, Forcing())
             assert rep.picard_iters > 1
             theta = new.theta
             gap = np.abs(_apply_fixed_point_map(itg, old, theta, rep.dt)
                          - theta).max()
-            assert gap <= 10 * itg.config.picard_tol * (1 + np.abs(theta).max())
+            assert gap <= 10 * _PICARD_TOL * (1 + np.abs(theta).max())
             old = new
 
     def test_debye_hotspot_first_step_needs_one_rejection(self):

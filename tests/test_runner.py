@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,6 +65,12 @@ class TestScenarioBuild:
         name = f"{section}.{key}" if section else key
         with pytest.raises(ConfigError, match=rf"\b{name}\b"):
             build_scenario(cfg)
+
+    def test_readme_example_config_builds(self):
+        # the Configuration section of the README uses only accepted keys
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+        assert build_scenario(json.loads(block)).name == "example"
 
     def test_non_finite_list_entry_rejected(self):
         cfg = short_default()
@@ -349,8 +356,7 @@ class TestManufactured:
 
     def test_zero_solution_zero_error(self):
         from tvsim.grid import Grid
-        from tvsim.integrator import Integrator, SolverConfig
-        from tvsim.scenarios import mms_forcing_wrapper
+        from tvsim.integrator import CallableForcing, Integrator, SolverConfig
         mms = ManufacturedProblem(self.unit_tensors(), 1.0, 1.0, amp_u=0.0,
                                   amp_theta=0.0, margin=0.0)
         assert mms.slope == 0.0
@@ -359,7 +365,7 @@ class TestManufactured:
                          __import__("tvsim.materials", fromlist=["ConstantCapacity"]).ConstantCapacity(1.0),
                          SolverConfig(dt0=0.05, dt_max=0.05)).set_diffusivity(1.0)
         state = mms.initial_state(g)
-        forcing = mms_forcing_wrapper(mms.forcing_f, mms.forcing_g)
+        forcing = CallableForcing(mms.forcing_f, mms.forcing_g, "manufactured")
         for _ in range(4):
             state, _ = itg.step(state, forcing)
         e_u, e_th = mms.errors(state, g)
@@ -461,9 +467,42 @@ class TestCli:
         (("grid.nx", 40.7), "key grid.nx "),
         (("grid.ny", 40.7), "key grid.ny "),
         (("output.record_every", 2.5), "key output.record_every "),
+        # settings that are module constants, so that no config loosens them
+        (("solver.cg_tol", 1e-6), "solver keys: ['cg_tol']"),
+        (("solver.cg_maxiter_factor", 10), "solver keys: ['cg_maxiter_factor']"),
+        (("solver.picard_tol", 1e-2), "solver keys: ['picard_tol']"),
+        (("solver.picard_max", 80), "solver keys: ['picard_max']"),
+        (("solver.dt_growth", 1.2), "solver keys: ['dt_growth']"),
+        (("solver.theta_safety", 0.5), "solver keys: ['theta_safety']"),
+        (("output.energy_tol_rel", 1e-9), "output keys: ['energy_tol_rel']"),
+        (("output.ineq_tol_rel", 1.0), "output keys: ['ineq_tol_rel']"),
+        # misspelt keys of fixed-key sections
+        (("grid.lx", 2.0), "grid keys: ['lx']"),
+        (("t_finall", 50.0), "top-level keys: ['t_finall']"),
+        (("material.eps_kapa", 0.0), "material keys: ['eps_kapa']"),
+        (("output.record_evry", 1), "output keys: ['record_evry']"),
+        # values below the top-level sections
+        (("material.kappa.k0", "a"), "key material.kappa.k0 "),
+        (("tensors.B", "a"), "key tensors.B "),
+        (("tensors.D.isotropic.lambda", "a"), "key tensors.D.isotropic.lambda "),
+        (("tensors.D.isotropic.mu", "a"), "key tensors.D.isotropic.mu "),
+        (("output.snapshot_times", 5), "key output.snapshot_times "),
+        (("output.window_starts", ["a"]), "key output.window_starts[0] "),
+        (("output.checkpoint_time", "x"), "key output.checkpoint_time "),
+        # pulse time scales that divide the envelopes by zero or grow them
+        (("forcing", {"type": "pulse", "tau_f": 0}), "tau_f must be > 0"),
+        (("forcing", {"type": "pulse", "tau_g": 0}), "tau_g must be > 0"),
+        (("forcing", {"type": "pulse", "tau_g": -1.0}), "tau_g must be > 0"),
     ], ids=["missing", "not-json", "not-object", "grid", "tensors", "material",
             "output", "initial.theta", "nx-string", "t_final-string",
-            "nx-fraction", "ny-fraction", "record_every-fraction"])
+            "nx-fraction", "ny-fraction", "record_every-fraction",
+            "cg_tol", "cg_maxiter_factor", "picard_tol", "picard_max",
+            "dt_growth", "theta_safety", "energy_tol_rel", "ineq_tol_rel",
+            "grid-typo", "top-level-typo", "material-typo", "output-typo",
+            "kappa-k0-string", "B-string", "lambda-string", "mu-string",
+            "snapshot_times-scalar", "window_starts-string",
+            "checkpoint_time-string", "tau_f-zero", "tau_g-zero",
+            "tau_g-negative"])
     def test_bad_config_input_exits_3(self, tmp_path, capsys, content, named):
         path = tmp_path / "cfg.json"
         if isinstance(content, str):
