@@ -108,7 +108,8 @@ def separable_inverse(qx, qy, symbol):
 
     For P-orthonormal modes Q this is the exact inverse of the operator
     (Py (x) Px) + sum of Kronecker terms diagonalized by those modes; the
-    work is four dense 1-D mode products.  symbol has shape (ny, nx).
+    work is four dense 1-D mode products.  symbol has shape (ny, nx), or
+    (k, ny, nx) for k such operators applied to k stacked blocks of r.
     """
     inv = 1.0 / symbol
     shape = inv.shape
@@ -338,7 +339,8 @@ def solve_spd(a, rhs, tol=1e-10, maxiter=None, x0=None, precond_apply=None):
     residual attached.  precond_apply, when given, is a callable applying an
     SPD approximate inverse (the integrator passes exact inverses of
     separable operators close to a, so iteration counts do not grow with
-    1/h); convergence is always measured on the true residual.
+    1/h).  Convergence is tested on the recursively updated residual
+    r -= alpha A p, which tracks the true residual rhs - A x up to rounding.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = rhs.size

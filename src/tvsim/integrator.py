@@ -31,6 +31,23 @@ the exchange integral of <B, sym_grad v+> vanishes identically on
 boundary-clamped fields, and the implicit heat solve is an M-matrix, which
 also yields strictly positive temperatures under the diagonal guard.
 
+The integrator remembers its last accepted step (LastStep): copies of the
+end state, that state's F, S and nodal K(theta), the theta and v the step
+started from, and its dt.  A step whose input equals the remembered end
+state value for value (np.array_equal on u, v and theta) continues it:
+F_old and S_old come from the remembered ledger, every chord of kappa uses
+the remembered K(theta_old), and the Picard loop starts from the predictor
+x0 = theta + r (theta - theta_prev), r = dt / dt_prev, the extrapolated
+starting value implicit integrators give their Newton iterations (Hairer &
+Wanner, Solving ODEs II, IV.8).  Then the first kappa_bar is the chord over
+[theta, x0] and the CG warm starts are x0 and v + r (v - v_prev).  The
+predictor is used only when min x0 > 0 and theta moved over the last step
+by more than _PICARD_TOL (1 + |theta|): near equilibrium the extrapolation
+would only feed rounding noise into the thermal force.  Any other input (a
+fresh integrator, an edited or a different state) is evaluated afresh and
+starts from x = theta.  The fixed point, the stopping test and
+theta+ = G(x) do not depend on where the loop starts.
+
 Both linear systems are solved by conjugate gradients to _CG_TOL, because the
 identities above hold to solver tolerance.  Each is preconditioned with the
 exact inverse of a nearby separable operator, applied as dense products with
@@ -250,6 +267,10 @@ class StepReport(Ledger):
     exchange_sum: float
     min_theta: float
     rejection_reasons: tuple = ()  # messages of the retried attempts, in order
+    # iterations the retried attempts spent before they were rejected
+    wasted_picard: int = 0
+    wasted_cg_velocity: int = 0
+    wasted_cg_heat: int = 0
     # F and S of the end state under the names the balances use
     F_new = property(lambda self: self.F)
     S_new = property(lambda self: self.S)
@@ -257,6 +278,31 @@ class StepReport(Ledger):
     @property
     def rejections(self):
         return len(self.rejection_reasons)
+
+
+@dataclass
+class LastStep:
+    """The last accepted step, kept so that the next step can continue it.
+
+    u, v and theta are copies of the end state, F, S and K (nodal K(theta),
+    flat) its ledger values; theta_start and v_start the state it began from.
+    """
+
+    u: np.ndarray
+    v: np.ndarray
+    theta: np.ndarray
+    F: float
+    S: float
+    K: np.ndarray
+    theta_start: np.ndarray
+    v_start: np.ndarray
+    dt: float
+
+    def continues(self, state):
+        """Whether state equals the remembered end state, value for value."""
+        return (np.array_equal(state.theta, self.theta)
+                and np.array_equal(state.v, self.v)
+                and np.array_equal(state.u, self.u))
 
 
 class Integrator:
@@ -283,9 +329,11 @@ class Integrator:
         self.D_diff = None  # set via diffusivity property
         self._vel_cache = {}
         self._heat_base = None
+        self._heat_work = None  # refilled from _heat_base by each heat solve
         self._heat_diag_pos = None
         self._reg_block = self._build_regularization() if config.eps_reg > 0 else None
         self.dt_prev = config.dt0
+        self.last_step = None
 
     # -- setup -----------------------------------------------------------
     def set_diffusivity(self, d_diff):
@@ -296,8 +344,20 @@ class Integrator:
         base = base.tocsr()
         base.sort_indices()
         self._heat_base = base
+        self._heat_work = base.copy()
         self._heat_diag_pos = self._diag_positions(base)
         return self
+
+    def resume(self, state, theta_start, v_start, dt_prev):
+        """Take up a run at state, the end of an accepted step of dt_prev that
+        began at theta_start and v_start, so that the next step starts as it
+        would have without the interruption (a restart from a checkpoint)."""
+        kinetic, elastic, thermal, k_nodal = self._energies(state)
+        self.dt_prev = dt_prev
+        self.last_step = LastStep(
+            state.u.copy(), state.v.copy(), state.theta.copy(),
+            F=kinetic + elastic + thermal, S=self.entropy(state), K=k_nodal,
+            theta_start=theta_start, v_start=v_start, dt=dt_prev)
 
     def _build_regularization(self):
         lap = self.grid.dirichlet_laplacian_interior()
@@ -353,10 +413,10 @@ class Integrator:
         c = dt * self.comp_D + dt * dt * self.comp_C
         shear = 0.25 * c[2, 2]
         lam_y = lam_y[:, None]
-        apply_x = separable_inverse(qx, qy, 1.0 + c[0, 0] * lam_x + shear * lam_y)
-        apply_y = separable_inverse(qx, qy, 1.0 + shear * lam_x + c[1, 1] * lam_y)
-        n = self.w2_int.size // 2
-        return lambda r: np.concatenate([apply_x(r[:n]), apply_y(r[n:])])
+        # both components in one stacked (2, ny - 2, nx - 2) symbol
+        return separable_inverse(qx, qy, np.stack(
+            [1.0 + c[0, 0] * lam_x + shear * lam_y,
+             1.0 + shear * lam_x + c[1, 1] * lam_y]))
 
     def _heat_preconditioner(self, c_bar):
         """Exact inverse of W (c_bar - D lap_N) in the cosine modes."""
@@ -426,7 +486,8 @@ class Integrator:
                             f"(kappa/dt + b <= 0 at node {node})", node=node, dt=dt)
         if g_field.min() < 0.0:
             raise ConfigError("heat source g must be nonnegative")
-        s = self._heat_base.copy()
+        s = self._heat_work
+        np.copyto(s.data, self._heat_base.data)
         s.data[self._heat_diag_pos] += diag_add
         rhs = self.w_flat * (kappa_bar * theta_old / dt + q + g_field.ravel())
         x0 = theta_old if theta_guess is None else theta_guess.ravel()
@@ -465,7 +526,9 @@ class Integrator:
         """Advance one accepted step; returns (new_state, StepReport).
 
         Rejected attempts (guard, solver or positivity failures) halve dt and
-        retry without mutating the input state.
+        retry without mutating the input state; the report counts the
+        iterations they spent as wasted.  The step continues the last
+        accepted one when state equals its end state (see LastStep).
         """
         cfg = self.config
         if self.D_diff is None:
@@ -474,54 +537,105 @@ class Integrator:
         if dt_request is not None:
             dt = min(dt, dt_request)
         dt = min(dt, self.adaptive_dt(state, state.v))
+        last = self.last_step
+        if last is not None and not last.continues(state):
+            last = None
         reasons = []
+        wasted = [0, 0, 0]
         while True:
+            spent = [0, 0, 0]  # Picard, CG-velocity and CG-heat iterations
             try:
-                result = self._attempt(state, forcing, dt)
+                new_state, report, k_end = self._attempt(state, forcing, dt,
+                                                         last, spent)
                 break
             except (StepError, SolverError) as err:
                 reasons.append(str(err))
+                wasted = [w + n for w, n in zip(wasted, spent)]
                 dt *= 0.5
                 if dt < cfg.dt_min:
                     raise StepError(
                         f"step rejected below dt_min ({err})", dt=dt) from err
-        new_state, report = result
         report.rejection_reasons = tuple(reasons)
+        (report.wasted_picard, report.wasted_cg_velocity,
+         report.wasted_cg_heat) = wasted
         self.dt_prev = report.dt
+        # the caller owns both states and may edit them: keep copies, except
+        # of a start state that already is the remembered copy
+        start = (state.theta.copy(), state.v.copy()) if last is None \
+            else (last.theta, last.v)
+        self.last_step = LastStep(
+            new_state.u.copy(), new_state.v.copy(), new_state.theta.copy(),
+            F=report.F, S=report.S, K=k_end, theta_start=start[0],
+            v_start=start[1], dt=report.dt)
         return new_state, report
 
-    def _attempt(self, state, forcing, dt):
+    def _predictor(self, state, dt, last):
+        """(x0, interior v0) extrapolated along the last step, or None.
+
+        None unless state continues the last step, theta moved over it by
+        more than _PICARD_TOL (1 + |theta|) and the extrapolated x0 is
+        strictly positive.
+        """
+        if last is None:
+            return None
+        theta = state.theta.ravel()
+        moved = theta - last.theta_start.ravel()
+        if np.abs(moved).max() <= _PICARD_TOL * (1.0 + np.abs(theta).max()):
+            return None
+        r = dt / last.dt
+        x0 = theta + r * moved
+        if x0.min() <= 0.0:
+            return None
+        return x0, self.grid.interior_vec(state.v + r * (state.v - last.v_start))
+
+    @staticmethod
+    def _counted(spent, slot, solve, *args, **kwargs):
+        """solve(*args, **kwargs), adding its CG iterations to spent[slot],
+        also those of a solve that stalls and raises."""
+        try:
+            out = solve(*args, **kwargs)
+        except SolverError as err:
+            spent[slot] += err.iterations or 0
+            raise
+        spent[slot] += out[1]
+        return out
+
+    def _attempt(self, state, forcing, dt, last, spent):
         g = self.grid
         model = self.model
-        theta_old = state.theta
+        theta_old = state.theta.ravel()
         t_new = state.t + dt
         # one evaluation of the sources per attempt, shared by every solve
         f_field = forcing.f(t_new, g)
         g_field = forcing.g(t_new, g)
-        kappa_bar = model.kappa(theta_old).ravel()
+        # K(theta_old) is fixed over the attempt; every chord shares it
+        k_old = model.K(theta_old) if last is None else last.K
         # the iterate x is both the thermal force and the chord point of kappa_bar
-        x = theta_old.ravel()
-        v_guess = None
-        theta_guess = theta_old
+        start = self._predictor(state, dt, last)
+        if start is None:
+            x, v_guess = theta_old, None
+            kappa_bar = model.kappa(theta_old)
+        else:
+            x, v_guess = start
+            kappa_bar = np.asarray(model.kappa_chord(theta_old, x, k_old))
+        theta_guess = x
         g_hist, f_hist = [], []
-        it_v_total = it_h_total = 0
-        for picard_iters in range(1, _PICARD_MAX + 1):
-            v_int, it_v = self.velocity_step(state, f_field, dt,
-                                             theta_force=x, x0=v_guess)
-            it_v_total += it_v
+        for _ in range(_PICARD_MAX):
+            spent[0] += 1
+            v_int, _ = self._counted(spent, 1, self.velocity_step, state,
+                                     f_field, dt, theta_force=x, x0=v_guess)
             v_guess = v_int
             v_full = g.vec_from_interior(v_int)
-            theta_new, it_h, b, _ = self.temperature_step(
-                state, v_full, g_field, dt, theta_guess=theta_guess,
-                kappa_bar=kappa_bar)
-            it_h_total += it_h
+            theta_new, _, b, _ = self._counted(
+                spent, 2, self.temperature_step, state, v_full, g_field, dt,
+                theta_guess=theta_guess, kappa_bar=kappa_bar)
             theta_guess = theta_new
             resid = theta_new.ravel() - x
             change = float(np.abs(resid).max())
             if change <= _PICARD_TOL * (1.0 + float(np.abs(theta_new).max())):
                 break
             x = _anderson_update(g_hist, f_hist, theta_new.ravel(), resid)
-            kappa_bar = np.asarray(model.kappa_chord(theta_old.ravel(), x))
+            kappa_bar = np.asarray(model.kappa_chord(theta_old, x, k_old))
         else:
             raise StepError(f"fixed-point iteration did not converge (last "
                             f"change {change:.2e})", dt=dt)
@@ -534,23 +648,25 @@ class Integrator:
         u_new = self.displacement_step(state.u, v_full, dt)
         new_state = FieldState(u_new, v_full, theta_new, t_new)
 
-        report = self._bookkeeping(state, new_state, f_field, g_field, dt, v_int,
-                                   b, picard_iters, it_v_total, it_h_total)
-        return new_state, report
+        report, k_end = self._bookkeeping(state, new_state, f_field, g_field,
+                                          dt, v_int, b, spent, last)
+        return new_state, report, k_end
 
     # -- the energy / entropy ledger ----------------------------------------
     def _energies(self, state):
-        """Kinetic, elastic and thermal energy with the solver's own quadrature."""
+        """Kinetic, elastic and thermal energy with the solver's own
+        quadrature, and the nodal K(theta) (flat) the thermal energy sums."""
         g = self.grid
         kinetic = 0.5 * g.integrate(state.v[..., 0] ** 2 + state.v[..., 1] ** 2)
         u_int = g.interior_vec(state.u)
         elastic = 0.5 * float(u_int @ (self.A_C @ u_int))
-        thermal = float(np.sum(self.w_flat * self.model.K(state.theta).ravel()))
-        return kinetic, elastic, thermal
+        k_nodal = self.model.K(state.theta).ravel()
+        thermal = float(np.sum(self.w_flat * k_nodal))
+        return kinetic, elastic, thermal, k_nodal
 
     def total_energy(self, state):
         """F = kinetic + elastic + thermal with the solver's own quadrature."""
-        return sum(self._energies(state))
+        return sum(self._energies(state)[:3])
 
     def entropy(self, state):
         """S = integral of ell(theta) for the integrated (floored) law."""
@@ -564,11 +680,15 @@ class Integrator:
         bound kD int |sym_grad v|^2 / theta and int g / theta.  Nodal ratios
         take 0/0 -> 0; a zero temperature makes the edge production infinite.
         """
+        return self._ledger(state, g_field)[0]
+
+    def _ledger(self, state, g_field):
+        """ledger(state, g_field) and the nodal K(theta) of its thermal energy."""
         theta = state.theta.ravel()
         strain = self.grid.sym_grad(state.v)
         strain_sq = (strain[..., 0] ** 2 + strain[..., 1] ** 2
                      + 2.0 * strain[..., 2] ** 2).ravel()
-        kinetic, elastic, thermal = self._energies(state)
+        kinetic, elastic, thermal, k_nodal = self._energies(state)
         with np.errstate(divide="ignore", invalid="ignore"):
             s_val = self.entropy(state)
             # an edge with theta = 0 next to theta > 0 makes the
@@ -581,10 +701,16 @@ class Integrator:
         return Ledger(kinetic=kinetic, elastic=elastic, thermal=thermal,
                       F=kinetic + elastic + thermal, S=s_val,
                       prod_diffusion=prod_diff, prod_viscous_lb=visc_lb,
-                      prod_source=src)
+                      prod_source=src), k_nodal
 
     def _bookkeeping(self, state, new_state, f_field, g_field, dt, v_int, b,
-                     picard_iters, it_v, it_h):
+                     spent, last):
+        """The StepReport of an accepted attempt and the end state's nodal K.
+
+        F and S of the input state come from last, the step it continues,
+        and are evaluated when there is none: a caller may edit a state
+        between steps.
+        """
         g = self.grid
         work_f = dt * g.integrate(f_field[..., 0] * new_state.v[..., 0]
                                   + f_field[..., 1] * new_state.v[..., 1])
@@ -594,19 +720,20 @@ class Integrator:
             half = self._reg_half @ v_int
             eps_diss = dt * self.config.eps_reg * self.grid.hx * self.grid.hy \
                 * float(half @ half)
-        end = self.ledger(new_state, g_field)
-        # F and S of the input state are evaluated, not carried over from the
-        # step before: a caller may edit a state between steps
-        f_old = self.total_energy(state)
-        s_old = self.entropy(state)
+        end, k_end = self._ledger(new_state, g_field)
+        if last is None:
+            f_old, s_old = self.total_energy(state), self.entropy(state)
+        else:
+            f_old, s_old = last.F, last.S
         energy_residual = end.F - f_old + eps_diss - work_f - work_g
         entropy_residual = (end.S - s_old) - dt * (
             end.prod_diffusion + end.prod_viscous_lb + end.prod_source)
 
-        return StepReport(
-            **vars(end), t_new=new_state.t, dt=dt, picard_iters=picard_iters,
-            cg_iters_velocity=it_v, cg_iters_heat=it_h,
+        report = StepReport(
+            **vars(end), t_new=new_state.t, dt=dt, picard_iters=spent[0],
+            cg_iters_velocity=spent[1], cg_iters_heat=spent[2],
             work_f=work_f, work_g=work_g, eps_dissipation=eps_diss,
             energy_residual=energy_residual, entropy_residual=entropy_residual,
             F_old=f_old, S_old=s_old, exchange_sum=float(np.sum(self.w_flat * b)),
             min_theta=float(new_state.theta.min()))
+        return report, k_end

@@ -354,18 +354,22 @@ class HeatCapacity:
         fn = lambda s: (m_cut + 1.0 - s) * float(self.kappa_values(np.array(s))) / s
         return base + adaptive_simpson(fn, m_cut, hi, rel_tol=1e-12, kinks=self.kinks)
 
-    def kappa_chord(self, a, b):
+    def kappa_chord(self, a, b, k_a=None):
         """Mean value of kappa over [a, b]: (K(b) - K(a)) / (b - a), elementwise.
 
         Falls back to the midpoint value on vanishing intervals, so the result
         is exactly consistent with differences of K wherever they are resolvable.
+        k_a, when given, is K(|a|), so a caller that keeps a fixed across many
+        chords evaluates it once.
         """
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
+        if k_a is None:
+            k_a = self.K(np.abs(a))
         delta = b - a
         tiny = np.abs(delta) <= 1e-7 * (1.0 + np.abs(a) + np.abs(b))
         safe = np.where(tiny, 1.0, delta)
-        chord = (self.K(np.abs(b)) - self.K(np.abs(a))) / safe
+        chord = (self.K(np.abs(b)) - k_a) / safe
         mid = self.kappa_values(np.maximum(0.5 * (a + b), 0.0))
         return np.where(tiny, mid, chord)
 

@@ -7,16 +7,21 @@ A run produces, inside its output directory:
                     floats (byte-identical across repeated runs)
   windows.csv       unit-window stabilization metrics per window start
   manifest.json     summary: limits, violation counts, rejected step attempts
-                    counted by reason, stabilization numbers
-  snapshot_*.bin    binary field snapshots at requested times
+                    counted by reason, Picard/CG iteration totals of the
+                    accepted and (wasted) rejected attempts, stabilization
+  snapshot_*.bin    binary field snapshots (u, v, theta) at requested times
   checkpoint.bin/.txt  restartable state at the configured checkpoint time,
-                    with the grid dims and the hash of the physics config
+                    with the theta and v its last step began from (the
+                    restart predicts its first step from them, as the
+                    uninterrupted run does), the grid dims and the hash of
+                    the physics config
 
 manifest.json, the checkpoint and the snapshots are written through a
 temporary file and os.replace, so a killed run never leaves a partial one,
 and a run first removes the manifest an earlier run left in its directory.
 A restart is refused unless the run's config matches the checkpoint's outside
-the sections in _RESTART_FREE.
+the sections in _RESTART_FREE, and a checkpoint.bin without the step start
+(the older five-field layout) is refused too.
 
 Violations are counted per accepted step by one function, _broken_laws, fed
 by the integrator's ledger: an energy residual above +_ENERGY_TOL_REL * F(0),
@@ -57,6 +62,11 @@ _INEQ_TOL_REL = 1e-8    # entropy shortfall allowed, times (1 + |S|)
 _RESTART_FREE = ("name", "output", "t_final")
 _CHECKPOINT_KEYS = ("config_hash", "nx", "ny", "t", "dt_prev", "f0_ref",
                     "work_f", "work_g", "eps_diss", "step_index")
+# checkpoint.bin: u, v and theta, then theta and v where the last step began
+_CHECKPOINT_FIELDS = 8
+# StepReport iteration counts the manifest totals over a run's steps
+_ITERATION_KEYS = ("picard_iters", "cg_iters_velocity", "cg_iters_heat",
+                   "wasted_picard", "wasted_cg_velocity", "wasted_cg_heat")
 
 
 def _fmt_row(values):
@@ -137,9 +147,9 @@ def run(config, outdir, restart_from=None):
     step_index = 0
     wrote_checkpoint = restart_from is not None
     if restart_from is not None:
-        state, extra = _load_checkpoint(restart_from, g,
-                                        _physics_hash(scenario.config))
-        integ.dt_prev = extra["dt_prev"]
+        state, (theta_start, v_start), extra = _load_checkpoint(
+            restart_from, g, _physics_hash(scenario.config))
+        integ.resume(state, theta_start, v_start, extra["dt_prev"])
         f0_ref = extra["f0_ref"]
         work_f, work_g = extra["work_f"], extra["work_g"]
         eps_diss = extra["eps_diss"]
@@ -157,6 +167,7 @@ def run(config, outdir, restart_from=None):
     violations = Counter(energy=0, entropy_monotone=0, entropy_balance=0,
                          log_entropy=0)
     rejections = Counter()
+    iterations = Counter(dict.fromkeys(_ITERATION_KEYS, 0))
     min_theta_run = float(state.theta.min()) if restart_from else math.inf
     u_norm_max = 0.0
     pending_snapshots = sorted(t for t in plan.snapshot_times if t > state.t + 1e-12)
@@ -174,6 +185,7 @@ def run(config, outdir, restart_from=None):
         state, rep = integ.step(state, scenario.forcing, dt_request=dt_request)
         step_index += 1
         rejections.update(_rejection_kind(r) for r in rep.rejection_reasons)
+        iterations.update({key: getattr(rep, key) for key in _ITERATION_KEYS})
         work_f += rep.work_f
         work_g += rep.work_g
         eps_diss += rep.eps_dissipation
@@ -198,7 +210,8 @@ def run(config, outdir, restart_from=None):
             _write_state(os.path.join(outdir, f"snapshot_t{t_snap:.6f}.bin"), state)
         if (not wrote_checkpoint and plan.checkpoint_time is not None
                 and state.t >= plan.checkpoint_time - 1e-12):
-            _write_checkpoint(outdir, state, g, _physics_hash(scenario.config),
+            _write_checkpoint(outdir, state, integ.last_step, g,
+                              _physics_hash(scenario.config),
                               [("dt_prev", integ.dt_prev), ("f0_ref", f0_ref),
                                ("work_f", work_f), ("work_g", work_g),
                                ("eps_diss", eps_diss),
@@ -243,7 +256,7 @@ def run(config, outdir, restart_from=None):
                           "cells_below_floor": adm.cells_below_floor},
         "run": {
             "steps": step_index, "rejections": rejections.total(),
-            "rejection_reasons": dict(rejections),
+            "rejection_reasons": dict(rejections), **iterations,
             "t_final": state.t, "F0": f0_ref, "F_final": rec_final.F,
             "S_final": rec_final.S, "work_f_total": work_f,
             "work_g_total": work_g, "eps_dissipation_total": eps_diss,
@@ -278,13 +291,21 @@ def _write_csv(path, header, rows):
             fh.write(_fmt_row(row) + "\n")
 
 
+def _state_fields(state):
+    return [state.u[..., 0], state.u[..., 1], state.v[..., 0], state.v[..., 1],
+            state.theta]
+
+
 def _write_state(path, state):
-    write_snapshot(path, state.t, [state.u[..., 0], state.u[..., 1],
-                                   state.v[..., 0], state.v[..., 1], state.theta])
+    write_snapshot(path, state.t, _state_fields(state))
 
 
-def _write_checkpoint(outdir, state, grid, physics_hash, values):
-    _write_state(os.path.join(outdir, "checkpoint.bin"), state)
+def _write_checkpoint(outdir, state, last, grid, physics_hash, values):
+    """state, where last (the step that ended at it) began, and the run's
+    totals; a restart needs the start to predict its first step."""
+    write_snapshot(os.path.join(outdir, "checkpoint.bin"), state.t,
+                   _state_fields(state) + [last.theta_start, last.v_start[..., 0],
+                                           last.v_start[..., 1]])
     lines = [f"config_hash={physics_hash}", f"nx={grid.nx}", f"ny={grid.ny}"]
     lines += [f"{key}={_FMT.format(val)}" for key, val in [("t", state.t)] + values]
     write_atomic(os.path.join(outdir, "checkpoint.txt"),
@@ -292,7 +313,8 @@ def _write_checkpoint(outdir, state, grid, physics_hash, values):
 
 
 def _load_checkpoint(prefix, grid, physics_hash):
-    """State and run totals of a checkpoint written under the same physics."""
+    """State, (theta, v) where the step that ended at it began, and run
+    totals of a checkpoint written under the same physics."""
     if os.path.isdir(prefix):
         prefix = os.path.join(prefix, "checkpoint")
     extra = {}
@@ -315,10 +337,14 @@ def _load_checkpoint(prefix, grid, physics_hash):
                           "different config (outside "
                           f"{'/'.join(_RESTART_FREE)}); refusing to restart")
     t, fields = read_snapshot(prefix + ".bin")
+    if len(fields) != _CHECKPOINT_FIELDS:
+        raise ConfigError(f"{prefix}.bin: checkpoint holds {len(fields)} fields, "
+                          f"expected {_CHECKPOINT_FIELDS} (u, v, theta, and "
+                          "theta and v where the last step began)")
     u = np.stack([fields[0], fields[1]], axis=-1)
     v = np.stack([fields[2], fields[3]], axis=-1)
     state = FieldState(u=u, v=v, theta=fields[4], t=t)
-    return state, extra
+    return state, (fields[5], np.stack([fields[6], fields[7]], axis=-1)), extra
 
 
 # -- sweeps ------------------------------------------------------------------

@@ -225,11 +225,13 @@ def canonical_json(config):
 
 def builtin_scenarios():
     """Named scenario configs; 'default-relaxation' is the acceptance run."""
-    iso_unit = {"isotropic": {"lambda": 1.0, "mu": 1.0}}
+    def iso_unit():  # a fresh dict per tensor, so editing C leaves D alone
+        return {"isotropic": {"lambda": 1.0, "mu": 1.0}}
+
     default = {
         "name": "default-relaxation",
         "grid": {"nx": 32, "ny": 32, "Lx": 1.0, "Ly": 1.0},
-        "tensors": {"D": iso_unit, "C": iso_unit, "B": {"scale_identity": 0.5}},
+        "tensors": {"D": iso_unit(), "C": iso_unit(), "B": {"scale_identity": 0.5}},
         "material": {"kappa": {"variant": "constant", "k0": 1.0},
                      "D": 1.0, "M": None, "eps_kappa": 0.0},
         "forcing": {"type": "zero"},

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from tvsim.errors import ConfigError, StepError
+from tvsim.errors import ConfigError, SolverError, StepError
 from tvsim.grid import Grid, _sbp_derivative_1d, _trapezoid_1d, solve_spd
 from tvsim.integrator import (_PICARD_TOL, CallableForcing, FieldState,
                               Forcing, Integrator, SolverConfig,
@@ -271,6 +271,22 @@ class TestTemperatureStep:
         with pytest.raises(StepError):
             itg.temperature_step(st, v, np.zeros((g.ny, g.nx)), 0.01)
 
+    def test_repeated_calls_are_bitwise_unchanged(self):
+        # each solve refills one work matrix from the base operator
+        itg, g = make_integrator()
+        st = sine_velocity_state(g)
+        v_int, _ = itg.velocity_step(st, np.zeros((g.ny, g.nx, 2)), 0.01)
+        v = g.vec_from_interior(v_int)
+        base = itg._heat_base.data.copy()
+        kappa_bar = itg.model.kappa_chord(st.theta.ravel(), 1.01 * st.theta.ravel())
+        first = itg.temperature_step(st, v, np.full((g.ny, g.nx), 0.05), 0.01,
+                                     kappa_bar=kappa_bar)
+        for _ in range(2):
+            again = itg.temperature_step(st, v, np.full((g.ny, g.nx), 0.05), 0.01,
+                                         kappa_bar=kappa_bar)
+            assert all(np.array_equal(x, y) for x, y in zip(first, again))
+        assert np.array_equal(itg._heat_base.data, base)
+
 
 class TestAdaptiveDt:
     def test_unconstrained_when_no_cooling(self, rng):
@@ -443,6 +459,36 @@ class TestFullStep:
         assert rep.min_theta > 0
         assert np.array_equal(st.theta, theta_before) and st.t == 0.0
 
+    def test_wasted_iterations_are_those_of_the_rejected_attempts(self,
+                                                                 monkeypatch):
+        itg, g, st = _rejecting_setup()
+        attempts = []
+        attempt = itg._attempt
+
+        def logged(state, forcing, dt, last, spent):
+            try:
+                return attempt(state, forcing, dt, last, spent)
+            finally:
+                attempts.append(list(spent))
+        monkeypatch.setattr(itg, "_attempt", logged)
+        _, rep = itg.step(st, Forcing())
+        *rejected, accepted = attempts
+        assert len(rejected) == rep.rejections >= 1
+        assert accepted == [rep.picard_iters, rep.cg_iters_velocity,
+                            rep.cg_iters_heat]
+        assert [rep.wasted_picard, rep.wasted_cg_velocity,
+                rep.wasted_cg_heat] == [sum(col) for col in zip(*rejected)]
+        assert rep.wasted_picard >= rep.rejections
+        assert rep.wasted_cg_velocity > 0
+
+    def test_stalled_solve_counts_its_iterations(self):
+        def stalls():
+            raise SolverError("stalled", iterations=7)
+        spent = [0, 0, 0]
+        with pytest.raises(SolverError):
+            Integrator._counted(spent, 2, stalls)
+        assert spent == [0, 0, 7]
+
     def test_sources_evaluated_once_per_accepted_step(self):
         itg, g = make_integrator()
         st = sine_velocity_state(g)
@@ -588,3 +634,87 @@ class TestPicardFixedPoint:
         assert all(r.startswith("temperature diagonal guard failed")
                    for r in rep.rejection_reasons)
         assert rep.min_theta > 0.0
+
+
+def _predictor_spy(itg, monkeypatch):
+    """Record what each attempt of itg gets from its predictor."""
+    starts = []
+    predictor = itg._predictor
+
+    def spy(state, dt, last):
+        out = predictor(state, dt, last)
+        starts.append(out)
+        return out
+    monkeypatch.setattr(itg, "_predictor", spy)
+    return starts
+
+
+class TestCarriedStep:
+    def test_equal_state_continues_the_step(self, monkeypatch):
+        # equal values in other arrays continue the step as the same arrays do
+        a, g = make_integrator()
+        b, _ = make_integrator()
+        st_a, rep0 = a.step(sine_velocity_state(g), Forcing())
+        st_b, _ = b.step(sine_velocity_state(g), Forcing())
+        starts = _predictor_spy(b, monkeypatch)
+        new_a, rep_a = a.step(st_a, Forcing())
+        new_b, rep_b = b.step(st_b.copy(), Forcing())
+        assert starts and starts[0] is not None
+        assert repr(vars(rep_a)) == repr(vars(rep_b))
+        for name in ("u", "v", "theta"):
+            assert np.array_equal(getattr(new_a, name), getattr(new_b, name))
+        assert rep_a.F_old == rep0.F and rep_a.S_old == rep0.S
+
+    def test_edited_state_is_evaluated_afresh(self, monkeypatch):
+        itg, g = make_integrator()
+        st, _ = itg.step(sine_velocity_state(g), Forcing())
+        st.theta[5, 5] += 0.1  # in place, in the array the step returned
+        fresh, _ = make_integrator()
+        fresh.dt_prev = itg.dt_prev
+        starts = _predictor_spy(itg, monkeypatch)
+        new, rep = itg.step(st, Forcing())
+        assert starts == [None]
+        assert rep.F_old == itg.total_energy(st)
+        assert rep.S_old == itg.entropy(st)
+        # exactly the step a fresh integrator takes from the edited state
+        new_f, rep_f = fresh.step(st, Forcing())
+        assert repr(vars(rep)) == repr(vars(rep_f))
+        assert np.array_equal(new.theta, new_f.theta)
+
+    def test_K_of_the_start_state_is_not_evaluated_again(self, monkeypatch):
+        itg, g = make_integrator(model=DebyeLikeCapacity(1.0, 1.0).floor(1e-3))
+        st, _ = itg.step(sine_velocity_state(g), Forcing())
+        calls = []
+        model_K = itg.model.K
+
+        def counting_K(xi):
+            calls.append(np.array_equal(np.ravel(xi), st.theta.ravel()))
+            return model_K(xi)
+        monkeypatch.setattr(itg.model, "K", counting_K)
+        _, rep = itg.step(st, Forcing())
+        assert rep.picard_iters > 1 and len(calls) >= rep.picard_iters
+        assert not any(calls)
+        # a fresh integrator: K(theta_old) once for every chord, once for F_old
+        fresh, _ = make_integrator(model=itg.model)
+        calls.clear()
+        _, rep = fresh.step(st, Forcing())
+        assert rep.rejections == 0 and rep.picard_iters > 2 and sum(calls) == 2
+
+    def test_predictor_gated_near_equilibrium(self, monkeypatch):
+        # a uniform state at rest does not move: no extrapolation of noise
+        itg, g = make_integrator()
+        st, _ = itg.step(rest_state(g, theta=1.5), Forcing())
+        starts = _predictor_spy(itg, monkeypatch)
+        itg.step(st, Forcing())
+        assert starts == [None]
+
+    def test_default_relaxation_prefix_needs_fewer_picard_iterations(self):
+        # 3.95 Picard iterations per step when every step started at theta_old
+        sc = build_scenario(builtin_scenarios()["default-relaxation"])
+        itg = Integrator(sc.grid, sc.tensors, sc.model,
+                         sc.solver).set_diffusivity(sc.d_diff)
+        st, total = sc.initial, 0
+        for _ in range(20):
+            st, rep = itg.step(st, sc.forcing)
+            total += rep.picard_iters
+        assert total / 20 < 3.95

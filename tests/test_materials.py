@@ -230,6 +230,12 @@ class TestChordMean:
         expected = (d.K(b) - d.K(a)) / (b - a)
         assert np.allclose(chord, expected, rtol=1e-12)
 
+    def test_given_K_of_a_is_bitwise_the_same(self):
+        d = mat.DebyeLikeCapacity(1.0, 1.0)
+        a = np.array([0.5, 1.0, 2.0, 1.0])
+        b = np.array([0.8, 1.5, 1.9, 1.0 + 1e-12])
+        assert np.array_equal(d.kappa_chord(a, b, d.K(a)), d.kappa_chord(a, b))
+
     def test_tiny_interval_falls_back_to_midpoint(self):
         d = mat.DebyeLikeCapacity(1.0, 1.0)
         val = d.kappa_chord(np.array([1.0]), np.array([1.0 + 1e-12]))

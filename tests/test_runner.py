@@ -9,7 +9,7 @@ import pytest
 
 from tvsim import cli, runner
 from tvsim.errors import AdmissibilityError, ConfigError
-from tvsim.grid import read_snapshot
+from tvsim.grid import read_snapshot, write_snapshot
 from tvsim.integrator import Integrator, PulseForcing
 from tvsim.mms import ManufacturedProblem
 from tvsim.scenarios import build_scenario, builtin_scenarios
@@ -43,6 +43,14 @@ class TestScenarioBuild:
         assert 1.95 <= s.initial.theta.max() <= 2.0
         assert s.initial.v[..., 0].max() == pytest.approx(0.5, rel=1e-2)
         assert s.t_final == 50.0
+
+    def test_editing_one_tensor_leaves_the_other(self):
+        # sweeps set tensor entries by path; D and C must not share a dict
+        for name, cfg in builtin_scenarios().items():
+            runner._set_by_path(cfg, "tensors.C.isotropic.mu", 3.0)
+            s = build_scenario(cfg)
+            assert s.tensors.kD == pytest.approx(2.0), name
+            assert s.tensors.kC == pytest.approx(6.0), name
 
     def test_unknown_solver_key_rejected(self):
         cfg = short_default()
@@ -158,6 +166,18 @@ class TestRun:
         with pytest.raises(ConfigError, match=match):
             runner.run(cfg, str(tmp_path / "b"), restart_from=str(tmp_path / "a"))
 
+    def test_five_field_checkpoint_refused(self, tmp_path):
+        # the older layout lacks theta and v where the last step began
+        cfg = short_default(t_final=0.1)
+        cfg["output"]["checkpoint_time"] = 0.05
+        runner.run(cfg, str(tmp_path / "a"))
+        path = str(tmp_path / "a" / "checkpoint.bin")
+        t, fields = read_snapshot(path)
+        assert len(fields) == 8
+        write_snapshot(path, t, fields[:5])
+        with pytest.raises(ConfigError, match="holds 5 fields, expected 8"):
+            runner.run(cfg, str(tmp_path / "b"), restart_from=str(tmp_path / "a"))
+
     def test_atomic_writes_leave_no_temporary_files(self, tmp_path):
         cfg = short_default(t_final=0.1)
         cfg["output"].update(checkpoint_time=0.05, snapshot_times=[0.03])
@@ -259,6 +279,27 @@ class TestRun:
         runner.run(cfg, str(tmp_path / "d2"))
         assert ((tmp_path / "d" / "manifest.json").read_bytes()
                 == (tmp_path / "d2" / "manifest.json").read_bytes())
+
+    def test_manifest_totals_the_iterations(self, tmp_path, monkeypatch):
+        reports = []
+        step = Integrator.step
+
+        def logged(integ, *args, **kwargs):
+            new, rep = step(integ, *args, **kwargs)
+            reports.append(rep)
+            return new, rep
+        monkeypatch.setattr(Integrator, "step", logged)
+        cfg = copy.deepcopy(builtin_scenarios()["debye-hotspot"])
+        cfg["t_final"] = 0.1
+        cfg["output"]["window_starts"] = []
+        man = runner.run(cfg, str(tmp_path / "d"))
+        for key in ("picard_iters", "cg_iters_velocity", "cg_iters_heat",
+                    "wasted_picard", "wasted_cg_velocity", "wasted_cg_heat"):
+            assert man["run"][key] == sum(getattr(r, key) for r in reports), key
+        # the first step's rejected attempt did work before the guard failed
+        assert man["run"]["rejections"] == 1
+        assert man["run"]["wasted_picard"] >= 1
+        assert man["run"]["picard_iters"] > man["run"]["steps"]
 
     @pytest.mark.parametrize("name, t_final", [("default-relaxation", 0.2),
                                                ("debye-hotspot", 0.1)])
