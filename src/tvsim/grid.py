@@ -63,10 +63,11 @@ def _neumann_laplacian_1d(n, h):
     return sp.diags([lower, main, upper], [-1, 0, 1], format="csr")
 
 
-def _dirichlet_laplacian_1d(n_int, h):
-    """Standard second difference acting on interior values (zero boundary)."""
-    main = np.full(n_int, -2.0 / h**2)
-    off = np.full(n_int - 1, 1.0 / h**2)
+def _dirichlet_laplacian_1d(n, h):
+    """Three-point second difference; on the interior rows and columns it is
+    the clamped (zero boundary) one."""
+    main = np.full(n, -2.0 / h**2)
+    off = np.full(n - 1, 1.0 / h**2)
     return sp.diags([off, main, off], [-1, 0, 1]).tocsr()
 
 
@@ -89,33 +90,92 @@ def _cosine_modes_1d(n, h):
     return q, (4.0 / h**2) * np.sin(0.5 * np.pi * k / (n - 1)) ** 2
 
 
-def _sbp_modes_1d(n, h):
-    """Eigenbasis of K = d^T P d restricted to the interior nodes.
+def _parity_order(m):
+    """Positions 0..m-1 of a direction's m interior nodes, even ones first.
 
-    d is the SBP first derivative and P the trapezoid weights; the columns
-    are P-orthonormal, so Q^T P Q = I and Q^T K Q = diag(lam).
+    Returns shape (2, ceil(m/2)): row 0 holds the even positions, row 1 the
+    odd ones.  For odd m the odd row ends in the pad position m, a phantom
+    node that gives both parity blocks one size.
+    """
+    h = (m + 1) // 2
+    order = np.full(2 * h, m)
+    order[:h] = np.arange(0, m, 2)
+    order[h:h + m // 2] = np.arange(1, m, 2)
+    return order.reshape(2, h)
+
+
+def _sbp_modes_1d(n, h):
+    """Eigenbasis of K = d^T P d on the interior nodes, one block per parity.
+
+    d is the SBP first derivative and P the trapezoid weights.  Every row of
+    d reaches interior nodes of one parity only (the centred stencil skips
+    the middle node, each one-sided closure touches one interior node), so K
+    has no entry between an odd and an even interior node, and its
+    eigenbasis splits into the two blocks of _parity_order.  Returns
+    q (2, b, b) and lam (2, b), b = ceil((n-2)/2): per block
+    Q^T P Q = I and Q^T K Q = diag(lam), the interior weights all being h.
+    The pad position of an odd block carries the unit mode with lam = 0.
     """
     d = _sbp_derivative_1d(n, h)
-    p = _trapezoid_1d(n, h)
-    k = (d.T @ sp.diags(p) @ d).toarray()[1:-1, 1:-1]
-    s = 1.0 / np.sqrt(p[1:-1])
-    lam, vec = np.linalg.eigh(s[:, None] * k * s)
-    return s[:, None] * vec, lam
+    k = (d.T @ sp.diags(_trapezoid_1d(n, h)) @ d).toarray()[1:-1, 1:-1]
+    order = _parity_order(n - 2)
+    b = order.shape[1]
+    q = np.tile(np.eye(b), (2, 1, 1))
+    lam = np.zeros((2, b))
+    for blk, pos in enumerate(order):
+        pos = pos[pos < n - 2]
+        lam[blk, :pos.size], q[blk, :pos.size, :pos.size] = \
+            np.linalg.eigh(k[np.ix_(pos, pos)] / h)
+    return q / np.sqrt(h), lam
+
+
+def _restrict(a, rows, cols=None):
+    """a[rows][:, cols] of a sparse a, where the index one past the last row
+    (column) picks an empty one: that is what a pad slot reads."""
+    a = a.tocsr(copy=True)
+    a.resize(a.shape[0] + 1, a.shape[1] + (cols is not None))
+    a = a[rows]
+    return (a if cols is None else a[:, cols]).tocsr()
 
 
 def separable_inverse(qx, qy, symbol):
-    """Apply (Qy (x) Qx) diag(1/symbol) (Qy (x) Qx)^T to row-major vectors.
+    """Apply (Qy (x) Qx) diag(1/symbol) (Qy (x) Qx)^T to stacked vectors.
 
-    For P-orthonormal modes Q this is the exact inverse of the operator
-    (Py (x) Px) + sum of Kronecker terms diagonalized by those modes; the
-    work is four dense 1-D mode products.  symbol has shape (ny, nx), or
-    (k, ny, nx) for k such operators applied to k stacked blocks of r.
+    Qx and Qy are 1-D bases given by their diagonal blocks, qx (bx, hx, hx)
+    and qy (by, hy, hy); a plain (h, h) basis is one block.  For
+    P-orthonormal modes this is the exact inverse of (Py (x) Px) + Kronecker
+    terms diagonalized by those modes.  r and symbol are laid out
+    (by, bx, hy, k, hx): row block, column block, row, one of k operators
+    sharing the modes, column.  Each stage is one batched product over the
+    block pairs, with the k operators side by side; reused work buffers keep
+    the intermediates out of the allocator, whose fresh pages cost as much
+    as a product at 128^2.
+
+    The velocity preconditioner passes the SBP modes as their two parity
+    blocks (k = 2 components), which halves the work of one dense basis.
+    The heat preconditioner passes one dense cosine basis per direction: the
+    five-point Neumann Laplacian couples neighbouring nodes, which have
+    opposite parity, so it has no such split.
     """
-    inv = 1.0 / symbol
-    shape = inv.shape
+    qx, qy = qx.reshape(-1, *qx.shape[-2:]), qy.reshape(-1, *qy.shape[-2:])
+    (by, hy, _), (bx, _, hx) = qy.shape, qx.shape
+    pairs = by * bx
+    inv = (1.0 / symbol).reshape(pairs, -1, hx)
+    rows, cols = (pairs, hy, inv.size // (pairs * hy)), inv.shape
+    # one batch entry per block pair (py, px), with the bases spelt out:
+    # matmul is slower on broadcast batch dimensions
+    qy = np.broadcast_to(qy[:, None], (by, bx, hy, hy)).reshape(pairs, hy, hy)
+    qx = np.broadcast_to(qx, (by, bx, hx, hx)).reshape(pairs, hx, hx)
+    qyt, qxt = np.swapaxes(qy, 1, 2), np.swapaxes(qx, 1, 2)
+    work_r, work_c = np.empty(rows), np.empty(cols)
+    work_rc = work_r.reshape(cols)  # the same buffer, seen by columns
 
     def apply(r):
-        return (qy @ ((qy.T @ r.reshape(shape) @ qx) * inv) @ qx.T).ravel()
+        np.matmul(qyt, r.reshape(rows), out=work_r)
+        np.matmul(work_rc, qx, out=work_c)
+        np.multiply(work_c, inv, out=work_c)
+        np.matmul(work_c, qxt, out=work_rc)
+        return (qy @ work_r).ravel()
     return apply
 
 
@@ -149,6 +209,14 @@ class Grid:
         self.boundary_mask = ~mask
         self.interior_idx = np.flatnonzero(mask.ravel())
         self.area = self.Lx * self.Ly
+        # the interior velocity unknowns as full vector dof, laid out
+        # (py, px, iy, c, ix) with py, px the parity blocks of _parity_order
+        # and c the component; a pad slot names 2 n_nodes, past the last dof
+        oy = _parity_order(self.ny - 2)[:, None, :, None, None]
+        ox = _parity_order(self.nx - 2)[None, :, None, None, :]
+        dof = (oy + 1) * self.nx + ox + 1 + np.arange(2)[:, None] * self.n_nodes
+        self.interior_dof = np.where((oy == self.ny - 2) | (ox == self.nx - 2),
+                                     2 * self.n_nodes, dof).ravel()
 
     # -- pointwise field operations (vectorized stencils) ----------------
     def d_x(self, f):
@@ -176,18 +244,6 @@ class Grid:
         e12 = 0.5 * (self.d_y(v[..., 0]) + self.d_x(v[..., 1]))
         return np.stack([e11, e22, e12], axis=-1)
 
-    def laplacian_neumann(self, f):
-        """Five-point Laplacian with mirror ghosts (zero normal derivative)."""
-        out = np.zeros_like(f)
-        ihx2, ihy2 = 1.0 / self.hx**2, 1.0 / self.hy**2
-        out[:, 1:-1] += (f[:, 2:] - 2.0 * f[:, 1:-1] + f[:, :-2]) * ihx2
-        out[:, 0] += 2.0 * (f[:, 1] - f[:, 0]) * ihx2
-        out[:, -1] += 2.0 * (f[:, -2] - f[:, -1]) * ihx2
-        out[1:-1, :] += (f[2:, :] - 2.0 * f[1:-1, :] + f[:-2, :]) * ihy2
-        out[0, :] += 2.0 * (f[1, :] - f[0, :]) * ihy2
-        out[-1, :] += 2.0 * (f[-2, :] - f[-1, :]) * ihy2
-        return out
-
     def integrate(self, f):
         """Trapezoid quadrature of a scalar field."""
         return float(np.sum(self.weights * f))
@@ -203,30 +259,24 @@ class Grid:
         return self._vec_unflat(out)
 
     # -- flatteners -------------------------------------------------------
-    def _vec_flat(self, v):
-        return np.concatenate([v[..., 0].ravel(), v[..., 1].ravel()])
-
     def _vec_unflat(self, flat):
         n = self.n_nodes
         return np.stack([flat[:n].reshape(self.ny, self.nx),
-                         flat[n:].reshape(self.ny, self.nx)], axis=-1)
+                         flat[n:2 * n].reshape(self.ny, self.nx)], axis=-1)
 
     def _mat_flat(self, a):
         return np.concatenate([a[..., k].ravel() for k in range(3)])
 
     def interior_vec(self, v):
-        """Interior degrees of freedom of a vector field (component-major)."""
-        n = self.n_nodes
-        return self._vec_flat(v)[np.concatenate([self.interior_idx,
-                                                 self.interior_idx + n])]
+        """Interior degrees of freedom of a vector field, in interior_dof
+        order (parity-major, 0 in the pad slots)."""
+        return np.concatenate([v[..., 0].ravel(), v[..., 1].ravel(),
+                               [0.0]])[self.interior_dof]
 
     def vec_from_interior(self, flat_int):
         """Zero-extend interior vector dof back to the full grid."""
-        out = np.zeros(2 * self.n_nodes)
-        n = self.n_nodes
-        ni = self.interior_idx.size
-        out[self.interior_idx] = flat_int[:ni]
-        out[self.interior_idx + n] = flat_int[ni:]
+        out = np.zeros(2 * self.n_nodes + 1)  # the last entry takes the pads
+        out[self.interior_dof] = flat_int
         return self._vec_unflat(out)
 
     # -- assembled sparse operators (cached) ------------------------------
@@ -283,8 +333,8 @@ class Grid:
         return (g.T @ middle @ g).tocsr()
 
     def interior_submatrix(self, a):
-        idx = np.concatenate([self.interior_idx, self.interior_idx + self.n_nodes])
-        return a[idx][:, idx].tocsr()
+        """a on the interior velocity unknowns; pad rows and columns are 0."""
+        return _restrict(a, self.interior_dof, self.interior_dof)
 
     def coupling_force_matrix(self, b_triple):
         """T_B: nodal theta -> interior force dof of -div(theta * B).
@@ -295,9 +345,7 @@ class Grid:
         w = sp.diags(self.weights.ravel())
         stack = sp.bmat([[b_triple[0] * w], [b_triple[1] * w], [2.0 * b_triple[2] * w]],
                         format="csr")
-        full = (self.G().T @ stack).tocsr()
-        idx = np.concatenate([self.interior_idx, self.interior_idx + self.n_nodes])
-        return full[idx].tocsr()
+        return _restrict(self.G().T @ stack, self.interior_dof)
 
     def neumann_weighted(self):
         """W * Laplacian_N: symmetric negative semidefinite, zero row sums."""
@@ -316,18 +364,18 @@ class Grid:
                                             _cosine_modes_1d(self.ny, self.hy)))
 
     def sbp_modes(self):
-        """((Qx, lam_x), (Qy, lam_y)): interior modes of d^T P d per direction."""
+        """((Qx, lam_x), (Qy, lam_y)): interior modes of d^T P d per
+        direction, one block per parity (see _sbp_modes_1d)."""
         return self._op("modes_K", lambda: (_sbp_modes_1d(self.nx, self.hx),
                                             _sbp_modes_1d(self.ny, self.hy)))
 
     def dirichlet_laplacian_interior(self):
-        """Five-point -free Laplacian on interior scalar dof (clamped boundary)."""
+        """Five-point Laplacian with clamped boundary on each component of
+        the interior velocity unknowns, in interior_dof order."""
         def build():
-            lx = _dirichlet_laplacian_1d(self.nx - 2, self.hx)
-            ly = _dirichlet_laplacian_1d(self.ny - 2, self.hy)
-            ix = sp.identity(self.nx - 2, format="csr")
-            iy = sp.identity(self.ny - 2, format="csr")
-            return (sp.kron(iy, lx) + sp.kron(ly, ix)).tocsr()
+            lap = (sp.kron(sp.identity(self.ny), _dirichlet_laplacian_1d(self.nx, self.hx))
+                   + sp.kron(_dirichlet_laplacian_1d(self.ny, self.hy), sp.identity(self.nx)))
+            return self.interior_submatrix(sp.block_diag([lap, lap]))
         return self._op("Ldir", build)
 
 
@@ -373,46 +421,6 @@ def solve_spd(a, rhs, tol=1e-10, maxiter=None, x0=None, precond_apply=None):
         rz = rz_new
         it += 1
     return x, it
-
-
-def korn_quotients(grid, comp_matrix, n_samples=100, seed=0):
-    """Rayleigh quotients of the elastic form against the full gradient.
-
-    For boundary-clamped random fields w returns the sampled values of
-    integrate(<C: sym_grad w, sym_grad w>) / integrate(|grad w|^2), whose
-    positive infimum is the discrete Korn-type coercivity constant.
-    """
-    rng = np.random.default_rng(seed)
-    out = np.empty(n_samples)
-    for k in range(n_samples):
-        w = np.zeros((grid.ny, grid.nx, 2))
-        w[1:-1, 1:-1, :] = rng.standard_normal((grid.ny - 2, grid.nx - 2, 2))
-        e = grid.sym_grad(w)
-        num = grid.integrate(np.einsum("ab,ija,ijb->ij", comp_matrix, e, e))
-        gx0 = grid.grad(w[..., 0])
-        gx1 = grid.grad(w[..., 1])
-        den = grid.integrate(gx0[..., 0] ** 2 + gx0[..., 1] ** 2
-                             + gx1[..., 0] ** 2 + gx1[..., 1] ** 2)
-        out[k] = num / den
-    return out
-
-
-def poincare_korn_quotients(grid, n_samples=100, seed=0):
-    """Sampled L1 quotients integrate(|w|) / integrate(|sym_grad w|).
-
-    Boundedness of these ratios is the discrete counterpart of the
-    Poincare-Korn inequality for boundary-clamped fields.
-    """
-    rng = np.random.default_rng(seed)
-    out = np.empty(n_samples)
-    for k in range(n_samples):
-        w = np.zeros((grid.ny, grid.nx, 2))
-        w[1:-1, 1:-1, :] = rng.standard_normal((grid.ny - 2, grid.nx - 2, 2))
-        e = grid.sym_grad(w)
-        mag = np.sqrt(e[..., 0] ** 2 + e[..., 1] ** 2 + 2.0 * e[..., 2] ** 2)
-        num = grid.integrate(np.sqrt(w[..., 0] ** 2 + w[..., 1] ** 2))
-        out[k] = num / grid.integrate(mag)
-    return out
 
 
 def write_atomic(path, data):

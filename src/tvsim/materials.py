@@ -40,10 +40,12 @@ def _as_array(xi):
 class _CumulativeQuad:
     """Growable cumulative integral of a smooth integrand over an s-lattice.
 
-    The lattice starts at s0 and extends in steps of at most `step`, with the
-    supplied kink locations inserted as panel boundaries so every panel is
-    smooth.  Values are cumulative integrals from s0; evaluation combines the
-    table with a Gauss-Legendre rule on the partial panel.
+    Panel boundaries are the fixed lattice s0 + k step (k an integer) and the
+    supplied kink locations, so every panel is smooth and the table does not
+    depend on the order in which values were requested: it always covers a
+    run of lattice points k_lo..k_hi, and its cumulative values from s0 are
+    running sums continued panel by panel outward from s0.  Evaluation
+    combines the table with a Gauss-Legendre rule on the partial panel.
     """
 
     def __init__(self, fn, s0=0.0, step=0.25, kinks=()):
@@ -51,8 +53,12 @@ class _CumulativeQuad:
         self.s0 = float(s0)
         self.step = float(step)
         self.kinks = np.array(sorted(float(k) for k in kinks))
+        self.k_lo = self.k_hi = 0
         self.nodes = np.array([self.s0])
         self.cum = np.array([0.0])
+
+    def _lattice(self, k):
+        return self.s0 + k * self.step
 
     def _panel_integral(self, a, b):
         a = np.asarray(a, dtype=float)
@@ -60,62 +66,61 @@ class _CumulativeQuad:
         half = 0.5 * (b - a)
         mid = 0.5 * (a + b)
         pts = mid[None, :] + half[None, :] * _GL_X[:, None]
-        vals = self.fn(pts.ravel()).reshape(pts.shape)
-        return half * np.einsum("k,kn->n", _GL_W, vals)
+        terms = _GL_W[:, None] * self.fn(pts.ravel()).reshape(pts.shape)
+        # fold the 16 rows in halves, in place: each panel's sum is the same
+        # whatever panels share the call (einsum takes another order for a
+        # single panel)
+        k = len(terms) // 2
+        while k:
+            terms[:k] += terms[k:2 * k]
+            k //= 2
+        return half * terms[0]
 
-    def _ladder_points(self, lo, hi):
-        ticks = [lo]
-        k = math.floor(lo / self.step) + 1
-        while k * self.step < hi - 1e-14:
-            ticks.append(k * self.step)
-            k += 1
-        ticks.append(hi)
-        inner = self.kinks[(self.kinks > lo + 1e-14) & (self.kinks < hi - 1e-14)]
-        pts = np.unique(np.concatenate([np.array(ticks), inner]))
-        return pts
+    def _ladder(self, k_a, k_b):
+        """Panel boundaries from lattice point k_a to k_b and their integrals."""
+        ticks = self._lattice(np.arange(k_a, k_b + 1))
+        inner = self.kinks[(self.kinks > ticks[0]) & (self.kinks < ticks[-1])]
+        pts = np.unique(np.concatenate([ticks, inner]))
+        return pts, self._panel_integral(pts[:-1], pts[1:])
 
     def _extend_to(self, s_lo, s_hi):
-        if s_hi > self.nodes[-1]:
-            pts = self._ladder_points(self.nodes[-1], s_hi + self.step)
-            inc = self._panel_integral(pts[:-1], pts[1:])
-            cum = self.cum[-1] + np.cumsum(inc)
+        k_hi = math.floor((s_hi - self.s0) / self.step) + 2
+        if k_hi > self.k_hi:
+            pts, inc = self._ladder(self.k_hi, k_hi)
+            # np.cumsum adds in sequence: cum[i] = cum[i - 1] + inc[i]
+            cum = np.cumsum(np.concatenate([self.cum[-1:], inc]))[1:]
             self.nodes = np.concatenate([self.nodes, pts[1:]])
             self.cum = np.concatenate([self.cum, cum])
-        if s_lo < self.nodes[0]:
-            pts = self._ladder_points(s_lo - self.step, self.nodes[0])
-            inc = self._panel_integral(pts[:-1], pts[1:])
-            # cumulative measured from s0: value at pts[i] = cum(first node) - tail
-            tail = np.concatenate([[0.0], np.cumsum(inc[::-1])])[::-1]
-            cum = self.cum[0] - tail[:-1]
+            self.k_hi = k_hi
+        k_lo = math.floor((s_lo - self.s0) / self.step) - 1
+        if k_lo < self.k_lo:
+            pts, inc = self._ladder(k_lo, self.k_lo)
+            # downward in sequence from the first node: cum[i] = cum[i + 1] - inc[i]
+            cum = np.subtract.accumulate(
+                np.concatenate([self.cum[:1], inc[::-1]]))[:0:-1]
             self.nodes = np.concatenate([pts[:-1], self.nodes])
             self.cum = np.concatenate([cum, self.cum])
+            self.k_lo = k_lo
 
     def value(self, s):
         s = np.asarray(s, dtype=float)
         if s.size == 0:
             return np.zeros_like(s)
-        self._extend_to(float(s.min()), float(s.max()))
-        idx = np.clip(np.searchsorted(self.nodes, s, side="right") - 1, 0, len(self.nodes) - 1)
-        a = self.nodes[idx]
-        flat_a = a.ravel()
-        flat_s = s.ravel()
-        partial = self._panel_integral(flat_a, flat_s).reshape(s.shape)
-        return self.cum[idx] + partial
+        finite = s[np.isfinite(s)]  # a nan or inf request evaluates to nan/inf
+        if finite.size:
+            self._extend_to(float(finite.min()), float(finite.max()))
+        idx = np.searchsorted(self.nodes, s, side="right") - 1
+        partial = self._panel_integral(self.nodes[idx].ravel(), s.ravel())
+        return self.cum[idx] + partial.reshape(s.shape)
 
     def lower_limit(self, max_span=4000.0):
         """Limit of the cumulative value as s -> -inf, if it converges."""
-        s = self.nodes[0]
-        val = self.cum[0]
-        span = 0.0
-        while span < max_span:
-            s_next = s - 8 * self.step
-            self._extend_to(s_next, self.nodes[-1])
-            new_val = self.cum[0]
+        val = 0.0
+        for k in range(8, int(max_span / self.step) + 1, 8):
+            new_val = float(self.value(self._lattice(-k)))
             if abs(new_val - val) <= 1e-15 * (1.0 + abs(new_val)):
-                return float(new_val)
+                return new_val
             val = new_val
-            s = s_next
-            span += 8 * self.step
         raise ConfigError("entropy primitive did not converge toward xi = 0")
 
 
@@ -302,9 +307,7 @@ class HeatCapacity:
         """Finite limit of ell at 0 (only when the integral converges there)."""
         if self.divergent_at_zero:
             return -math.inf
-        quad = self._ell_quad()
-        quad.value(np.array([-2.0]))  # seed the ladder
-        return self._cache("ell0", quad.lower_limit)
+        return self._cache("ell0", self._ell_quad().lower_limit)
 
     def ell_hat(self, xi, m_shift=M_DEFAULT):
         """Log-weighted entropy int_0^xi ln^2(s+M) kappa(s)/(s+M) ds, M >= e^4."""

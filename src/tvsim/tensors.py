@@ -105,20 +105,6 @@ def component_matrix(t):
     ])
 
 
-def component_stress_matrix(t):
-    """3x3 matrix mapping strain triples (a11, a22, a12) to stress triples.
-
-    Unlike :func:`component_matrix` this returns the plain components of T:A,
-    without the quadratic-form multiplicity on the shear row.
-    """
-    t = np.asarray(t, dtype=float)
-    return np.array([
-        [t[0, 0, 0, 0], t[0, 0, 1, 1], 2.0 * t[0, 0, 0, 1]],
-        [t[1, 1, 0, 0], t[1, 1, 1, 1], 2.0 * t[1, 1, 0, 1]],
-        [t[0, 1, 0, 0], t[0, 1, 1, 1], 2.0 * t[0, 1, 0, 1]],
-    ])
-
-
 def coercivity_constant(t):
     """Smallest eigenvalue of the induced self-adjoint map on symmetric matrices.
 
@@ -126,11 +112,6 @@ def coercivity_constant(t):
     even when it is <= 0; callers decide whether to reject.
     """
     return float(np.linalg.eigvalsh(tensor_to_onb_matrix(t)).min())
-
-
-def max_eigenvalue(t):
-    """Largest eigenvalue of the induced map (operator norm on symmetric A)."""
-    return float(np.linalg.eigvalsh(tensor_to_onb_matrix(t)).max())
 
 
 def sqrt_tensor(t):

@@ -7,10 +7,77 @@ import scipy.sparse as sp
 from tvsim import tensors as tn
 from tvsim.errors import ConfigError, SolverError
 from tvsim.grid import (Grid, _cosine_modes_1d, _neumann_laplacian_1d,
-                        _sbp_derivative_1d, _sbp_modes_1d, _trapezoid_1d,
-                        korn_quotients, poincare_korn_quotients,
-                        read_snapshot, solve_spd, write_snapshot)
+                        _parity_order, _sbp_derivative_1d, _sbp_modes_1d,
+                        _trapezoid_1d, read_snapshot, solve_spd,
+                        write_snapshot)
 from conftest import boundary_vanishing_field
+
+
+def laplacian_neumann(grid, f):
+    """Five-point Laplacian with mirror ghosts (zero normal derivative)."""
+    out = np.zeros_like(f)
+    ihx2, ihy2 = 1.0 / grid.hx**2, 1.0 / grid.hy**2
+    out[:, 1:-1] += (f[:, 2:] - 2.0 * f[:, 1:-1] + f[:, :-2]) * ihx2
+    out[:, 0] += 2.0 * (f[:, 1] - f[:, 0]) * ihx2
+    out[:, -1] += 2.0 * (f[:, -2] - f[:, -1]) * ihx2
+    out[1:-1, :] += (f[2:, :] - 2.0 * f[1:-1, :] + f[:-2, :]) * ihy2
+    out[0, :] += 2.0 * (f[1, :] - f[0, :]) * ihy2
+    out[-1, :] += 2.0 * (f[-2, :] - f[-1, :]) * ihy2
+    return out
+
+
+def component_stress_matrix(t):
+    """3x3 matrix mapping strain triples (a11, a22, a12) to stress triples.
+
+    Unlike tn.component_matrix this returns the plain components of T:A,
+    without the quadratic-form multiplicity on the shear row.
+    """
+    t = np.asarray(t, dtype=float)
+    return np.array([
+        [t[0, 0, 0, 0], t[0, 0, 1, 1], 2.0 * t[0, 0, 0, 1]],
+        [t[1, 1, 0, 0], t[1, 1, 1, 1], 2.0 * t[1, 1, 0, 1]],
+        [t[0, 1, 0, 0], t[0, 1, 1, 1], 2.0 * t[0, 1, 0, 1]],
+    ])
+
+
+def korn_quotients(grid, comp_matrix, n_samples=100, seed=0):
+    """Rayleigh quotients of the elastic form against the full gradient.
+
+    For boundary-clamped random fields w returns the sampled values of
+    integrate(<C: sym_grad w, sym_grad w>) / integrate(|grad w|^2), whose
+    positive infimum is the discrete Korn-type coercivity constant.
+    """
+    rng = np.random.default_rng(seed)
+    out = np.empty(n_samples)
+    for k in range(n_samples):
+        w = np.zeros((grid.ny, grid.nx, 2))
+        w[1:-1, 1:-1, :] = rng.standard_normal((grid.ny - 2, grid.nx - 2, 2))
+        e = grid.sym_grad(w)
+        num = grid.integrate(np.einsum("ab,ija,ijb->ij", comp_matrix, e, e))
+        gx0 = grid.grad(w[..., 0])
+        gx1 = grid.grad(w[..., 1])
+        den = grid.integrate(gx0[..., 0] ** 2 + gx0[..., 1] ** 2
+                             + gx1[..., 0] ** 2 + gx1[..., 1] ** 2)
+        out[k] = num / den
+    return out
+
+
+def poincare_korn_quotients(grid, n_samples=100, seed=0):
+    """Sampled L1 quotients integrate(|w|) / integrate(|sym_grad w|).
+
+    Boundedness of these ratios is the discrete counterpart of the
+    Poincare-Korn inequality for boundary-clamped fields.
+    """
+    rng = np.random.default_rng(seed)
+    out = np.empty(n_samples)
+    for k in range(n_samples):
+        w = np.zeros((grid.ny, grid.nx, 2))
+        w[1:-1, 1:-1, :] = rng.standard_normal((grid.ny - 2, grid.nx - 2, 2))
+        e = grid.sym_grad(w)
+        mag = np.sqrt(e[..., 0] ** 2 + e[..., 1] ** 2 + 2.0 * e[..., 2] ** 2)
+        num = grid.integrate(np.sqrt(w[..., 0] ** 2 + w[..., 1] ** 2))
+        out[k] = num / grid.integrate(mag)
+    return out
 
 
 class TestGridBasics:
@@ -86,7 +153,7 @@ class TestDivergenceAdjoint:
         # div(C: sym_grad v) for v = sine mode approaches
         # mu lap(v) + (lam + mu) grad div v at second order away from the edge
         lam, mu = 1.0, 2.0
-        smat = tn.component_stress_matrix(tn.isotropic_tensor(lam, mu))
+        smat = component_stress_matrix(tn.isotropic_tensor(lam, mu))
         errs = []
         for n in (17, 33, 65):
             g = Grid(n, n)
@@ -114,11 +181,11 @@ class TestDivergenceAdjoint:
 class TestNeumannLaplacian:
     def test_constants_in_kernel(self, grid):
         c = np.full((grid.ny, grid.nx), 3.7)
-        assert np.abs(grid.laplacian_neumann(c)).max() == 0.0
+        assert np.abs(laplacian_neumann(grid, c)).max() == 0.0
 
     def test_discrete_conservation(self, grid, rng):
         theta = rng.standard_normal((grid.ny, grid.nx))
-        val = grid.integrate(grid.laplacian_neumann(theta))
+        val = grid.integrate(laplacian_neumann(grid, theta))
         assert abs(val) <= 1e-12 * np.abs(theta).max()
 
     def test_cosine_eigenfield(self):
@@ -129,7 +196,7 @@ class TestNeumannLaplacian:
             g = Grid(n, n)
             theta = np.cos(np.pi * g.X / g.Lx)
             lam_h = -(2.0 - 2.0 * np.cos(np.pi * g.hx / g.Lx)) / g.hx ** 2
-            resid = np.abs(g.laplacian_neumann(theta) - lam_h * theta).max()
+            resid = np.abs(laplacian_neumann(g, theta) - lam_h * theta).max()
             assert resid <= 1e-11 / g.hx ** 2
             gaps.append(abs(lam_h + np.pi ** 2))
         assert gaps[0] / gaps[1] >= 3.5
@@ -212,12 +279,33 @@ class TestOneDimensionalOperators:
         lap = _neumann_laplacian_1d(n, h).toarray()
         assert np.abs(lap @ q + q * mu).max() <= 1e-10 * mu.max()
 
-    @pytest.mark.parametrize("n, h", [(5, 0.25), (13, 0.1)])
+    @pytest.mark.parametrize("n", range(4, 15))
+    def test_sbp_form_has_no_odd_even_entry(self, n):
+        d = _sbp_derivative_1d(n, 1.0 / (n - 1))
+        k = (d.T @ sp.diags(_trapezoid_1d(n, 1.0 / (n - 1))) @ d).toarray()
+        parity = np.arange(n - 2) % 2
+        cross = parity[:, None] != parity[None, :]
+        assert not k[1:-1, 1:-1][cross].any()
+
+    @pytest.mark.parametrize("n, h", [(5, 0.25), (13, 0.1), (8, 1.0 / 7),
+                                      (14, 0.08)])
     def test_sbp_modes_diagonalize_interior_form(self, n, h):
-        q, lam = _sbp_modes_1d(n, h)
+        q_blocks, lam_blocks = _sbp_modes_1d(n, h)
         d = _sbp_derivative_1d(n, h).toarray()
         p = np.diag(_trapezoid_1d(n, h))
         k = (d.T @ p @ d)[1:-1, 1:-1]
+        # scatter the parity blocks' modes back to natural node order
+        q, lam, col = np.zeros((n - 2, n - 2)), np.zeros(n - 2), 0
+        for qb, lb, pos in zip(q_blocks, lam_blocks, _parity_order(n - 2)):
+            size = np.count_nonzero(pos < n - 2)
+            q[pos[:size], col:col + size] = qb[:size, :size]
+            lam[col:col + size] = lb[:size]
+            col += size
+            # a pad position carries the decoupled unit mode with lam = 0
+            assert not qb[size:, :size].any() and not qb[:size, size:].any()
+            assert np.all(qb[size:, size:] == np.eye(pos.size - size) / np.sqrt(h))
+            assert not lb[size:].any()
+        assert col == n - 2
         assert np.abs(q.T @ p[1:-1, 1:-1] @ q - np.eye(n - 2)).max() <= 1e-12
         assert np.abs(q.T @ k @ q - np.diag(lam)).max() <= 1e-10 * lam.max()
         assert lam.min() > 0
@@ -242,8 +330,7 @@ class TestSolveSpd:
         a_full = g.quadratic_form_matrix(comp)
         a_int = g.interior_submatrix(a_full)
         w2 = np.concatenate([g.weights.ravel(), g.weights.ravel()])
-        idx = np.concatenate([g.interior_idx, g.interior_idx + g.n_nodes])
-        system = (sp.diags(w2[idx]) + 0.02 * a_int).tocsr()
+        system = (sp.diags(w2[g.interior_dof]) + 0.02 * a_int).tocsr()
         rhs = rng.standard_normal(system.shape[0])
         x, _ = solve_spd(system, rhs, tol=1e-12)
         dense = np.linalg.solve(system.toarray(), rhs)
@@ -258,6 +345,47 @@ class TestSolveSpd:
             solve_spd(a_int, rhs, tol=1e-14, maxiter=2)
         assert err.value.residual is not None
         assert err.value.iterations == 2
+
+
+class TestInteriorUnknowns:
+    """The interior velocity unknowns in their parity-major order."""
+
+    @pytest.mark.parametrize("nx, ny", [(13, 9), (12, 10), (13, 10)])
+    def test_every_interior_dof_once_and_pads_zero(self, nx, ny, rng):
+        g = Grid(nx, ny)
+        real = g.interior_dof < 2 * g.n_nodes
+        natural = np.concatenate([g.interior_idx, g.interior_idx + g.n_nodes])
+        assert np.array_equal(np.sort(g.interior_dof[real]), natural)
+        # both parity blocks of a direction are padded to one size
+        assert g.interior_dof.size == 8 * ((nx - 1) // 2) * ((ny - 1) // 2)
+        w = boundary_vanishing_field(g, rng)
+        v = g.interior_vec(w)
+        assert not v[~real].any()
+        assert np.array_equal(g.vec_from_interior(v), w)
+
+    @pytest.mark.parametrize("nx, ny", [(13, 9), (12, 10)])
+    def test_operators_follow_the_order(self, nx, ny, rng):
+        g = Grid(nx, ny, Lx=1.3)
+        w = boundary_vanishing_field(g, rng)
+        real = g.interior_dof < 2 * g.n_nodes
+        # the clamped five-point Laplacian of each component
+        lap = np.zeros_like(w)
+        lap[1:-1, 1:-1] = ((w[1:-1, 2:] - 2.0 * w[1:-1, 1:-1] + w[1:-1, :-2]) / g.hx ** 2
+                           + (w[2:, 1:-1] - 2.0 * w[1:-1, 1:-1] + w[:-2, 1:-1]) / g.hy ** 2)
+        got = g.dirichlet_laplacian_interior() @ g.interior_vec(w)
+        assert np.abs(got - g.interior_vec(lap)).max() <= 1e-12 * np.abs(lap).max()
+        # the elastic form and the thermal force on the unknowns; the pad
+        # slots have zero rows
+        comp = tn.component_matrix(tn.isotropic_tensor(1.0, 2.0))
+        a_full = g.quadratic_form_matrix(comp)
+        flat = np.concatenate([w[..., 0].ravel(), w[..., 1].ravel()])
+        expected = g.interior_vec(g._vec_unflat(a_full @ flat))
+        a_int = g.interior_submatrix(a_full)
+        assert np.abs(a_int @ g.interior_vec(w) - expected).max() \
+            <= 1e-12 * np.abs(expected).max()
+        t_b = g.coupling_force_matrix((0.5, 0.3, 0.2))
+        pads = np.flatnonzero(~real)
+        assert abs(a_int[pads]).sum() == 0.0 and abs(t_b[pads]).sum() == 0.0
 
 
 class TestSnapshots:

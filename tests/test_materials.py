@@ -242,6 +242,35 @@ class TestChordMean:
         assert val[0] == pytest.approx(d.kappa(1.0), rel=1e-9)
 
 
+class TestQuadratureTable:
+    """The cached quadrature tables do not depend on the call history."""
+
+    LAWS = [lambda: mat.DebyeLikeCapacity(1.0, 1.0),
+            lambda: mat.SlowDecayCapacity(1.0, 0.5),
+            lambda: mat.TabulatedCapacity(np.array([0.0, 0.7, 1.3, 40.0]),
+                                          np.array([0.2, 1.0, 0.6, 3.0])),
+            lambda: mat.DebyeLikeCapacity(1.0, 1.0).floor(1e-3)]
+    # requests made before the compared one: none, two points, the same
+    # points in reverse, far out above and below, and one large batch
+    HISTORIES = [[], [[0.9], [1.7]], [[3.0, 2.5, 0.1]], [[60.0], [1e-4]],
+                 [np.linspace(0.01, 80.0, 500)]]
+
+    @pytest.mark.parametrize("law", range(len(LAWS)))
+    @pytest.mark.parametrize("name", ["K", "ell", "ell_hat"])
+    def test_values_bitwise_independent_of_request_order(self, law, name):
+        xs = np.concatenate([np.linspace(0.05, 3.0, 50), [1e-3, 7.5, 55.0]])
+        values = []
+        for history in self.HISTORIES:
+            model = self.LAWS[law]()
+            for before in history:
+                getattr(model, name)(np.asarray(before))
+            values.append(getattr(model, name)(xs))
+            # and one at a time, after the batch
+            values.append(np.array([getattr(model, name)(x) for x in xs]))
+        for got in values[1:]:
+            assert np.array_equal(got, values[0])
+
+
 class TestClassification:
     def test_examples(self):
         c = mat.ConstantCapacity(1.0).classify()
