@@ -5,15 +5,19 @@ lattice x_i = i*hx, y_j = j*hy.  Scalar fields have shape (ny, nx), vector
 fields (ny, nx, 2) and symmetric-matrix fields (ny, nx, 3) in the component
 order (a11, a22, a12).
 
-The first-derivative stencils are centered in the interior with one-sided
-closures at the boundary, matched to the trapezoid quadrature weights so that
-summation by parts is exact: for every field w vanishing on the boundary,
+Every derivative comes from one first derivative, _sbp_derivative_1d:
+centered in the interior with one-sided closures at the boundary, matched to
+the trapezoid quadrature weights so that summation by parts is exact.  Its
+matrices Dx, Dy and G give grad, sym_grad and div_matrix, and for every
+field w vanishing on the boundary,
 
     sum <A, sym_grad(w)> W  +  sum div_matrix(A) . w W  =  0
 
 holds to rounding, and sum over the grid of any sym_grad component of such a
 w vanishes identically.  These two identities are what make the discrete
-energy and entropy exchange terms cancel exactly rather than to O(h^2).
+energy and entropy exchange terms cancel exactly rather than to O(h^2).  The
+velocity forms are assembled through Gi, the columns of G at the interior
+velocity unknowns (Grid.interior_dof), never over all 2 n_nodes dof.
 """
 
 from __future__ import annotations
@@ -203,11 +207,9 @@ class Grid:
         wx = _trapezoid_1d(self.nx, self.hx)
         wy = _trapezoid_1d(self.ny, self.hy)
         self.weights = np.outer(wy, wx)
-        mask = np.zeros((self.ny, self.nx), dtype=bool)
-        mask[1:-1, 1:-1] = True
-        self.interior_mask = mask
-        self.boundary_mask = ~mask
-        self.interior_idx = np.flatnonzero(mask.ravel())
+        self.boundary_mask = np.ones((self.ny, self.nx), dtype=bool)
+        self.boundary_mask[1:-1, 1:-1] = False
+        self.interior_idx = np.flatnonzero(~self.boundary_mask.ravel())
         self.area = self.Lx * self.Ly
         # the interior velocity unknowns as full vector dof, laid out
         # (py, px, iy, c, ix) with py, px the parity blocks of _parity_order
@@ -218,31 +220,17 @@ class Grid:
         self.interior_dof = np.where((oy == self.ny - 2) | (ox == self.nx - 2),
                                      2 * self.n_nodes, dof).ravel()
 
-    # -- pointwise field operations (vectorized stencils) ----------------
-    def d_x(self, f):
-        out = np.empty_like(f)
-        out[:, 1:-1] = (f[:, 2:] - f[:, :-2]) / (2.0 * self.hx)
-        out[:, 0] = (f[:, 1] - f[:, 0]) / self.hx
-        out[:, -1] = (f[:, -1] - f[:, -2]) / self.hx
-        return out
-
-    def d_y(self, f):
-        out = np.empty_like(f)
-        out[1:-1, :] = (f[2:, :] - f[:-2, :]) / (2.0 * self.hy)
-        out[0, :] = (f[1, :] - f[0, :]) / self.hy
-        out[-1, :] = (f[-1, :] - f[-2, :]) / self.hy
-        return out
-
+    # -- pointwise field operations (the assembled SBP matrices) ---------
     def grad(self, f):
-        """Nodal gradient of a scalar field, shape (ny, nx, 2)."""
-        return np.stack([self.d_x(f), self.d_y(f)], axis=-1)
+        """Nodal gradient (Dx f, Dy f) of a scalar field, shape (ny, nx, 2)."""
+        f = f.ravel()
+        return np.stack([self.Dx() @ f, self.Dy() @ f], axis=-1).reshape(
+            self.ny, self.nx, 2)
 
     def sym_grad(self, v):
-        """Symmetric gradient of a vector field, components (a11, a22, a12)."""
-        e11 = self.d_x(v[..., 0])
-        e22 = self.d_y(v[..., 1])
-        e12 = 0.5 * (self.d_y(v[..., 0]) + self.d_x(v[..., 1]))
-        return np.stack([e11, e22, e12], axis=-1)
+        """Symmetric gradient G v of a vector field, components (a11, a22,
+        a12): a (ny, nx, 3) view of the component-major product."""
+        return (self.G() @ self._flat(v)).reshape(3, self.ny, self.nx).transpose(1, 2, 0)
 
     def integrate(self, f):
         """Trapezoid quadrature of a scalar field."""
@@ -251,27 +239,28 @@ class Grid:
     def div_matrix(self, a):
         """Negative quadrature adjoint of sym_grad, zero on boundary nodes.
 
-        Defined so that integrate(<A, sym_grad w>) + integrate(div(A) . w) = 0
+        -Gi^T W_mat a / (hx hy), hx hy being the weight of every interior
+        node, so that integrate(<A, sym_grad w>) + integrate(div(A) . w) = 0
         exactly for every w vanishing on the boundary; at interior nodes it
         coincides with the centered-difference divergence of A.
         """
-        out = self.divop() @ self._mat_flat(a)
-        return self._vec_unflat(out)
+        flat = self.mat_weight_diag() @ self._flat(a)
+        return self.vec_from_interior(-(self._g_interior().T @ flat) / (self.hx * self.hy))
 
     # -- flatteners -------------------------------------------------------
     def _vec_unflat(self, flat):
-        n = self.n_nodes
-        return np.stack([flat[:n].reshape(self.ny, self.nx),
-                         flat[n:2 * n].reshape(self.ny, self.nx)], axis=-1)
+        return np.stack(flat[:2 * self.n_nodes].reshape(2, self.ny, self.nx), axis=-1)
 
-    def _mat_flat(self, a):
-        return np.concatenate([a[..., k].ravel() for k in range(3)])
+    @staticmethod
+    def _flat(field):
+        """Component-major dof of a vector or matrix field: (vx, vy) or
+        (a11, a22, a12), each in node order."""
+        return np.moveaxis(field, -1, 0).ravel()
 
     def interior_vec(self, v):
         """Interior degrees of freedom of a vector field, in interior_dof
         order (parity-major, 0 in the pad slots)."""
-        return np.concatenate([v[..., 0].ravel(), v[..., 1].ravel(),
-                               [0.0]])[self.interior_dof]
+        return np.append(self._flat(v), 0.0)[self.interior_dof]
 
     def vec_from_interior(self, flat_int):
         """Zero-extend interior vector dof back to the full grid."""
@@ -309,28 +298,21 @@ class Grid:
         w = self.weights.ravel()
         return self._op("Wmat", lambda: sp.diags(np.concatenate([w, w, 2.0 * w])))
 
-    def divop(self):
-        def build():
-            w = self.weights.ravel()
-            inv_w = sp.diags(np.concatenate([1.0 / w, 1.0 / w]))
-            op = (-inv_w) @ self.G().T @ self.mat_weight_diag()
-            keep = np.zeros(2 * self.n_nodes)
-            keep[self.interior_idx] = 1.0
-            keep[self.interior_idx + self.n_nodes] = 1.0
-            return (sp.diags(keep) @ op).tocsr()
-        return self._op("div", build)
+    def _g_interior(self):
+        """Gi, the columns of G at interior_dof; a pad column is empty."""
+        return self._op("Gi", lambda: _restrict(self.G(), np.arange(3 * self.n_nodes),
+                                                self.interior_dof))
 
     def quadratic_form_matrix(self, comp_matrix):
-        """A = G^T [M (x) diag(w)] G for a 3x3 component matrix M.
+        """A = Gi^T [M (x) diag(w)] Gi on the interior unknowns, for a 3x3
+        component matrix M.
 
-        Gives v . A v = integrate(<T: sym_grad v, sym_grad v>) exactly, where
-        M is the component matrix of the 4th-order tensor T.
+        Gives v . A v = integrate(<T: sym_grad v, sym_grad v>) exactly for v
+        in interior_dof order, where M is the component matrix of the
+        4th-order tensor T; the pad rows and columns are zero.
         """
-        w = sp.diags(self.weights.ravel())
-        middle = sp.bmat([[comp_matrix[a, b] * w for b in range(3)] for a in range(3)],
-                         format="csr")
-        g = self.G()
-        return (g.T @ middle @ g).tocsr()
+        gi = self._g_interior()
+        return (gi.T @ sp.kron(comp_matrix, sp.diags(self.weights.ravel())) @ gi).tocsr()
 
     def interior_submatrix(self, a):
         """a on the interior velocity unknowns; pad rows and columns are 0."""
@@ -339,13 +321,11 @@ class Grid:
     def coupling_force_matrix(self, b_triple):
         """T_B: nodal theta -> interior force dof of -div(theta * B).
 
-        Built as G^T W_mat applied to theta x B, so that
+        Built as Gi^T [(b0, b1, 2 b2)^T (x) diag(w)], so that
         v . T_B theta = integrate(theta * <B, sym_grad v>) exactly.
         """
-        w = sp.diags(self.weights.ravel())
-        stack = sp.bmat([[b_triple[0] * w], [b_triple[1] * w], [2.0 * b_triple[2] * w]],
-                        format="csr")
-        return _restrict(self.G().T @ stack, self.interior_dof)
+        b = np.array([[b_triple[0]], [b_triple[1]], [2.0 * b_triple[2]]])
+        return (self._g_interior().T @ sp.kron(b, sp.diags(self.weights.ravel()))).tocsr()
 
     def neumann_weighted(self):
         """W * Laplacian_N: symmetric negative semidefinite, zero row sums."""

@@ -6,10 +6,12 @@ One step advances (u, v, theta) by:
     u+ = u + dt v+
     [kappa_bar/dt + b - D lap_N] theta+ = kappa_bar theta/dt + q + g
 
-where A_D, A_C are the quadrature-exact viscous/elastic stiffness forms,
-T_B the thermal-force operator, b = <B, sym_grad v+> and
-q = <D: sym_grad v+, sym_grad v+> are nodal fields, and kappa_bar is the
-chord mean of the (floored) heat capacity over [theta, theta+].
+where A_D, A_C are the quadrature-exact viscous/elastic stiffness forms and
+T_B the thermal-force operator, all three assembled on the interior velocity
+unknowns only (Grid.quadratic_form_matrix, Grid.coupling_force_matrix);
+b = <B, sym_grad v+> and q = <D: sym_grad v+, sym_grad v+> are nodal fields
+from the same SBP matrix G, and kappa_bar is the chord mean of the
+(floored) heat capacity over [theta, theta+].
 
 Each step finds the fixed point of G(x) = heat(velocity(x), kappa_bar =
 chord of kappa over [theta, x]): x forces the velocity solve and is the
@@ -135,6 +137,9 @@ class FieldState:
             raise ConfigError("u and v must have shape (ny, nx, 2)")
         if self.theta.shape != shp:
             raise ConfigError("theta must have shape (ny, nx)")
+        for name in ("u", "v", "theta"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ConfigError(f"{name} must be finite")
         bmask = grid.boundary_mask
         if np.any(self.u[bmask] != 0.0) or np.any(self.v[bmask] != 0.0):
             raise ConfigError("u and v must vanish on boundary nodes")
@@ -324,8 +329,8 @@ class Integrator:
         self.comp_D = tn.component_matrix(tensors.D4)
         self.comp_C = tn.component_matrix(tensors.C4)
         self.b_triple = tensors.b_triple
-        self.A_D = grid.interior_submatrix(grid.quadratic_form_matrix(self.comp_D))
-        self.A_C = grid.interior_submatrix(grid.quadratic_form_matrix(self.comp_C))
+        self.A_D = grid.quadratic_form_matrix(self.comp_D)
+        self.A_C = grid.quadratic_form_matrix(self.comp_C)
         self.T_B = grid.coupling_force_matrix(self.b_triple)
         self.A_N = grid.neumann_weighted()
         self.w_flat = grid.weights.ravel()

@@ -328,6 +328,9 @@ def _load_checkpoint(prefix, grid, physics_hash):
     missing = [key for key in _CHECKPOINT_KEYS if key not in extra]
     if missing:
         raise ConfigError(f"{prefix}.txt: checkpoint misses {', '.join(missing)}")
+    for key, val in extra.items():
+        if key != "config_hash" and not math.isfinite(val):
+            raise ConfigError(f"{prefix}.txt: checkpoint value {key}={val} is not finite")
     if (extra["nx"], extra["ny"]) != (grid.nx, grid.ny):
         raise ConfigError(f"{prefix}.txt: checkpoint grid is "
                           f"{extra['nx']:g}x{extra['ny']:g}, the run's is "
@@ -341,6 +344,11 @@ def _load_checkpoint(prefix, grid, physics_hash):
         raise ConfigError(f"{prefix}.bin: checkpoint holds {len(fields)} fields, "
                           f"expected {_CHECKPOINT_FIELDS} (u, v, theta, and "
                           "theta and v where the last step began)")
+    names = ("u_x", "u_y", "v_x", "v_y", "theta", "theta_start", "v_start_x",
+             "v_start_y")
+    for name, f in zip(names, fields):
+        if not np.isfinite(f).all():
+            raise ConfigError(f"{prefix}.bin: checkpoint field {name} is not finite")
     u = np.stack([fields[0], fields[1]], axis=-1)
     v = np.stack([fields[2], fields[3]], axis=-1)
     state = FieldState(u=u, v=v, theta=fields[4], t=t)

@@ -40,6 +40,29 @@ def component_stress_matrix(t):
     ])
 
 
+def full_form(grid, comp_matrix):
+    """Oracle: the form G^T [M (x) diag(w)] G over all 2 n_nodes vector dof."""
+    g = grid.G()
+    return (g.T @ sp.kron(comp_matrix, sp.diags(grid.weights.ravel())) @ g).tocsr()
+
+
+def stencil_d_x(grid, f):
+    """The SBP x-derivative as a stencil: centered inside, one-sided ends."""
+    out = np.empty_like(f)
+    out[:, 1:-1] = (f[:, 2:] - f[:, :-2]) / (2.0 * grid.hx)
+    out[:, 0] = (f[:, 1] - f[:, 0]) / grid.hx
+    out[:, -1] = (f[:, -1] - f[:, -2]) / grid.hx
+    return out
+
+
+def stencil_d_y(grid, f):
+    out = np.empty_like(f)
+    out[1:-1, :] = (f[2:, :] - f[:-2, :]) / (2.0 * grid.hy)
+    out[0, :] = (f[1, :] - f[0, :]) / grid.hy
+    out[-1, :] = (f[-1, :] - f[-2, :]) / grid.hy
+    return out
+
+
 def korn_quotients(grid, comp_matrix, n_samples=100, seed=0):
     """Rayleigh quotients of the elastic form against the full gradient.
 
@@ -327,8 +350,7 @@ class TestSolveSpd:
     def test_viscous_resolvent_vs_dense(self, rng):
         g = Grid(8, 8)
         comp = tn.component_matrix(tn.isotropic_tensor(1.0, 1.0))
-        a_full = g.quadratic_form_matrix(comp)
-        a_int = g.interior_submatrix(a_full)
+        a_int = g.quadratic_form_matrix(comp)
         w2 = np.concatenate([g.weights.ravel(), g.weights.ravel()])
         system = (sp.diags(w2[g.interior_dof]) + 0.02 * a_int).tocsr()
         rhs = rng.standard_normal(system.shape[0])
@@ -339,7 +361,7 @@ class TestSolveSpd:
     def test_nonconvergence_reports_residual(self, rng):
         g = Grid(16, 16)
         comp = tn.component_matrix(tn.isotropic_tensor(1.0, 1.0))
-        a_int = g.interior_submatrix(g.quadratic_form_matrix(comp))
+        a_int = g.quadratic_form_matrix(comp)
         rhs = rng.standard_normal(a_int.shape[0])
         with pytest.raises(SolverError) as err:
             solve_spd(a_int, rhs, tol=1e-14, maxiter=2)
@@ -377,15 +399,55 @@ class TestInteriorUnknowns:
         # the elastic form and the thermal force on the unknowns; the pad
         # slots have zero rows
         comp = tn.component_matrix(tn.isotropic_tensor(1.0, 2.0))
-        a_full = g.quadratic_form_matrix(comp)
+        a_full = full_form(g, comp)
         flat = np.concatenate([w[..., 0].ravel(), w[..., 1].ravel()])
         expected = g.interior_vec(g._vec_unflat(a_full @ flat))
-        a_int = g.interior_submatrix(a_full)
+        a_int = g.quadratic_form_matrix(comp)
         assert np.abs(a_int @ g.interior_vec(w) - expected).max() \
             <= 1e-12 * np.abs(expected).max()
         t_b = g.coupling_force_matrix((0.5, 0.3, 0.2))
         pads = np.flatnonzero(~real)
         assert abs(a_int[pads]).sum() == 0.0 and abs(t_b[pads]).sum() == 0.0
+
+
+class TestOneDerivative:
+    """Every operator comes from the one SBP derivative: the pointwise ones
+    match its stencil, the interior forms the full form restricted."""
+
+    @pytest.mark.parametrize("nx, ny", [(13, 9), (12, 10)])
+    def test_pointwise_operators_match_the_stencils(self, nx, ny, rng):
+        g = Grid(nx, ny, Lx=1.3)
+        f = rng.standard_normal((ny, nx))
+        v = rng.standard_normal((ny, nx, 2))
+        a = rng.standard_normal((ny, nx, 3))
+        dx, dy = (lambda h: stencil_d_x(g, h)), (lambda h: stencil_d_y(g, h))
+        cases = [
+            (g.grad(f), np.stack([dx(f), dy(f)], axis=-1)),
+            (g.sym_grad(v), np.stack([dx(v[..., 0]), dy(v[..., 1]),
+                                      0.5 * (dy(v[..., 0]) + dx(v[..., 1]))], axis=-1)),
+        ]
+        # the adjoint is the centered divergence at interior nodes, 0 elsewhere
+        div = np.stack([dx(a[..., 0]) + dy(a[..., 2]),
+                        dx(a[..., 2]) + dy(a[..., 1])], axis=-1)
+        div[g.boundary_mask] = 0.0
+        cases.append((g.div_matrix(a), div))
+        for got, expected in cases:
+            assert got.shape == expected.shape
+            assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("nx, ny", [(13, 9), (12, 10)])
+    def test_interior_forms_restrict_the_full_form(self, nx, ny):
+        g = Grid(nx, ny, Lx=1.3)
+        b = (0.5, 0.3, 0.2)
+        for comp in (tn.component_matrix(tn.isotropic_tensor(1.0, 2.0)),
+                     np.array([[2.0, 0.3, 0.1], [0.3, 1.5, 0.2], [0.1, 0.2, 0.9]])):
+            expected = g.interior_submatrix(full_form(g, comp)).toarray()
+            assert np.array_equal(g.quadratic_form_matrix(comp).toarray(), expected)
+        w = sp.diags(g.weights.ravel())
+        stack = sp.vstack([b[0] * w, b[1] * w, 2.0 * b[2] * w])
+        full_t_b = np.vstack([(g.G().T @ stack).toarray(), np.zeros((1, g.n_nodes))])
+        assert np.array_equal(g.coupling_force_matrix(b).toarray(),
+                              full_t_b[g.interior_dof])
 
 
 class TestSnapshots:

@@ -51,6 +51,14 @@ class TestFieldState:
         with pytest.raises(ConfigError):
             st.validate(grid)
 
+    @pytest.mark.parametrize("name", ["u", "v", "theta"])
+    def test_non_finite_field_rejected(self, grid, name):
+        # theta < 0 is false for NaN, so the sign test alone lets it through
+        st = rest_state(grid)
+        getattr(st, name)[3, 3] = np.nan
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            st.validate(grid)
+
 
 class TestSolverConfig:
     def test_validation(self):

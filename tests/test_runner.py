@@ -166,6 +166,33 @@ class TestRun:
         with pytest.raises(ConfigError, match=match):
             runner.run(cfg, str(tmp_path / "b"), restart_from=str(tmp_path / "a"))
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_checkpoint_value_refused(self, tmp_path, value):
+        # a NaN f0_ref would switch the energy check off: residual > nan
+        # is never true
+        cfg = short_default(t_final=0.1)
+        cfg["output"]["checkpoint_time"] = 0.05
+        runner.run(cfg, str(tmp_path / "a"))
+        path = tmp_path / "a" / "checkpoint.txt"
+        text = path.read_text()
+        start = text.index("f0_ref=")
+        end = text.index("\n", start)
+        path.write_text(text[:start] + f"f0_ref={value}" + text[end:])
+        with pytest.raises(ConfigError, match=f"f0_ref={value} is not finite"):
+            runner.run(cfg, str(tmp_path / "b"), restart_from=str(tmp_path / "a"))
+        assert not (tmp_path / "b" / "manifest.json").exists()
+
+    def test_non_finite_checkpoint_field_refused(self, tmp_path):
+        cfg = short_default(t_final=0.1)
+        cfg["output"]["checkpoint_time"] = 0.05
+        runner.run(cfg, str(tmp_path / "a"))
+        path = str(tmp_path / "a" / "checkpoint.bin")
+        t, fields = read_snapshot(path)
+        fields[4][5, 7] = np.nan
+        write_snapshot(path, t, fields)
+        with pytest.raises(ConfigError, match="field theta is not finite"):
+            runner.run(cfg, str(tmp_path / "b"), restart_from=str(tmp_path / "a"))
+
     def test_five_field_checkpoint_refused(self, tmp_path):
         # the older layout lacks theta and v where the last step began
         cfg = short_default(t_final=0.1)
