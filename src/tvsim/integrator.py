@@ -35,10 +35,11 @@ also yields strictly positive temperatures under the diagonal guard.
 
 The integrator remembers its last accepted step (LastStep): copies of the
 end state, that state's F, S and nodal K(theta), the theta and v the step
-started from, and its dt.  A step whose input equals the remembered end
-state value for value (np.array_equal on u, v and theta) continues it:
-F_old and S_old come from the remembered ledger, every chord of kappa uses
-the remembered K(theta_old), and the Picard loop starts from the predictor
+started from, its dt and the last contraction ratio of its Picard loop.
+A step whose input equals the remembered end state value for value
+(np.array_equal on u, v and theta) continues it: F_old and S_old come from
+the remembered ledger, every chord of kappa uses the remembered
+K(theta_old), and the Picard loop starts from the predictor
 x0 = theta + r (theta - theta_prev), r = dt / dt_prev, the extrapolated
 starting value implicit integrators give their Newton iterations (Hairer &
 Wanner, Solving ODEs II, IV.8).  Then the first kappa_bar is the chord over
@@ -50,11 +51,20 @@ fresh integrator, an edited or a different state) is evaluated afresh and
 starts from x = theta.  The fixed point, the stopping test and
 theta+ = G(x) do not depend on where the loop starts.
 
-Both linear systems are solved by conjugate gradients to _CG_TOL, because the
-identities above hold to solver tolerance.  Each is preconditioned with the
-exact inverse of a nearby separable operator, applied as dense products with
-1-D eigenbases (fast diagonalization), so iteration counts do not grow with
-1/h and nothing is factorized:
+Both linear systems are solved by conjugate gradients.  The identities above
+hold to solver tolerance but involve only the accepted iterate, theta+ = G(x)
+and the v+ that forced it, so the Picard loop sets one CG tolerance per
+iteration (inexact Picard iteration, after Dembo, Eisenstat & Steihaug 1982):
+an iteration is solved loosely, in proportion to the last change |G(x) - x|,
+only when the loop's contraction ratio forecasts at least two more iterations
+after it (_inner_tol); a continued step forecasts its first iteration from the
+predictor step and the remembered ratio.  Every iteration that can stop the
+loop is solved to _CG_TOL, a loose one that meets the stop test is followed by
+a tight one, and the Anderson history is dropped when the solves tighten.
+Each system is preconditioned with the exact inverse of a nearby separable
+operator, applied as dense products with 1-D eigenbases (fast
+diagonalization), so iteration counts do not grow with 1/h and nothing is
+factorized:
 
 * velocity: per component W + a (Wy (x) Kx) + b (Ky (x) Wx), K = d^T P d on
   interior nodes, with a, b the normal and shear entries of dt D + dt^2 C.
@@ -92,6 +102,7 @@ from .grid import separable_inverse, solve_spd
 # residual differences the Picard loop mixes over (Anderson depth)
 _ANDERSON_DEPTH = 2
 _CG_TOL = 1e-12          # relative residual of both CG solves
+_CG_TOL_LOOSE = 1e-4     # loosest CG tolerance (see _inner_tol)
 _CG_MAXITER_FACTOR = 10  # CG iteration cap per unknown
 _PICARD_TOL = 1e-11      # stop once |G(x) - x| <= _PICARD_TOL (1 + |G(x)|)
 _PICARD_MAX = 80         # Picard iterations before an attempt is rejected
@@ -120,6 +131,21 @@ def _anderson_update(g_hist, f_hist, g_new, f_new):
     gamma = np.linalg.lstsq(d_f, f_new, rcond=None)[0]
     mixed = g_new - d_g @ gamma
     return mixed if mixed.min() > 0.0 else g_new
+
+
+def _inner_tol(rho, change, scale):
+    """CG tolerance of the next Picard iteration, forecast from the last one.
+
+    change = |G(x) - x| of the last iteration, rho its ratio to the change
+    before, scale = 1 + |theta|.  The next iteration is solved loosely only
+    when the contraction forecasts at least two more after it
+    (rho^2 change > 10 _PICARD_TOL scale with rho < 0.1): its solve error, a
+    share tol of the change, is then swept out by the tight iterations that
+    follow.  Otherwise the iteration may stop the loop and gets _CG_TOL.
+    """
+    if rho < 0.1 and rho * rho * change > 10.0 * _PICARD_TOL * scale:
+        return max(_CG_TOL, min(_CG_TOL_LOOSE, _CG_TOL_LOOSE * change / scale))
+    return _CG_TOL
 
 
 @dataclass
@@ -297,7 +323,9 @@ class LastStep:
     """The last accepted step, kept so that the next step can continue it.
 
     u, v and theta are copies of the end state, F, S and K (nodal K(theta),
-    flat) its ledger values; theta_start and v_start the state it began from.
+    flat) its ledger values; theta_start and v_start the state it began from;
+    rho the last contraction ratio of its Picard loop, which the next step's
+    first CG tolerance is forecast from.
     """
 
     u: np.ndarray
@@ -309,6 +337,7 @@ class LastStep:
     theta_start: np.ndarray
     v_start: np.ndarray
     dt: float
+    rho: float
 
     def continues(self, state):
         """Whether state equals the remembered end state, value for value."""
@@ -358,16 +387,17 @@ class Integrator:
         self._heat_diag_pos = self._diag_positions(base)
         return self
 
-    def resume(self, state, theta_start, v_start, dt_prev):
+    def resume(self, state, theta_start, v_start, dt_prev, rho):
         """Take up a run at state, the end of an accepted step of dt_prev that
-        began at theta_start and v_start, so that the next step starts as it
-        would have without the interruption (a restart from a checkpoint)."""
+        began at theta_start and v_start and whose Picard loop last contracted
+        by rho, so that the next step starts as it would have without the
+        interruption (a restart from a checkpoint)."""
         kinetic, elastic, thermal, k_nodal = self._energies(state)
         self.dt_prev = dt_prev
         self.last_step = LastStep(
             state.u.copy(), state.v.copy(), state.theta.copy(),
             F=kinetic + elastic + thermal, S=self.entropy(state), K=k_nodal,
-            theta_start=theta_start, v_start=v_start, dt=dt_prev)
+            theta_start=theta_start, v_start=v_start, dt=dt_prev, rho=rho)
 
     def _build_regularization(self):
         op = -self.grid.dirichlet_laplacian_interior()
@@ -445,13 +475,15 @@ class Integrator:
         return np.einsum("ab,...a,...b->...", self.comp_D, strain, strain)
 
     # -- step operations ----------------------------------------------------
-    def velocity_step(self, state, f_field, dt, theta_force=None, x0=None):
+    def velocity_step(self, state, f_field, dt, theta_force=None, x0=None,
+                      tol=_CG_TOL):
         """Implicit velocity update; theta_force defaults to state.theta.
 
-        f_field is the momentum source f(t + dt), shape (ny, nx, 2).  The
-        system matrix contains the viscous form, the optional high-order
-        regularization and the dt^2 elastic term that evaluates the elastic
-        force at the end-of-step displacement.
+        f_field is the momentum source f(t + dt), shape (ny, nx, 2), and tol
+        the relative residual CG stops at.  The system matrix contains the
+        viscous form, the optional high-order regularization and the dt^2
+        elastic term that evaluates the elastic force at the end-of-step
+        displacement.
         """
         g = self.grid
         theta = state.theta if theta_force is None else theta_force
@@ -462,7 +494,7 @@ class Integrator:
                + dt * (-(self.A_C @ u_int) + self.T_B @ theta.ravel()
                        + self.w2_int * f_int))
         m, pre_apply = self._velocity_matrix(dt)
-        x, iters = solve_spd(m, rhs, tol=_CG_TOL,
+        x, iters = solve_spd(m, rhs, tol=tol,
                              maxiter=_CG_MAXITER_FACTOR * rhs.size,
                              x0=v_int if x0 is None else x0,
                              precond_apply=pre_apply)
@@ -474,11 +506,12 @@ class Integrator:
         return u + dt * v_new
 
     def temperature_step(self, state, v_new, g_field, dt, theta_guess=None,
-                         kappa_bar=None):
+                         kappa_bar=None, tol=_CG_TOL):
         """Positivity-preserving implicit heat update given the new velocity.
 
         Solves [kappa_bar/dt + b - D lap_N] theta+ = kappa_bar theta/dt + q + g
-        with g_field the heat source g(t + dt), shape (ny, nx).
+        to relative residual tol, with g_field the heat source g(t + dt),
+        shape (ny, nx).
         The system is an M-matrix whenever the diagonal guard
         kappa_bar/dt + b > 0 holds at every node; a violation raises StepError
         (the step is rejected, never clamped).
@@ -504,7 +537,7 @@ class Integrator:
         x0 = theta_old if theta_guess is None else theta_guess.ravel()
         # weighted mean of the diagonal; exact inverse when it is constant
         pre_apply = self._heat_preconditioner(float(diag_add.sum()) / g.area)
-        theta_new, iters = solve_spd(s, rhs, tol=_CG_TOL,
+        theta_new, iters = solve_spd(s, rhs, tol=tol,
                                      maxiter=_CG_MAXITER_FACTOR * rhs.size,
                                      x0=x0, precond_apply=pre_apply)
         return theta_new.reshape(g.ny, g.nx), iters, b, q
@@ -556,8 +589,8 @@ class Integrator:
         while True:
             spent = [0, 0, 0]  # Picard, CG-velocity and CG-heat iterations
             try:
-                new_state, report, k_end = self._attempt(state, forcing, dt,
-                                                         last, spent)
+                new_state, report, k_end, rho = self._attempt(
+                    state, forcing, dt, last, spent)
                 break
             except (StepError, SolverError) as err:
                 reasons.append(str(err))
@@ -577,7 +610,7 @@ class Integrator:
         self.last_step = LastStep(
             new_state.u.copy(), new_state.v.copy(), new_state.theta.copy(),
             F=report.F, S=report.S, K=k_end, theta_start=start[0],
-            v_start=start[1], dt=report.dt)
+            v_start=start[1], dt=report.dt, rho=rho)
         return new_state, report
 
     def _predictor(self, state, dt, last):
@@ -612,13 +645,40 @@ class Integrator:
         return out
 
     def _attempt(self, state, forcing, dt, last, spent):
-        g = self.grid
-        model = self.model
-        theta_old = state.theta.ravel()
         t_new = state.t + dt
         # one evaluation of the sources per attempt, shared by every solve
-        f_field = forcing.f(t_new, g)
-        g_field = forcing.g(t_new, g)
+        f_field = forcing.f(t_new, self.grid)
+        g_field = forcing.g(t_new, self.grid)
+        theta_new, v_int, b, rho = self._picard(state, f_field, g_field, dt,
+                                                last, spent)
+        min_theta = float(theta_new.min())
+        if min_theta <= 0.0:
+            node = int(np.argmin(theta_new))
+            raise StepError(f"temperature positivity lost at node {node}",
+                            node=node, dt=dt)
+
+        v_full = self.grid.vec_from_interior(v_int)
+        u_new = self.displacement_step(state.u, v_full, dt)
+        new_state = FieldState(u_new, v_full, theta_new, t_new)
+
+        report, k_end = self._bookkeeping(state, new_state, f_field, g_field,
+                                          dt, v_int, b, spent, last)
+        return new_state, report, k_end, rho
+
+    def _picard(self, state, f_field, g_field, dt, last, spent):
+        """The fixed point theta+ = G(theta+) of one attempt, counted into spent.
+
+        Returns theta+, the interior v+ that forced it, the field b of its
+        heat solve and rho = c_k / c_(k-1), the last ratio of the changes
+        c_k = |G(x) - x| (before a second change: the last step's rho on a
+        predicted start, 1 on a fresh one).  Each iteration's CG tolerance
+        comes from _inner_tol, fed the last change and rho, or for the first
+        iteration of a predicted start the predictor step |x0 - theta|; a
+        fresh start is tight.  Only a tight iteration stops the loop, so
+        theta+ and v+ always come from solves to _CG_TOL.
+        """
+        model = self.model
+        theta_old = state.theta.ravel()
         # K(theta_old) is fixed over the attempt; every chord shares it
         k_old = model.K(theta_old) if last is None else last.K
         # the iterate x is both the thermal force and the chord point of kappa_bar
@@ -626,42 +686,45 @@ class Integrator:
         if start is None:
             x, v_guess = theta_old, None
             kappa_bar = model.kappa(theta_old)
+            rho, tol = 1.0, _CG_TOL
         else:
             x, v_guess = start
             kappa_bar = np.asarray(model.kappa_chord(theta_old, x, k_old))
+            rho = last.rho
+            tol = _inner_tol(rho, float(np.abs(x - theta_old).max()),
+                             1.0 + float(np.abs(theta_old).max()))
+        change = 0.0  # the predictor step is no Picard change
         theta_guess = x
         g_hist, f_hist = [], []
         for _ in range(_PICARD_MAX):
             spent[0] += 1
             v_int, _ = self._counted(spent, 1, self.velocity_step, state,
-                                     f_field, dt, theta_force=x, x0=v_guess)
+                                     f_field, dt, theta_force=x, x0=v_guess,
+                                     tol=tol)
             v_guess = v_int
-            v_full = g.vec_from_interior(v_int)
             theta_new, _, b, _ = self._counted(
-                spent, 2, self.temperature_step, state, v_full, g_field, dt,
-                theta_guess=theta_guess, kappa_bar=kappa_bar)
+                spent, 2, self.temperature_step, state,
+                self.grid.vec_from_interior(v_int), g_field, dt,
+                theta_guess=theta_guess, kappa_bar=kappa_bar, tol=tol)
             theta_guess = theta_new
             resid = theta_new.ravel() - x
-            change = float(np.abs(resid).max())
-            if change <= _PICARD_TOL * (1.0 + float(np.abs(theta_new).max())):
-                break
+            last_change, change = change, float(np.abs(resid).max())
+            if last_change > 0.0:
+                rho = change / last_change
+            scale = 1.0 + float(np.abs(theta_new).max())
+            if tol == _CG_TOL and change <= _PICARD_TOL * scale:
+                return theta_new, v_int, b, rho
+            # a change that meets the stop test forecasts no loose iteration
+            loose, tol = tol > _CG_TOL, _inner_tol(rho, change, scale)
+            if loose and tol == _CG_TOL:
+                # the mix would carry the loose iterates' solve errors into
+                # the tight ones
+                g_hist.clear()
+                f_hist.clear()
             x = _anderson_update(g_hist, f_hist, theta_new.ravel(), resid)
             kappa_bar = np.asarray(model.kappa_chord(theta_old, x, k_old))
-        else:
-            raise StepError(f"fixed-point iteration did not converge (last "
-                            f"change {change:.2e})", dt=dt)
-        min_theta = float(theta_new.min())
-        if min_theta <= 0.0:
-            node = int(np.argmin(theta_new))
-            raise StepError(f"temperature positivity lost at node {node}",
-                            node=node, dt=dt)
-
-        u_new = self.displacement_step(state.u, v_full, dt)
-        new_state = FieldState(u_new, v_full, theta_new, t_new)
-
-        report, k_end = self._bookkeeping(state, new_state, f_field, g_field,
-                                          dt, v_int, b, spent, last)
-        return new_state, report, k_end
+        raise StepError(f"fixed-point iteration did not converge (last "
+                        f"change {change:.2e})", dt=dt)
 
     # -- the energy / entropy ledger ----------------------------------------
     def _energies(self, state):

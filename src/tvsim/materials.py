@@ -7,8 +7,6 @@ its primitives:
     K(x)        = int_0^x kappa                      (thermal energy density)
     ell(x)      = int_1^x kappa(s)/s ds              (entropy density)
     ell_hat(x)  = int_0^x ln^2(s+M) kappa(s)/(s+M)   (log-weighted entropy)
-    Lambda(x)   = int_1^x kappa(s) max(1, 1/s) ds
-    K_w(x)      = int_0^x kappa(s) w(s) ds           (renormalized energies)
     ell_cut(x)  = int_1^x rho_M(s) kappa(s)/s ds     (cutoff entropy)
 
 Evaluation uses closed forms where a variant has them, otherwise cached
@@ -320,24 +318,6 @@ class HeatCapacity:
         if closed is None:
             closed = self._ell_hat_quad(m_shift).value(np.log1p(arr))
         return float(closed) if scalar else closed
-
-    def Lambda(self, xi):
-        """Mixed primitive int_1^xi kappa(s) max(1, 1/s) ds."""
-        arr, scalar = _as_array(xi)
-        if np.any(arr < 0):
-            raise ConfigError("Lambda requested at a negative temperature")
-        low = np.minimum(arr, 1.0)
-        out = self.ell(low) + np.where(arr > 1.0, self.K(np.maximum(arr, 1.0)) - self.K(1.0), 0.0)
-        return float(out) if scalar else out
-
-    def K_weighted(self, xi, weight, rel_tol=1e-10):
-        """Renormalized energy int_0^xi kappa(s) w(s) ds for a scalar weight w."""
-        if xi < 0:
-            raise ConfigError("K_weighted requested at a negative temperature")
-        if xi == 0:
-            return 0.0
-        fn = lambda s: float(self.kappa_values(np.array(s))) * weight(s)
-        return adaptive_simpson(fn, 0.0, float(xi), rel_tol=rel_tol, kinks=self.kinks)
 
     def ell_cut(self, xi, m_cut):
         """Cutoff entropy with the piecewise-linear cutoff at level M > 1.

@@ -92,8 +92,11 @@ class ManufacturedProblem:
         slope = float(max(0.0, np.max((margin - g0_s) / gs_s)))
         subs = {s_off: slope}
 
+        # the fields and forcings, evaluated at every step, share their common
+        # subexpressions (cse); the sampling of g above does not, because on
+        # its 41^3 points the shared intermediates would add ~14 MB of memory
         def lamb(expr):
-            return sp.lambdify((x, y, t), expr.subs(subs), "numpy")
+            return sp.lambdify((x, y, t), expr.subs(subs), "numpy", cse=True)
 
         self.slope = slope
         self.t_final = t_final

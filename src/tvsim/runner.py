@@ -11,10 +11,11 @@ A run produces, inside its output directory:
                     accepted and (wasted) rejected attempts, stabilization
   snapshot_*.bin    binary field snapshots (u, v, theta) at requested times
   checkpoint.bin/.txt  restartable state at the configured checkpoint time,
-                    with the theta and v its last step began from (the
-                    restart predicts its first step from them, as the
-                    uninterrupted run does), the grid dims and the hash of
-                    the physics config
+                    with the theta and v its last step began from and the
+                    last contraction ratio of that step's Picard loop (the
+                    restart predicts its first step and that step's first
+                    CG tolerance from them, as the uninterrupted run does),
+                    the grid dims and the hash of the physics config
 
 manifest.json, the checkpoint and the snapshots are written through a
 temporary file and os.replace, so a killed run never leaves a partial one,
@@ -50,7 +51,6 @@ from .diagnostics import (Diagnostics, WindowSample, log_entropy_inequality,
 from .errors import AdmissibilityError, ConfigError
 from .grid import read_snapshot, write_atomic, write_snapshot
 from .integrator import CallableForcing, FieldState, Integrator
-from .mms import ManufacturedProblem
 from .scenarios import (admissibility, build_scenario, builtin_scenarios,
                         canonical_json)
 
@@ -60,8 +60,8 @@ _INEQ_TOL_REL = 1e-8    # entropy shortfall allowed, times (1 + |S|)
 # config sections a restart may change: they name the run, steer its output
 # and set where it ends, but leave the physics of the checkpoint alone
 _RESTART_FREE = ("name", "output", "t_final")
-_CHECKPOINT_KEYS = ("config_hash", "nx", "ny", "t", "dt_prev", "f0_ref",
-                    "work_f", "work_g", "eps_diss", "step_index")
+_CHECKPOINT_KEYS = ("config_hash", "nx", "ny", "t", "dt_prev", "rho",
+                    "f0_ref", "work_f", "work_g", "eps_diss", "step_index")
 # checkpoint.bin: u, v and theta, then theta and v where the last step began
 _CHECKPOINT_FIELDS = 8
 # StepReport iteration counts the manifest totals over a run's steps
@@ -149,7 +149,7 @@ def run(config, outdir, restart_from=None):
     if restart_from is not None:
         state, (theta_start, v_start), extra = _load_checkpoint(
             restart_from, g, _physics_hash(scenario.config))
-        integ.resume(state, theta_start, v_start, extra["dt_prev"])
+        integ.resume(state, theta_start, v_start, extra["dt_prev"], extra["rho"])
         f0_ref = extra["f0_ref"]
         work_f, work_g = extra["work_f"], extra["work_g"]
         eps_diss = extra["eps_diss"]
@@ -212,7 +212,8 @@ def run(config, outdir, restart_from=None):
                 and state.t >= plan.checkpoint_time - 1e-12):
             _write_checkpoint(outdir, state, integ.last_step, g,
                               _physics_hash(scenario.config),
-                              [("dt_prev", integ.dt_prev), ("f0_ref", f0_ref),
+                              [("dt_prev", integ.dt_prev),
+                               ("rho", integ.last_step.rho), ("f0_ref", f0_ref),
                                ("work_f", work_f), ("work_g", work_g),
                                ("eps_diss", eps_diss),
                                ("step_index", step_index)])
@@ -428,6 +429,8 @@ def convergence_study(config, levels=3, base_nx=8, dt_over_h2=8.0,
     """
     if levels < 3:
         raise ConfigError("convergence study needs at least 3 levels")
+    from .mms import ManufacturedProblem  # sympy, for this study alone
+
     scenario = build_scenario(config)
     if scenario.model_raw.describe().get("variant") != "constant":
         raise ConfigError("convergence study needs a constant heat capacity")

@@ -2,15 +2,19 @@ import copy
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tvsim import cli, runner
+import tvsim
+import tvsim.mms
+from tvsim import cli, integrator, runner
 from tvsim.errors import AdmissibilityError, ConfigError
 from tvsim.grid import read_snapshot, write_snapshot
-from tvsim.integrator import Integrator, PulseForcing
+from tvsim.integrator import _CG_TOL, Integrator, PulseForcing
 from tvsim.mms import ManufacturedProblem
 from tvsim.scenarios import build_scenario, builtin_scenarios
 from tvsim.tensors import ElasticityTensors, isotropic_tensor
@@ -137,6 +141,51 @@ class TestRun:
         assert whole.startswith(header + b"\n")
         assert rows.count(b"\n") == 50 and whole.endswith(rows)
 
+    def test_restart_where_the_solves_loosen_is_byte_identical(self, tmp_path,
+                                                                monkeypatch):
+        # the steps after t = 0.05 take 4 Picard iterations and loosen the
+        # first ones from the last step's contraction ratio, which the
+        # checkpoint carries
+        cfg = short_default(t_final=0.15)
+        cfg["output"]["checkpoint_time"] = 0.05
+        runner.run(cfg, str(tmp_path / "full"))
+        tols = []
+        solve_spd = integrator.solve_spd
+
+        def spy(a, rhs, tol, **kwargs):
+            tols.append(tol)
+            return solve_spd(a, rhs, tol=tol, **kwargs)
+        monkeypatch.setattr(integrator, "solve_spd", spy)
+        runner.run(cfg, str(tmp_path / "resumed"),
+                   restart_from=str(tmp_path / "full"))
+        assert tols[0] > _CG_TOL
+        whole = (tmp_path / "full" / "diagnostics.csv").read_bytes()
+        header, _, rows = (tmp_path / "resumed" / "diagnostics.csv").read_bytes() \
+            .partition(b"\n")
+        assert whole.startswith(header + b"\n")
+        assert rows.count(b"\n") == 10 and whole.endswith(rows)
+
+    def test_sympy_stays_off_the_run_path(self, tmp_path):
+        # only the convergence study needs sympy; tvsim.mms loads on access
+        code = ("import copy, sys\n"
+                "import tvsim\n"
+                "from tvsim import cli, runner\n"
+                "cfg = copy.deepcopy(tvsim.builtin_scenarios()"
+                "['default-relaxation'])\n"
+                "cfg['t_final'] = 0.1\n"
+                "cfg['output']['window_starts'] = []\n"
+                f"runner.run(cfg, {str(tmp_path / 'out')!r})\n"
+                "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
+                "assert tvsim.mms.ManufacturedProblem\n"
+                "assert 'sympy' in sys.modules\n")
+        src = str(Path(tvsim.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "out" / "manifest.json").exists()
+
     @pytest.mark.parametrize("section, key, value, match", [
         ("material", "D", 5.0, "different config"),
         ("material", "kappa", {"variant": "constant", "k0": 2.0},
@@ -181,6 +230,24 @@ class TestRun:
         with pytest.raises(ConfigError, match=f"f0_ref={value} is not finite"):
             runner.run(cfg, str(tmp_path / "b"), restart_from=str(tmp_path / "a"))
         assert not (tmp_path / "b" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("line, match", [
+        ("", "checkpoint misses rho"),
+        ("rho=nan\n", "rho=nan is not finite"),
+    ])
+    def test_checkpoint_contraction_ratio_required(self, tmp_path, line, match):
+        # without the last step's ratio a restart would solve its first
+        # Picard iterations at other CG tolerances than the uninterrupted run
+        cfg = short_default(t_final=0.1)
+        cfg["output"]["checkpoint_time"] = 0.05
+        runner.run(cfg, str(tmp_path / "a"))
+        path = tmp_path / "a" / "checkpoint.txt"
+        text = path.read_text()
+        start = text.index("rho=")
+        end = text.index("\n", start) + 1
+        path.write_text(text[:start] + line + text[end:])
+        with pytest.raises(ConfigError, match=match):
+            runner.run(cfg, str(tmp_path / "b"), restart_from=str(tmp_path / "a"))
 
     def test_non_finite_checkpoint_field_refused(self, tmp_path):
         cfg = short_default(t_final=0.1)
@@ -466,13 +533,45 @@ class TestManufactured:
                 built.append(kwargs)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(runner, "ManufacturedProblem", CountingProblem)
+        monkeypatch.setattr(tvsim.mms, "ManufacturedProblem", CountingProblem)
         table = runner.convergence_study(
             builtin_scenarios()["default-relaxation"], base_nx=4, temporal_nx=8,
             temporal_dts=(0.1, 0.05, 0.025), temporal_dt_ref=0.0125, t_final=0.5)
         assert len(built) == 1
         assert built[0]["t_final"] == 0.5
         assert len(table["spatial"]) == 3 and len(table["temporal"]) == 3
+
+    def test_shared_subexpressions_change_nothing(self, monkeypatch):
+        # the forcings are compiled with common subexpressions shared (cse);
+        # a problem compiled without must give the same values and table
+        from tvsim.grid import Grid
+        cfg = builtin_scenarios()["default-relaxation"]
+        study = dict(base_nx=4, temporal_nx=8, temporal_dts=(0.1, 0.05, 0.025),
+                     temporal_dt_ref=0.0125, t_final=0.5)
+        shared = ManufacturedProblem(self.unit_tensors(), 1.0, 1.0)
+        table = runner.convergence_study(cfg, **study)
+        lambdify = tvsim.mms.sp.lambdify
+
+        def no_cse(*args, **kwargs):
+            kwargs["cse"] = False
+            return lambdify(*args, **kwargs)
+        monkeypatch.setattr(tvsim.mms.sp, "lambdify", no_cse)
+        plain = ManufacturedProblem(self.unit_tensors(), 1.0, 1.0)
+        g = Grid(24, 24)
+        for t in (0.0, 0.37, 1.0):
+            for name in ("forcing_f", "forcing_g"):
+                want = getattr(plain, name)(t, g)
+                got = getattr(shared, name)(t, g)
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        plain_table = runner.convergence_study(cfg, **study)
+        assert table.keys() == plain_table.keys()
+        for key, want in plain_table.items():
+            if key in ("spatial", "temporal"):
+                assert len(table[key]) == len(want)
+                for got_row, want_row in zip(table[key], want):
+                    assert got_row == pytest.approx(want_row, rel=1e-9, abs=0)
+            else:
+                assert table[key] == pytest.approx(want, rel=1e-9, abs=0)
 
     def test_anisotropic_tensor_rejected(self):
         bad = isotropic_tensor(1.0, 1.0).copy()
