@@ -35,11 +35,3 @@ __all__ = [
     "isotropic_tensor", "sqrt_tensor", "tensors_from_config",
 ]
 
-
-def __getattr__(name):
-    # tvsim.mms pulls in sympy, which only the convergence study needs: it is
-    # imported on first access (PEP 562), not with the package
-    if name == "mms":
-        import importlib
-        return importlib.import_module(".mms", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

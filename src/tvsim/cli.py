@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -118,6 +119,9 @@ def _cmd_convergence(args):
 
 
 def _cmd_material_table(args):
+    if not (0 < args.xi_min <= args.xi_max < math.inf) or args.points < 1:
+        raise ConfigError("material-table needs 0 < --xi-min <= --xi-max "
+                          "< inf and --points >= 1")
     config = _load_config(args.config)
     scenario = build_scenario(config)
     model = scenario.model
@@ -186,7 +190,8 @@ def main(argv=None):
     except AdmissibilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except TvsimError as exc:
+    except (TvsimError, OSError) as exc:
+        # OSError: an output path that cannot be created or written
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import tensors as tn
 from .errors import ConfigError
 from .integrator import _safe_ratio
-from .materials import M_DEFAULT
+from .materials import M_MIN
 
 _E = math.e
 
@@ -90,8 +90,8 @@ class LimitReport:
 class Diagnostics:
     """Bound evaluator: one grid, one tensor set, one (floored) law, one M."""
 
-    def __init__(self, grid, tensors, model, d_diff, m_shift=M_DEFAULT):
-        if m_shift < M_DEFAULT - 1e-9:
+    def __init__(self, grid, tensors, model, d_diff, m_shift=M_MIN):
+        if m_shift < M_MIN - 1e-9:
             raise ConfigError("diagnostics need M >= e^4")
         self.grid = grid
         self.model = model
@@ -148,7 +148,7 @@ class Diagnostics:
 
 
 def log_entropy_inequality(rec_k, rec_k1, dt, tensors, d_diff, area,
-                           m_shift=M_DEFAULT, rel_tol=1e-8):
+                           m_shift=M_MIN, rel_tol=1e-8):
     """Per-step form of the log-weighted entropy inequality.
 
     Checks  dS_hat >= dt [ (D/4) T1 + (kD/2) T2 - c1 int |v|^2 - c2 ] - tol

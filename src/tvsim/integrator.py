@@ -309,9 +309,6 @@ class StepReport(Ledger):
     wasted_picard: int = 0
     wasted_cg_velocity: int = 0
     wasted_cg_heat: int = 0
-    # F and S of the end state under the names the balances use
-    F_new = property(lambda self: self.F)
-    S_new = property(lambda self: self.S)
 
     @property
     def rejections(self):

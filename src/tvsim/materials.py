@@ -23,9 +23,8 @@ import numpy as np
 
 from .errors import ConfigError, _number, _numbers
 
-#: smallest admissible weight shift for the log-weighted entropy
+#: smallest admissible weight shift for the log-weighted entropy, and its default
 M_MIN = math.exp(4.0)
-M_DEFAULT = M_MIN
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 
@@ -120,35 +119,6 @@ class _CumulativeQuad:
                 return new_val
             val = new_val
         raise ConfigError("entropy primitive did not converge toward xi = 0")
-
-
-def adaptive_simpson(fn, a, b, rel_tol=1e-10, kinks=(), max_depth=48):
-    """Adaptive Simpson quadrature of a scalar callable, split at kinks."""
-    pieces = [a] + [k for k in sorted(kinks) if a < k < b] + [b]
-
-    def simpson(x0, x2, f0, f2):
-        x1 = 0.5 * (x0 + x2)
-        f1 = fn(x1)
-        return x1, f1, (x2 - x0) * (f0 + 4.0 * f1 + f2) / 6.0
-
-    def recurse(x0, x2, f0, f2, whole, x1, f1, depth, scale):
-        xl, fl, left = simpson(x0, x1, f0, f1)
-        xr, fr, right = simpson(x1, x2, f1, f2)
-        if depth >= max_depth or abs(left + right - whole) <= 15.0 * rel_tol * scale:
-            return left + right + (left + right - whole) / 15.0
-        half_scale = max(scale * 0.5, 1e-300)
-        return (recurse(x0, x1, f0, f1, left, xl, fl, depth + 1, half_scale)
-                + recurse(x1, x2, f1, f2, right, xr, fr, depth + 1, half_scale))
-
-    total = 0.0
-    for x0, x2 in zip(pieces[:-1], pieces[1:]):
-        if x2 <= x0:
-            continue
-        f0, f2 = fn(x0), fn(x2)
-        x1, f1, whole = simpson(x0, x2, f0, f2)
-        scale = max(abs(whole), (x2 - x0) * max(abs(f0), abs(f1), abs(f2)), 1e-300)
-        total += recurse(x0, x2, f0, f2, whole, x1, f1, 0, scale)
-    return total
 
 
 def _bisect_increasing(fn, z, tol_abs=1e-12, max_expand=2000):
@@ -307,7 +277,7 @@ class HeatCapacity:
             return -math.inf
         return self._cache("ell0", self._ell_quad().lower_limit)
 
-    def ell_hat(self, xi, m_shift=M_DEFAULT):
+    def ell_hat(self, xi, m_shift=M_MIN):
         """Log-weighted entropy int_0^xi ln^2(s+M) kappa(s)/(s+M) ds, M >= e^4."""
         if m_shift < M_MIN - 1e-9:
             raise ConfigError(f"log-weighted entropy needs M >= e^4, got {m_shift}")
@@ -323,7 +293,9 @@ class HeatCapacity:
         """Cutoff entropy with the piecewise-linear cutoff at level M > 1.
 
         The cutoff is 1 on [0, M], decays linearly to 0 on [M, M+1] and
-        vanishes beyond, so the result agrees with ell below M.
+        vanishes beyond, so the result agrees with ell below M.  Above M, with
+        h = min(xi, M+1), int_M^h (M+1-s) kappa(s)/s ds
+        = (M+1)(ell(h) - ell(M)) - (K(h) - K(M)).
         """
         if m_cut <= 1.0:
             raise ConfigError(f"cutoff entropy needs M > 1, got {m_cut}")
@@ -334,8 +306,8 @@ class HeatCapacity:
         if xi <= m_cut:
             return base
         hi = min(xi, m_cut + 1.0)
-        fn = lambda s: (m_cut + 1.0 - s) * float(self.kappa_values(np.array(s))) / s
-        return base + adaptive_simpson(fn, m_cut, hi, rel_tol=1e-12, kinks=self.kinks)
+        return (base + (m_cut + 1.0) * (self.ell(hi) - base)
+                - (self.K(hi) - self.K(m_cut)))
 
     def kappa_chord(self, a, b, k_a=None):
         """Mean value of kappa over [a, b]: (K(b) - K(a)) / (b - a), elementwise.

@@ -1,10 +1,19 @@
 """Manufactured-solution forcing for convergence studies.
 
-Prescribes smooth exact fields compatible with the boundary conditions
-(displacement clamped, temperature with zero normal derivative), derives the
-residual momentum and heat forcings symbolically for isotropic tensors and a
-constant heat capacity, and offsets the temperature ramp so the heat forcing
-stays nonnegative over the whole study window.
+The exact fields are fixed and compatible with the boundary conditions
+(displacement clamped, temperature with zero normal derivative):
+
+    u     = c(t) S(x, y),  c = a_u (1 - e^{-2t}) (cos t, sin t),
+            S = sin(pi x / Lx) sin(pi y / Ly)
+    theta = 1 + a_theta cos(pi x / Lx) cos t + s t
+
+For isotropic tensors T (Lame pair lambda, mu),
+div(T : sym_grad w) = mu Lap w + (lambda + mu) grad div w, so every term of
+the momentum forcing f is a time factor (c, c' or c'') times S or one of its
+second derivatives, and the heat forcing g (constant heat capacity) follows
+from sym_grad v = sym(c' (x) grad S).  g is affine in the ramp slope s; the
+smallest s that keeps g >= margin on a 41^3 sample of the study window is
+used, so the heat forcing stays nonnegative.
 """
 
 from __future__ import annotations
@@ -12,9 +21,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import sympy as sp
 
 from .errors import ConfigError
+from .integrator import FieldState
 from .tensors import isotropic_tensor
 
 
@@ -32,109 +41,104 @@ class ManufacturedProblem:
 
     def __init__(self, tensors, kappa0, d_diff, lx=1.0, ly=1.0, t_final=1.0,
                  amp_u=0.25, amp_theta=0.25, margin=0.01):
-        lam_d, mu_d = _extract_isotropic(tensors.D4, "D")
-        lam_c, mu_c = _extract_isotropic(tensors.C4, "C")
+        self._lam_d, self._mu_d = _extract_isotropic(tensors.D4, "D")
+        self._lam_c, self._mu_c = _extract_isotropic(tensors.C4, "C")
         if kappa0 <= 0:
             raise ConfigError("convergence study needs a constant heat capacity")
-        bmat = sp.Matrix(2, 2, [float(tensors.B[i, j]) for i in range(2) for j in range(2)])
-        x, y, t, s_off = sp.symbols("x y t s", real=True)
+        self._b = np.array(tensors.B, dtype=float)
+        self._kappa0 = float(kappa0)
+        self._d_diff = float(d_diff)
+        self._kx = math.pi / lx
+        self._ky = math.pi / ly
+        self._amp_u = amp_u
+        self._amp_theta = amp_theta
+        self.t_final = t_final
 
-        shape = sp.sin(sp.pi * x / lx) * sp.sin(sp.pi * y / ly)
-        ramp = 1 - sp.exp(-2 * t)
-        u = amp_u * ramp * sp.Matrix([sp.cos(t) * shape, sp.sin(t) * shape])
-        theta = 1 + amp_theta * sp.cos(sp.pi * x / lx) * sp.cos(t) + s_off * t
-
-        def grad_vec(w):
-            return sp.Matrix([[sp.diff(w[0], x), sp.diff(w[0], y)],
-                              [sp.diff(w[1], x), sp.diff(w[1], y)]])
-
-        def sym_grad(w):
-            j = grad_vec(w)
-            return (j + j.T) / 2
-
-        def div_mat(m):
-            return sp.Matrix([sp.diff(m[0, 0], x) + sp.diff(m[0, 1], y),
-                              sp.diff(m[1, 0], x) + sp.diff(m[1, 1], y)])
-
-        def iso_apply(lam, mu, e):
-            return 2 * mu * e + lam * (e[0, 0] + e[1, 1]) * sp.eye(2)
-
-        def inner(a, b):
-            return sum(a[i, j] * b[i, j] for i in range(2) for j in range(2))
-
-        ut = sp.diff(u, t)
-        utt = sp.diff(u, t, 2)
-        e_ut = sym_grad(ut)
-        stress_v = iso_apply(lam_d, mu_d, e_ut)
-        stress_u = iso_apply(lam_c, mu_c, sym_grad(u))
-        grad_theta = sp.Matrix([sp.diff(theta, x), sp.diff(theta, y)])
-
-        f_expr = utt - div_mat(stress_v) - div_mat(stress_u) + bmat * grad_theta
-        lap_theta = sp.diff(theta, x, 2) + sp.diff(theta, y, 2)
-        heating = inner(stress_v, e_ut)
-        cooling = theta * inner(bmat, e_ut)
-        g_expr = kappa0 * sp.diff(theta, t) - d_diff * lap_theta - heating + cooling
-
-        # g is affine in the ramp slope s: pick the smallest s with g >= margin
-        g0 = g_expr.subs(s_off, 0)
-        gs = sp.diff(g_expr, s_off)
-        g0_fn = sp.lambdify((x, y, t), g0, "numpy")
-        gs_fn = sp.lambdify((x, y, t), gs, "numpy")
-        xs = np.linspace(0, lx, 41)
-        ys = np.linspace(0, ly, 41)
-        ts = np.linspace(0, t_final, 41)
-        xg, yg, tg = np.meshgrid(xs, ys, ts, indexing="ij")
-        g0_s = np.broadcast_to(g0_fn(xg, yg, tg), xg.shape)
-        gs_s = np.broadcast_to(gs_fn(xg, yg, tg), xg.shape)
-        if gs_s.min() <= 0:
+        xg, yg, tg = np.meshgrid(np.linspace(0, lx, 41), np.linspace(0, ly, 41),
+                                 np.linspace(0, t_final, 41), indexing="ij")
+        g0, gs = self._heat_parts(xg, yg, tg)
+        if gs.min() <= 0:
             raise ConfigError("cannot offset the heat forcing to nonnegative; "
                               "reduce the coupling matrix")
-        slope = float(max(0.0, np.max((margin - g0_s) / gs_s)))
-        subs = {s_off: slope}
+        self.slope = float(max(0.0, np.max((margin - g0) / gs)))
 
-        # the fields and forcings, evaluated at every step, share their common
-        # subexpressions (cse); the sampling of g above does not, because on
-        # its 41^3 points the shared intermediates would add ~14 MB of memory
-        def lamb(expr):
-            return sp.lambdify((x, y, t), expr.subs(subs), "numpy", cse=True)
+    def _time_factors(self, t):
+        """c, c' and c'' of u = c(t) S, each a pair of components."""
+        e = np.exp(-2.0 * t)
+        r, dr, ddr = 1.0 - e, 2.0 * e, -4.0 * e
+        p = (np.cos(t), np.sin(t))
+        dp = (-p[1], p[0])  # and p'' = -p
+        a = self._amp_u
+        c = [a * r * p[i] for i in range(2)]
+        dc = [a * (dr * p[i] + r * dp[i]) for i in range(2)]
+        ddc = [a * (ddr * p[i] + 2.0 * dr * dp[i] - r * p[i]) for i in range(2)]
+        return c, dc, ddc
 
-        self.slope = slope
-        self.t_final = t_final
-        self._u = [lamb(u[0]), lamb(u[1])]
-        self._v = [lamb(ut[0]), lamb(ut[1])]
-        self._theta = lamb(theta)
-        self._f = [lamb(f_expr[0]), lamb(f_expr[1])]
-        self._g = lamb(g_expr)
+    def _shape(self, x, y):
+        """S and its first derivatives (S_x, S_y), and the rows of its Hessian."""
+        kx, ky = self._kx, self._ky
+        sx, cx = np.sin(kx * x), np.cos(kx * x)
+        sy, cy = np.sin(ky * y), np.cos(ky * y)
+        s = sx * sy
+        s_xy = kx * ky * cx * cy
+        return s, (kx * cx * sy, ky * sx * cy), ((-kx * kx * s, s_xy),
+                                                  (s_xy, -ky * ky * s))
 
-    def _vec(self, fns, t, grid, clamp=False):
-        out = np.stack([np.broadcast_to(np.asarray(fn(grid.X, grid.Y, t), dtype=float),
-                                        grid.X.shape).copy() for fn in fns], axis=-1)
-        if clamp:
-            out[grid.boundary_mask] = 0.0
+    def _heat_parts(self, x, y, t):
+        """g at ramp slope 0 and dg/ds, so g = g0 + s * gs."""
+        _, (s_x, s_y), _ = self._shape(x, y)
+        _, dc, _ = self._time_factors(t)
+        e_xx, e_yy = dc[0] * s_x, dc[1] * s_y
+        e_xy = 0.5 * (dc[0] * s_y + dc[1] * s_x)
+        tr = e_xx + e_yy
+        heating = (2.0 * self._mu_d * (e_xx ** 2 + e_yy ** 2 + 2.0 * e_xy ** 2)
+                   + self._lam_d * tr ** 2)
+        b = self._b
+        b_e = b[0, 0] * e_xx + (b[0, 1] + b[1, 0]) * e_xy + b[1, 1] * e_yy
+        wave = self._amp_theta * np.cos(self._kx * x)
+        g0 = (-self._kappa0 * wave * np.sin(t)
+              + self._d_diff * self._kx ** 2 * wave * np.cos(t)
+              - heating + (1.0 + wave * np.cos(t)) * b_e)
+        return g0, self._kappa0 + t * b_e
+
+    def _clamped(self, factor, grid):
+        s, _, _ = self._shape(grid.X, grid.Y)
+        out = np.stack([factor[0] * s, factor[1] * s], axis=-1)
+        out[grid.boundary_mask] = 0.0
         return out
 
     def exact_u(self, t, grid):
-        return self._vec(self._u, t, grid, clamp=True)
+        return self._clamped(self._time_factors(t)[0], grid)
 
     def exact_v(self, t, grid):
-        return self._vec(self._v, t, grid, clamp=True)
+        return self._clamped(self._time_factors(t)[1], grid)
 
     def exact_theta(self, t, grid):
-        return np.broadcast_to(np.asarray(self._theta(grid.X, grid.Y, t),
-                                          dtype=float), grid.X.shape).copy()
+        return (1.0 + self._amp_theta * np.cos(self._kx * grid.X) * math.cos(t)
+                + self.slope * t)
 
     def forcing_f(self, t, grid):
-        return self._vec(self._f, t, grid)
+        s, _, hess = self._shape(grid.X, grid.Y)
+        c, dc, ddc = self._time_factors(t)
+        lap = hess[0][0] + hess[1][1]
+        # B grad theta, with theta_y = 0
+        out = -self._b[:, 0] * (self._amp_theta * self._kx * math.cos(t)
+                                * np.sin(self._kx * grid.X))[..., None]
+        for i, row in enumerate(hess):
+            out[..., i] += (ddc[i] * s
+                            - (self._mu_d * dc[i] + self._mu_c * c[i]) * lap
+                            - (self._lam_d + self._mu_d) * (dc[0] * row[0] + dc[1] * row[1])
+                            - (self._lam_c + self._mu_c) * (c[0] * row[0] + c[1] * row[1]))
+        return out
 
     def forcing_g(self, t, grid):
-        out = np.broadcast_to(np.asarray(self._g(grid.X, grid.Y, t), dtype=float),
-                              grid.X.shape).copy()
+        g0, gs = self._heat_parts(grid.X, grid.Y, t)
+        out = g0 + self.slope * gs
         if out.min() < -1e-10:
             raise ConfigError(f"manufactured heat source negative: {out.min():g}")
         return np.maximum(out, 0.0)
 
     def initial_state(self, grid):
-        from .integrator import FieldState
         return FieldState(self.exact_u(0.0, grid), self.exact_v(0.0, grid),
                           self.exact_theta(0.0, grid), 0.0)
 

@@ -45,7 +45,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from . import __version__
+from . import __version__, mms
 from .diagnostics import (Diagnostics, WindowSample, log_entropy_inequality,
                           theta_infinity, window_metrics)
 from .errors import AdmissibilityError, ConfigError
@@ -87,8 +87,8 @@ def _broken_laws(rep, corner, energy_tol):
     tol = _INEQ_TOL_REL
     broken = {
         "energy": rep.energy_residual > energy_tol,
-        "entropy_monotone": rep.S_new - rep.S_old < -tol * (1.0 + abs(rep.S_old)),
-        "entropy_balance": rep.entropy_residual < -tol * (1.0 + abs(rep.S_new)),
+        "entropy_monotone": rep.S - rep.S_old < -tol * (1.0 + abs(rep.S_old)),
+        "entropy_balance": rep.entropy_residual < -tol * (1.0 + abs(rep.S)),
         "log_entropy": corner is not None and not corner["holds"],
     }
     return [law for law, failed in broken.items() if failed]
@@ -429,20 +429,19 @@ def convergence_study(config, levels=3, base_nx=8, dt_over_h2=8.0,
     """
     if levels < 3:
         raise ConfigError("convergence study needs at least 3 levels")
-    from .mms import ManufacturedProblem  # sympy, for this study alone
 
     scenario = build_scenario(config)
     if scenario.model_raw.describe().get("variant") != "constant":
         raise ConfigError("convergence study needs a constant heat capacity")
-    mms = ManufacturedProblem(scenario.tensors, scenario.model_raw.k0,
-                              scenario.d_diff, lx=scenario.grid.Lx,
-                              ly=scenario.grid.Ly, t_final=t_final,
-                              amp_u=0.08, amp_theta=0.25)
+    problem = mms.ManufacturedProblem(scenario.tensors, scenario.model_raw.k0,
+                                      scenario.d_diff, lx=scenario.grid.Lx,
+                                      ly=scenario.grid.Ly, t_final=t_final,
+                                      amp_u=0.08, amp_theta=0.25)
 
     spatial_rows = []
     for lev in range(levels):
         nx = base_nx * 2 ** lev
-        spatial_rows.append(_mms_run(scenario, mms, nx, None, dt_over_h2))
+        spatial_rows.append(_mms_run(scenario, problem, nx, None, dt_over_h2))
     for prev, cur in zip(spatial_rows[:-1], spatial_rows[1:]):
         cur["order_u"] = math.log2(prev["err_u"] / cur["err_u"]) \
             if cur["err_u"] > 0 and prev["err_u"] > 0 else math.inf
@@ -451,10 +450,10 @@ def convergence_study(config, levels=3, base_nx=8, dt_over_h2=8.0,
     monotone = all(a["err_u"] >= b["err_u"] and a["err_theta"] >= b["err_theta"]
                    for a, b in zip(spatial_rows[:-1], spatial_rows[1:]))
 
-    ref = _mms_run(scenario, mms, temporal_nx, temporal_dt_ref, keep_state=True)
+    ref = _mms_run(scenario, problem, temporal_nx, temporal_dt_ref, keep_state=True)
     temporal_rows = []
     for dt in temporal_dts:
-        sub = _mms_run(scenario, mms, temporal_nx, dt, keep_state=True)
+        sub = _mms_run(scenario, problem, temporal_nx, dt, keep_state=True)
         du = sub["state"].u - ref["state"].u
         dth = sub["state"].theta - ref["state"].theta
         gsub = sub["grid"]
@@ -476,7 +475,7 @@ def convergence_study(config, levels=3, base_nx=8, dt_over_h2=8.0,
     }
 
 
-def _mms_run(scenario, mms, nx, dt, dt_over_h2=None, keep_state=False):
+def _mms_run(scenario, problem, nx, dt, dt_over_h2=None, keep_state=False):
     from .grid import Grid
     from .integrator import SolverConfig
 
@@ -486,11 +485,11 @@ def _mms_run(scenario, mms, nx, dt, dt_over_h2=None, keep_state=False):
     cfg = SolverConfig(dt0=dt, dt_min=min(dt, 1e-7), dt_max=dt, eps_reg=0.0)
     integ = Integrator(g, scenario.tensors, scenario.model,
                        cfg).set_diffusivity(scenario.d_diff)
-    forcing = CallableForcing(mms.forcing_f, mms.forcing_g, "manufactured")
-    state = mms.initial_state(g)
-    while state.t < mms.t_final - 1e-12:
-        state, _ = integ.step(state, forcing, dt_request=mms.t_final - state.t)
-    err_u, err_theta = mms.errors(state, g)
+    forcing = CallableForcing(problem.forcing_f, problem.forcing_g, "manufactured")
+    state = problem.initial_state(g)
+    while state.t < problem.t_final - 1e-12:
+        state, _ = integ.step(state, forcing, dt_request=problem.t_final - state.t)
+    err_u, err_theta = problem.errors(state, g)
     row = {"nx": nx, "h": g.hx, "dt": dt, "err_u": err_u, "err_theta": err_theta}
     if keep_state:
         row["state"] = state

@@ -147,7 +147,7 @@ def build_scenario(config):
         model_raw = materials.model_from_config(
             _section(mat["kappa"], "material.kappa"))
         d_diff = _number(mat["D"], "material.D")
-        m_shift = _number(mat.get("M") or materials.M_DEFAULT, "material.M")
+        m_shift = _number(mat.get("M") or materials.M_MIN, "material.M")
         eps_kappa = _number(mat.get("eps_kappa", 0.0), "material.eps_kappa")
         t_final = _number(cfg["t_final"], "t_final")
     except KeyError as exc:

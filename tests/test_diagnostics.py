@@ -12,7 +12,7 @@ from tvsim.errors import ConfigError
 from tvsim.grid import Grid
 from tvsim.integrator import (CallableForcing, FieldState, Forcing,
                               Integrator, SolverConfig)
-from tvsim.materials import ConstantCapacity, M_DEFAULT
+from tvsim.materials import ConstantCapacity, M_MIN
 
 E = math.e
 
@@ -238,7 +238,7 @@ class TestLogEntropyInequality:
         out = log_entropy_inequality(rec0, rec0, 0.01, tens, 1.0, g.area)
         assert out["c1"] == pytest.approx(4.0 * tens.b_norm ** 2 / 1.0)
         assert out["c2"] == pytest.approx(
-            2.0 * M_DEFAULT ** 2 * tens.b_norm ** 2 * g.area / (E ** 2 * tens.kD))
+            2.0 * M_MIN ** 2 * tens.b_norm ** 2 * g.area / (E ** 2 * tens.kD))
 
     def test_holds_along_default_run(self):
         g, tens, model, diag, itg = make_setup()

@@ -407,8 +407,8 @@ class TestFullStep:
         for _ in range(200):
             st, rep = itg.step(st, Forcing())
             assert rep.energy_residual <= 1e-9 * f0
-            assert rep.S_new >= rep.S_old - 1e-8 * (1 + abs(rep.S_old))
-            assert rep.entropy_residual >= -1e-8 * (1 + abs(rep.S_new))
+            assert rep.S >= rep.S_old - 1e-8 * (1 + abs(rep.S_old))
+            assert rep.entropy_residual >= -1e-8 * (1 + abs(rep.S))
             assert rep.min_theta > 0
             assert abs(rep.exchange_sum) <= 1e-12
         assert itg.total_energy(st) < f0
@@ -578,7 +578,7 @@ class TestFullStep:
         for _ in range(30):
             st, rep = itg.step(st, Forcing())
             assert rep.energy_residual <= 1e-9 * f0
-            assert rep.entropy_residual >= -1e-10 * (1 + abs(rep.S_new))
+            assert rep.entropy_residual >= -1e-10 * (1 + abs(rep.S))
             assert abs(rep.exchange_sum) <= 1e-12
             assert rep.min_theta > 0
 

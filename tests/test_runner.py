@@ -166,7 +166,8 @@ class TestRun:
         assert rows.count(b"\n") == 10 and whole.endswith(rows)
 
     def test_sympy_stays_off_the_run_path(self, tmp_path):
-        # only the convergence study needs sympy; tvsim.mms loads on access
+        # the manufactured solution is written in closed form: neither a run
+        # nor a convergence study loads sympy
         code = ("import copy, sys\n"
                 "import tvsim\n"
                 "from tvsim import cli, runner\n"
@@ -175,9 +176,12 @@ class TestRun:
                 "cfg['t_final'] = 0.1\n"
                 "cfg['output']['window_starts'] = []\n"
                 f"runner.run(cfg, {str(tmp_path / 'out')!r})\n"
-                "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
+                "runner.convergence_study(tvsim.builtin_scenarios()"
+                "['default-relaxation'], base_nx=4, temporal_nx=8, "
+                "temporal_dts=(0.1, 0.05, 0.025), temporal_dt_ref=0.0125, "
+                "t_final=0.5)\n"
                 "assert tvsim.mms.ManufacturedProblem\n"
-                "assert 'sympy' in sys.modules\n")
+                "assert 'sympy' not in sys.modules, 'sympy was imported'\n")
         src = str(Path(tvsim.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
@@ -417,7 +421,7 @@ class TestRun:
         header = lines[0].split(",")
         rows = [dict(zip(header, map(float, line.split(",")))) for line in lines[1:]]
         assert len(rows) == len(reports) + 1 > 10
-        pairs = [("F", "F_new"), ("S", "S_new"), ("P_src", "prod_source"),
+        pairs = [("F", "F"), ("S", "S"), ("P_src", "prod_source"),
                  ("visc_lb", "prod_viscous_lb"),
                  ("prod_diff_edge", "prod_diffusion")]
         for row, rep in zip(rows[1:], reports):
@@ -541,37 +545,74 @@ class TestManufactured:
         assert built[0]["t_final"] == 0.5
         assert len(table["spatial"]) == 3 and len(table["temporal"]) == 3
 
-    def test_shared_subexpressions_change_nothing(self, monkeypatch):
-        # the forcings are compiled with common subexpressions shared (cse);
-        # a problem compiled without must give the same values and table
+    @pytest.mark.parametrize("case", ["unit", "lame-coupled"])
+    def test_closed_form_matches_symbolic_oracle(self, case):
+        # oracle: the fields and forcings derived by computer algebra from the
+        # definitions of the system, with the full tensors, and the ramp slope
+        # picked on the same 41^3 sample of the study window
+        sp = pytest.importorskip("sympy")
         from tvsim.grid import Grid
-        cfg = builtin_scenarios()["default-relaxation"]
-        study = dict(base_nx=4, temporal_nx=8, temporal_dts=(0.1, 0.05, 0.025),
-                     temporal_dt_ref=0.0125, t_final=0.5)
-        shared = ManufacturedProblem(self.unit_tensors(), 1.0, 1.0)
-        table = runner.convergence_study(cfg, **study)
-        lambdify = tvsim.mms.sp.lambdify
+        if case == "unit":
+            tens, kappa0, d_diff, lx, ly = self.unit_tensors(), 1.0, 1.0, 1.0, 1.0
+        else:
+            tens = ElasticityTensors(D4=isotropic_tensor(0.3, 0.7),
+                                     C4=isotropic_tensor(1.2, 0.4),
+                                     B=np.array([[0.1, 0.05], [0.05, 0.2]]))
+            kappa0, d_diff, lx, ly = 1.5, 0.8, 1.3, 0.8
+        problem = ManufacturedProblem(tens, kappa0, d_diff, lx=lx, ly=ly)
 
-        def no_cse(*args, **kwargs):
-            kwargs["cse"] = False
-            return lambdify(*args, **kwargs)
-        monkeypatch.setattr(tvsim.mms.sp, "lambdify", no_cse)
-        plain = ManufacturedProblem(self.unit_tensors(), 1.0, 1.0)
-        g = Grid(24, 24)
-        for t in (0.0, 0.37, 1.0):
-            for name in ("forcing_f", "forcing_g"):
-                want = getattr(plain, name)(t, g)
-                got = getattr(shared, name)(t, g)
-                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-        plain_table = runner.convergence_study(cfg, **study)
-        assert table.keys() == plain_table.keys()
-        for key, want in plain_table.items():
-            if key in ("spatial", "temporal"):
-                assert len(table[key]) == len(want)
-                for got_row, want_row in zip(table[key], want):
-                    assert got_row == pytest.approx(want_row, rel=1e-9, abs=0)
-            else:
-                assert table[key] == pytest.approx(want, rel=1e-9, abs=0)
+        x, y, t, s = sp.symbols("x y t s", real=True)
+        shape = sp.sin(sp.pi * x / lx) * sp.sin(sp.pi * y / ly)
+        u = 0.25 * (1 - sp.exp(-2 * t)) * sp.Matrix([sp.cos(t) * shape,
+                                                     sp.sin(t) * shape])
+        theta = 1 + 0.25 * sp.cos(sp.pi * x / lx) * sp.cos(t) + s * t
+        v = u.diff(t)
+        bmat = sp.Matrix(tens.B.tolist())
+
+        def sym_grad(w):
+            j = w.jacobian([x, y])
+            return (j + j.T) / 2
+
+        def apply(t4, e):
+            return sp.Matrix(2, 2, lambda i, j: sum(
+                float(t4[i, j, k, m]) * e[k, m] for k in range(2) for m in range(2)))
+
+        def div(m):
+            return sp.Matrix([m[i, 0].diff(x) + m[i, 1].diff(y) for i in range(2)])
+
+        e_v = sym_grad(v)
+        stress_v = apply(tens.D4, e_v)
+        f = (v.diff(t) - div(stress_v) - div(apply(tens.C4, sym_grad(u)))
+             + bmat * sp.Matrix([theta.diff(x), theta.diff(y)]))
+        g = (kappa0 * theta.diff(t) - d_diff * (theta.diff(x, 2) + theta.diff(y, 2))
+             - sum(stress_v[i, j] * e_v[i, j] for i in range(2) for j in range(2))
+             + theta * sum(bmat[i, j] * e_v[i, j] for i in range(2) for j in range(2)))
+
+        def numeric(expr, *at):
+            val = sp.lambdify((x, y, t), expr, "numpy")(*at)
+            return np.broadcast_to(np.asarray(val, dtype=float), at[0].shape)
+
+        sample = np.meshgrid(np.linspace(0, lx, 41), np.linspace(0, ly, 41),
+                             np.linspace(0, 1.0, 41), indexing="ij")
+        g0, gs = numeric(g.subs(s, 0), *sample), numeric(g.diff(s), *sample)
+        slope = max(0.0, float(np.max((0.01 - g0) / gs)))
+        assert problem.slope == pytest.approx(slope, rel=1e-12, abs=0)
+
+        grid = Grid(24, 24, lx, ly)
+        fields = {"exact_u": u, "exact_v": v, "exact_theta": theta,
+                  "forcing_f": f, "forcing_g": g}
+        for when in (0.0, 0.37, 1.0):
+            for name, expr in fields.items():
+                at = (grid.X, grid.Y, np.full(grid.X.shape, when))
+                if isinstance(expr, sp.MatrixBase):
+                    want = np.stack([numeric(expr[i].subs(s, slope), *at)
+                                     for i in range(2)], axis=-1)
+                else:
+                    want = numeric(expr.subs(s, slope), *at)
+                got = getattr(problem, name)(when, grid)
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), \
+                    (name, when)
 
     def test_anisotropic_tensor_rejected(self):
         bad = isotropic_tensor(1.0, 1.0).copy()
@@ -619,6 +660,21 @@ class TestCli:
         rc = cli.main(["run", "inadmissible-zero-cell",
                        "--out", str(tmp_path / "x")])
         assert rc == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["material-table", "--xi-min", "0"],
+        ["material-table", "--points", "-3"],
+        ["material-table", "--xi-min", "10", "--xi-max", "1"],
+        ["material-table", "--xi-max", "inf"],
+        ["material-table", "--out", "{tmp}/missing/x.csv"],
+        ["run", "trivial-zero", "--out", "{tmp}/file/out"],
+    ], ids=["xi-min-zero", "points-negative", "xi-reversed", "xi-max-inf",
+            "table-out-missing-dir", "run-out-under-file"])
+    def test_bad_command_line_input_exits_3(self, tmp_path, capsys, argv):
+        (tmp_path / "file").write_text("")
+        rc = cli.main([arg.format(tmp=tmp_path) for arg in argv])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("content, named", [
         (None, "cfg.json"),  # no such file
