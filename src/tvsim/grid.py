@@ -142,18 +142,20 @@ def _restrict(a, rows, cols=None):
     return (a if cols is None else a[:, cols]).tocsr()
 
 
-def separable_inverse(qx, qy, symbol):
-    """Apply (Qy (x) Qx) diag(1/symbol) (Qy (x) Qx)^T to stacked vectors.
+def separable_inverse(qx, qy, inv):
+    """Apply (Qy (x) Qx) diag(inv) (Qy (x) Qx)^T to stacked vectors.
 
     Qx and Qy are 1-D bases given by their diagonal blocks, qx (bx, hx, hx)
     and qy (by, hy, hy); a plain (h, h) basis is one block.  For
-    P-orthonormal modes this is the exact inverse of (Py (x) Px) + Kronecker
-    terms diagonalized by those modes.  r and symbol are laid out
-    (by, bx, hy, k, hx): row block, column block, row, one of k operators
-    sharing the modes, column.  Each stage is one batched product over the
-    block pairs, with the k operators side by side; reused work buffers keep
-    the intermediates out of the allocator, whose fresh pages cost as much
-    as a product at 128^2.
+    P-orthonormal modes and inv = 1/symbol this is the exact inverse of
+    (Py (x) Px) + Kronecker terms diagonalized by those modes.  r and inv
+    are laid out (by, bx, hy, k, hx): row block, column block, row, one of k
+    operators sharing the modes, column.  inv is a C-contiguous array that
+    every apply reads, so a caller may refill it in place to change the
+    symbol and keep the bases and buffers.  Each stage is one batched
+    product over the block pairs, with the k operators side by side; reused
+    work buffers keep the intermediates out of the allocator, whose fresh
+    pages cost as much as a product at 128^2.
 
     The velocity preconditioner passes the SBP modes as their two parity
     blocks (k = 2 components), which halves the work of one dense basis.
@@ -164,7 +166,7 @@ def separable_inverse(qx, qy, symbol):
     qx, qy = qx.reshape(-1, *qx.shape[-2:]), qy.reshape(-1, *qy.shape[-2:])
     (by, hy, _), (bx, _, hx) = qy.shape, qx.shape
     pairs = by * bx
-    inv = (1.0 / symbol).reshape(pairs, -1, hx)
+    inv = inv.reshape(pairs, -1, hx)  # a view of the caller's array
     rows, cols = (pairs, hy, inv.size // (pairs * hy)), inv.shape
     # one batch entry per block pair (py, px), with the bases spelt out:
     # matmul is slower on broadcast batch dimensions

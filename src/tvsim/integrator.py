@@ -81,6 +81,16 @@ factorized:
 Only the eps_reg > 0 velocity system, whose high-order term is not diagonal
 in those modes, keeps a sparse LU factorization as its preconditioner.
 
+Work is done where it changes.  Once per attempt, _picard gathers u, v and
+f onto the interior unknowns and forms -A_C u and W f (_velocity_sources),
+and evaluates K(theta) unless the remembered step holds it.  Each Picard
+iteration pays only for what depends on the iterate x: the chord kappa_bar,
+T_B x in the velocity right-hand side, the heat system's strain Gi v+ (no
+scatter to the full grid), diagonal and right-hand side, the heat
+preconditioner's symbol, and the two CG solves.  The velocity matrix and its
+preconditioner are cached per dt; the heat preconditioner's bases and
+buffers are built by the first heat solve and kept.
+
 The solver tolerances and caps, the dt growth and the positivity safety
 factor are module constants: the identities hold only to about _CG_TOL and
 _PICARD_TOL, so a setting that loosened them could only break the structure.
@@ -367,6 +377,7 @@ class Integrator:
         self._heat_base = None
         self._heat_work = None  # refilled from _heat_base by each heat solve
         self._heat_diag_pos = None
+        self._heat_pre = None  # built by the first heat solve (_heat_preconditioner)
         self._reg_block = self._build_regularization() if config.eps_reg > 0 else None
         self.dt_prev = config.dt0
         self.last_step = None
@@ -382,6 +393,7 @@ class Integrator:
         self._heat_base = base
         self._heat_work = base.copy()
         self._heat_diag_pos = self._diag_positions(base)
+        self._heat_pre = None
         return self
 
     def resume(self, state, theta_start, v_start, dt_prev, rho):
@@ -452,14 +464,24 @@ class Integrator:
         shear = 0.25 * c[2, 2]
         # the symbol in the unknowns' (py, px, iy, component, ix) layout
         lam_x, lam_y = lam_x[:, None, None, :], lam_y[:, None, :, None, None]
-        return separable_inverse(qx, qy, np.concatenate(
+        return separable_inverse(qx, qy, 1.0 / np.concatenate(
             [1.0 + c[0, 0] * lam_x + shear * lam_y,
              1.0 + shear * lam_x + c[1, 1] * lam_y], axis=3))
 
     def _heat_preconditioner(self, c_bar):
-        """Exact inverse of W (c_bar - D lap_N) in the cosine modes."""
-        (qx, mu_x), (qy, mu_y) = self.grid.neumann_modes()
-        return separable_inverse(qx, qy, c_bar + self.D_diff * (mu_x + mu_y[:, None]))
+        """Exact inverse of W (c_bar - D lap_N) in the cosine modes.
+
+        The bases, the buffers and D (mu_x + mu_y) are built at the first
+        heat solve and kept; each call only refills the reciprocal symbol.
+        """
+        if self._heat_pre is None:
+            (qx, mu_x), (qy, mu_y) = self.grid.neumann_modes()
+            lap = self.D_diff * (mu_x + mu_y[:, None])
+            inv = np.empty_like(lap)
+            self._heat_pre = lap, inv, separable_inverse(qx, qy, inv)
+        lap, inv, apply = self._heat_pre
+        np.divide(1.0, c_bar + lap, out=inv)
+        return apply
 
     # -- nodal contractions ------------------------------------------------
     def coupling_field(self, strain):
@@ -472,24 +494,28 @@ class Integrator:
         return np.einsum("ab,...a,...b->...", self.comp_D, strain, strain)
 
     # -- step operations ----------------------------------------------------
+    def _velocity_sources(self, state, f_field):
+        """(v, -A_C u, W f) on the interior unknowns: the parts of the
+        velocity right-hand side that do not depend on the thermal force."""
+        g = self.grid
+        return (g.interior_vec(state.v), -(self.A_C @ g.interior_vec(state.u)),
+                self.w2_int * g.interior_vec(f_field))
+
     def velocity_step(self, state, f_field, dt, theta_force=None, x0=None,
-                      tol=_CG_TOL):
+                      tol=_CG_TOL, sources=None):
         """Implicit velocity update; theta_force defaults to state.theta.
 
         f_field is the momentum source f(t + dt), shape (ny, nx, 2), and tol
         the relative residual CG stops at.  The system matrix contains the
         viscous form, the optional high-order regularization and the dt^2
         elastic term that evaluates the elastic force at the end-of-step
-        displacement.
+        displacement.  sources, when given, is _velocity_sources(state,
+        f_field), which a Picard loop forms once for all its solves.
         """
-        g = self.grid
         theta = state.theta if theta_force is None else theta_force
-        u_int = g.interior_vec(state.u)
-        v_int = g.interior_vec(state.v)
-        f_int = g.interior_vec(f_field)
-        rhs = (self.w2_int * v_int
-               + dt * (-(self.A_C @ u_int) + self.T_B @ theta.ravel()
-                       + self.w2_int * f_int))
+        v_int, elastic, w_f = (self._velocity_sources(state, f_field)
+                               if sources is None else sources)
+        rhs = self.w2_int * v_int + dt * ((elastic + self.T_B @ theta.ravel()) + w_f)
         m, pre_apply = self._velocity_matrix(dt)
         x, iters = solve_spd(m, rhs, tol=tol,
                              maxiter=_CG_MAXITER_FACTOR * rhs.size,
@@ -508,15 +534,19 @@ class Integrator:
 
         Solves [kappa_bar/dt + b - D lap_N] theta+ = kappa_bar theta/dt + q + g
         to relative residual tol, with g_field the heat source g(t + dt),
-        shape (ny, nx).
+        shape (ny, nx).  v_new is the new velocity field, shape (ny, nx, 2),
+        or its interior unknowns as velocity_step returns them, whose strain
+        is Gi v_int: the same values as that of the zero-extended field.
         The system is an M-matrix whenever the diagonal guard
         kappa_bar/dt + b > 0 holds at every node; a violation raises StepError
         (the step is rejected, never clamped).
         """
         g = self.grid
-        strain = g.sym_grad(v_new)
-        b = self.coupling_field(strain).ravel()
-        q = self.heating_field(strain).ravel()
+        # (n_nodes, 3) either way; Gi v_int is component-major
+        strain = ((g._g_interior() @ v_new).reshape(3, -1).T if v_new.ndim == 1
+                  else g.sym_grad(v_new).reshape(-1, 3))
+        b = self.coupling_field(strain)
+        q = self.heating_field(strain)
         theta_old = state.theta.ravel()
         if kappa_bar is None:
             kappa_bar = self.model.kappa(state.theta).ravel()
@@ -676,6 +706,7 @@ class Integrator:
         """
         model = self.model
         theta_old = state.theta.ravel()
+        sources = self._velocity_sources(state, f_field)
         # K(theta_old) is fixed over the attempt; every chord shares it
         k_old = model.K(theta_old) if last is None else last.K
         # the iterate x is both the thermal force and the chord point of kappa_bar
@@ -697,11 +728,10 @@ class Integrator:
             spent[0] += 1
             v_int, _ = self._counted(spent, 1, self.velocity_step, state,
                                      f_field, dt, theta_force=x, x0=v_guess,
-                                     tol=tol)
+                                     tol=tol, sources=sources)
             v_guess = v_int
             theta_new, _, b, _ = self._counted(
-                spent, 2, self.temperature_step, state,
-                self.grid.vec_from_interior(v_int), g_field, dt,
+                spent, 2, self.temperature_step, state, v_int, g_field, dt,
                 theta_guess=theta_guess, kappa_bar=kappa_bar, tol=tol)
             theta_guess = theta_new
             resid = theta_new.ravel() - x

@@ -12,6 +12,12 @@ its primitives:
 Evaluation uses closed forms where a variant has them, otherwise cached
 composite Gauss-Legendre ladders in log-transformed coordinates, accurate to
 roughly 1e-13 relative and safe near the origin where kappa/s may blow up.
+K and ell are closed-form for the constant, power-growth (ell for omega in
+{0, 1} only) and Debye-like laws, and for their floored forms, which join the
+base law's primitive and the floor's piecewise at the crossings.  ell_hat is
+closed-form for the constant law only: the other laws, Debye-like ones
+included, keep the ladder, which also serves the tests as the oracle of the
+closed forms.
 """
 
 from __future__ import annotations
@@ -275,6 +281,9 @@ class HeatCapacity:
         """Finite limit of ell at 0 (only when the integral converges there)."""
         if self.divergent_at_zero:
             return -math.inf
+        closed = self._ell_closed(np.zeros(1))
+        if closed is not None:
+            return float(closed[0])
         return self._cache("ell0", self._ell_quad().lower_limit)
 
     def ell_hat(self, xi, m_shift=M_MIN):
@@ -312,9 +321,10 @@ class HeatCapacity:
     def kappa_chord(self, a, b, k_a=None):
         """Mean value of kappa over [a, b]: (K(b) - K(a)) / (b - a), elementwise.
 
-        Falls back to the midpoint value on vanishing intervals, so the result
-        is exactly consistent with differences of K wherever they are resolvable.
-        k_a, when given, is K(|a|), so a caller that keeps a fixed across many
+        Falls back to the midpoint value on vanishing intervals, evaluated at
+        those nodes only, so the result is exactly consistent with differences
+        of K wherever they are resolvable.  a and b share one shape.  k_a,
+        when given, is K(|a|), so a caller that keeps a fixed across many
         chords evaluates it once.
         """
         a = np.asarray(a, dtype=float)
@@ -323,10 +333,10 @@ class HeatCapacity:
             k_a = self.K(np.abs(a))
         delta = b - a
         tiny = np.abs(delta) <= 1e-7 * (1.0 + np.abs(a) + np.abs(b))
-        safe = np.where(tiny, 1.0, delta)
-        chord = (self.K(np.abs(b)) - k_a) / safe
-        mid = self.kappa_values(np.maximum(0.5 * (a + b), 0.0))
-        return np.where(tiny, mid, chord)
+        chord = np.asarray((self.K(np.abs(b)) - k_a) / np.where(tiny, 1.0, delta))
+        if tiny.any():
+            chord[tiny] = self.kappa_values(np.maximum(0.5 * (a[tiny] + b[tiny]), 0.0))
+        return chord
 
     def ell_inverse(self, z):
         """Inverse of the strictly increasing entropy primitive."""
@@ -446,6 +456,31 @@ class DebyeLikeCapacity(HeatCapacity):
         x3 = x ** 3
         return self.k0 * x3 / (x3 + self.xi_d ** 3)
 
+    def _K_closed(self, xi):
+        # K = k0 a R(x/a), a = xi_d, R(y) = int_0^y t^3/(1+t^3) dt = y - J(y)
+        # with J(y) = int_0^y dt/(1+t^3) in elementary functions
+        y = np.ravel(xi) / self.xi_d
+        root3 = math.sqrt(3.0)
+        # ln((y+1)^2 / (y^2-y+1)) = ln(1 + 3y / (y^2-y+1))
+        r = y - (np.log1p(3.0 * y / (y * y - y + 1.0)) / 6.0
+                 + (np.arctan((2.0 * y - 1.0) / root3) + math.pi / 6.0) / root3)
+        small = y < 0.25
+        if small.any():
+            # there y - J cancels: the series sum_n (-1)^n y^(3n+4)/(3n+4),
+            # 9 terms by Horner in z = y^3 (the first one dropped is below
+            # 1e-17 of the sum)
+            ys = y[small]
+            z = ys ** 3
+            series = 1.0 / 28.0
+            for n in range(7, -1, -1):
+                series = (-1.0) ** n / (3 * n + 4) + z * series
+            r[small] = z * ys * series
+        return (self.k0 * self.xi_d * r).reshape(np.shape(xi))
+
+    def _ell_closed(self, xi):
+        a3 = self.xi_d ** 3
+        return (self.k0 / 3.0) * np.log((xi ** 3 + a3) / (1.0 + a3))
+
     def describe(self):
         return {"variant": "debye", "k0": self.k0, "xi_d": self.xi_d}
 
@@ -545,6 +580,50 @@ class FlooredCapacity(HeatCapacity):
 
     def kappa_values(self, xi):
         return np.maximum(self.base.kappa_values(xi), self.eps)
+
+    def _K_closed(self, xi):
+        return self._joined(xi, "K", self.base._K_closed, lambda x: self.eps * x)
+
+    def _ell_closed(self, xi):
+        return self._joined(xi, "ell", self.base._ell_closed,
+                            lambda x: self.eps * np.log(x))
+
+    def _joined(self, xi, name, base_prim, floor_prim):
+        """The primitive `name` (K, anchored at 0, or ell, at 1) from the
+        base law's closed form base_prim, or None when it has none.
+
+        The kinks cut [0, inf) into pieces on which kappa is either the base
+        law or the floor: the laws with closed forms are monotone, so each
+        crosses the floor once at most, and _crossings finds that point.  On
+        piece i the primitive is off[i] plus base_prim, or plus floor_prim
+        (eps x or eps ln x); both vanish at the anchor, and the offsets chain
+        the pieces continuously outward from the one holding it.
+        """
+        def build():
+            if base_prim(np.ones(1)) is None:
+                return None
+            cuts = np.array(self.kinks)
+            ends = np.concatenate([[0.0], cuts, [2.0 * cuts[-1] + 1.0 if cuts.size else 2.0]])
+            above = self.base.kappa_values(0.5 * (ends[:-1] + ends[1:])) >= self.eps
+
+            def prim(i, s):
+                return float(base_prim(np.array([s]))[0] if above[i] else floor_prim(s))
+            j = int(np.searchsorted(cuts, 0.0 if name == "K" else 1.0, side="right"))
+            off = np.zeros(above.size)
+            for i in range(j + 1, above.size):
+                off[i] = off[i - 1] + prim(i - 1, cuts[i - 1]) - prim(i, cuts[i - 1])
+            for i in range(j - 1, -1, -1):
+                off[i] = off[i + 1] + prim(i + 1, cuts[i]) - prim(i, cuts[i])
+            return cuts, above, off
+
+        table = self._cache((name, "joined"), build)
+        if table is None:
+            return None
+        cuts, above, off = table
+        x = np.ravel(xi)
+        idx = np.searchsorted(cuts, x, side="right")
+        out = off[idx] + np.where(above[idx], base_prim(x), floor_prim(x))
+        return out.reshape(np.shape(xi))
 
     def _provable_lower_bound(self):
         return self.eps

@@ -103,6 +103,26 @@ class TestVelocityStep:
         dense = np.linalg.solve(m.toarray(), rhs)
         assert np.abs(v_int - dense).max() <= 1e-9
 
+    def test_shared_sources_keep_the_right_hand_side_bitwise(self, rng):
+        # the Picard loop forms -A_C u and W f once per attempt; the solve
+        # must still see W v + dt ((-A_C u + T_B theta) + W f) to the bit
+        itg, g = make_integrator(n=9)
+        st = sine_velocity_state(g)
+        st.u[1:-1, 1:-1, :] = 0.1 * rng.standard_normal((g.ny - 2, g.nx - 2, 2))
+        f = rng.standard_normal((g.ny, g.nx, 2))
+        theta = st.theta.ravel() * (1.0 + 0.1 * rng.random(g.n_nodes))
+        dt = 0.01
+        w2, v_int = itg.w2_int, g.interior_vec(st.v)
+        rhs = w2 * v_int + dt * (-(itg.A_C @ g.interior_vec(st.u))
+                                 + itg.T_B @ theta + w2 * g.interior_vec(f))
+        m, pre = itg._velocity_matrix(dt)
+        expected = solve_spd(m, rhs, tol=_CG_TOL, maxiter=10 * rhs.size,
+                             x0=v_int, precond_apply=pre)
+        sources = itg._velocity_sources(st, f)
+        for kwargs in ({}, {"sources": sources}):
+            got = itg.velocity_step(st, f, dt, theta_force=theta, **kwargs)
+            assert np.array_equal(got[0], expected[0]) and got[1] == expected[1]
+
 
 ANISO = np.array([[3.0, 1.0, 0.5], [1.0, 2.0, -0.4], [0.5, -0.4, 1.0]])
 
@@ -318,6 +338,27 @@ class TestTemperatureStep:
                                          kappa_bar=kappa_bar)
             assert all(np.array_equal(x, y) for x, y in zip(first, again))
         assert np.array_equal(itg._heat_base.data, base)
+
+    @pytest.mark.parametrize("n", [13, 12])
+    def test_interior_velocity_is_bitwise_the_zero_extended_field(self, n):
+        itg, g = make_integrator(n=n, model=DebyeLikeCapacity(1.0, 1.0).floor(1e-3))
+        st = sine_velocity_state(g)
+        v_int, _ = itg.velocity_step(st, np.zeros((g.ny, g.nx, 2)), 0.01)
+        kappa_bar = itg.model.kappa_chord(st.theta.ravel(), 1.01 * st.theta.ravel())
+        args = (np.full((g.ny, g.nx), 0.05), 0.01)
+        flat = itg.temperature_step(st, v_int, *args, kappa_bar=kappa_bar)
+        full = itg.temperature_step(st, g.vec_from_interior(v_int), *args,
+                                    kappa_bar=kappa_bar)
+        assert all(np.array_equal(x, y) for x, y in zip(flat, full))
+
+    def test_preconditioner_follows_a_new_diffusivity(self, rng):
+        itg, g = make_integrator(n=9)
+        r = rng.standard_normal(g.n_nodes)
+        for d_diff in (1.0, 0.3):
+            itg.set_diffusivity(d_diff)
+            op = (2.0 * sp.diags(itg.w_flat) - d_diff * itg.A_N).toarray()
+            assert np.abs(op @ itg._heat_preconditioner(2.0)(r) - r).max() \
+                <= 1e-12 * np.abs(r).max()
 
 
 class TestAdaptiveDt:
@@ -710,6 +751,19 @@ class TestPicardFixedPoint:
         assert all(r.startswith("temperature diagonal guard failed")
                    for r in rep.rejection_reasons)
         assert rep.min_theta > 0.0
+
+    def test_debye_hotspot_primitives_stay_closed_form(self):
+        # the integrated (floored Debye) law has closed-form K and ell, so
+        # no quadrature ladder may be built behind them
+        sc = build_scenario(builtin_scenarios()["debye-hotspot"])
+        itg = Integrator(sc.grid, sc.tensors, sc.model,
+                         sc.solver).set_diffusivity(sc.d_diff)
+        state = sc.initial
+        for _ in range(10):
+            state, _ = itg.step(state, sc.forcing)
+        caches = itg.model._caches
+        assert ("K", "joined") in caches and ("ell", "joined") in caches
+        assert "K" not in caches and "ell" not in caches
 
 
 def _predictor_spy(itg, monkeypatch):

@@ -290,6 +290,129 @@ class TestChordMean:
         assert val[0] == pytest.approx(d.kappa(1.0), rel=1e-9)
 
 
+class TestChordFallback:
+    def test_midpoint_only_at_tiny_intervals(self, monkeypatch):
+        d = mat.DebyeLikeCapacity(1.0, 1.0).floor(1e-3)
+        a = np.array([0.5, 1.0, 2.0, 1.0, 0.0, 3.0])
+        b = np.array([0.8, 1.0 + 1e-12, 1.9, 1.0, 1e-9, 3.0 - 1e-10])
+        delta = b - a
+        tiny = np.abs(delta) <= 1e-7 * (1.0 + np.abs(a) + np.abs(b))
+        expected = np.where(tiny, d.kappa_values(np.maximum(0.5 * (a + b), 0.0)),
+                            (d.K(b) - d.K(a)) / np.where(tiny, 1.0, delta))
+        seen = []
+        kappa_values = d.kappa_values
+        monkeypatch.setattr(d, "kappa_values",
+                            lambda xi: seen.append(np.size(xi)) or kappa_values(xi))
+        got = d.kappa_chord(a, b)
+        assert np.array_equal(got, expected)
+        assert seen == [int(tiny.sum())]
+        seen.clear()
+        d.kappa_chord(a[~tiny], b[~tiny])
+        assert seen == []
+
+
+def _ladder_K(model, xs):
+    return model._K_quad().value(np.log1p(xs))
+
+
+def _ladder_ell(model, xs):
+    return model._ell_quad().value(np.log(xs))
+
+
+class TestClosedFormsAgainstLadder:
+    """Closed-form K and ell against the quadrature ladder they replace."""
+
+    LAWS = {"debye(1,1)": lambda: mat.DebyeLikeCapacity(1.0, 1.0),
+            "debye(2,0.5)": lambda: mat.DebyeLikeCapacity(2.0, 0.5),
+            "debye floored 1e-3": lambda: mat.DebyeLikeCapacity(1.0, 1.0).floor(1e-3),
+            "debye floored 0.1": lambda: mat.DebyeLikeCapacity(1.0, 1.0).floor(0.1),
+            # kappa(0) = k0 < eps: the floor holds below the crossing at 3
+            "power floored": lambda: mat.PowerGrowthCapacity(0.05, 1.0).floor(0.2)}
+
+    @staticmethod
+    def switch_points(model):
+        """y = 1/4 of the Debye series and every floor crossing."""
+        debye = getattr(model, "base", model)
+        pts = list(model.kinks)
+        if isinstance(debye, mat.DebyeLikeCapacity):
+            pts.append(0.25 * debye.xi_d)
+        return pts
+
+    @pytest.mark.parametrize("name", LAWS)
+    def test_match_the_ladder(self, name):
+        model = self.LAWS[name]()
+        switch = self.switch_points(model)
+        xs = np.sort(np.concatenate([np.geomspace(1e-6, 1e4, 401), switch]))
+        k_closed, ell_closed = model._K_closed(xs), model._ell_closed(xs)
+        assert k_closed is not None and ell_closed is not None
+        k_ref, ell_ref = _ladder_K(model, xs), _ladder_ell(model, xs)
+        assert np.all(np.abs(k_closed - k_ref) <= 1e-12 * k_ref)
+        assert np.all(np.abs(ell_closed - ell_ref) <= 1e-12 * (1.0 + np.abs(ell_ref)))
+        # the public primitives take the closed forms
+        assert np.array_equal(model.K(xs), k_closed)
+        assert np.array_equal(model.ell(xs), ell_closed)
+        assert np.all(np.diff(k_closed) > 0)
+        assert np.all(np.diff(ell_closed) >= 0)
+
+    @pytest.mark.parametrize("name", LAWS)
+    def test_strictly_increasing_across_switch_points(self, name):
+        model = self.LAWS[name]()
+        floored = isinstance(model, mat.FlooredCapacity)
+        for c in self.switch_points(model):
+            xs = c * (1.0 + 1e-11 * np.arange(-3, 4))
+            assert np.all(np.diff(model.K(xs)) > 0), c
+            if floored:
+                assert np.all(np.diff(model.ell(xs)) > 0), c
+
+    def test_debye_entropy_limit_at_zero(self):
+        d = mat.DebyeLikeCapacity(2.0, 0.5)
+        a3 = 0.5 ** 3
+        assert d.ell(0.0) == pytest.approx(2.0 / 3.0 * math.log(a3 / (1.0 + a3)),
+                                           rel=1e-15)
+        assert d.ell(0.0) == pytest.approx(d._ell_quad().lower_limit(), rel=1e-12)
+
+    def test_floored_law_without_closed_entropy_keeps_the_ladder(self):
+        p = mat.PowerGrowthCapacity(0.05, 0.5).floor(0.2)
+        xs = np.geomspace(1e-3, 1e3, 50)
+        assert p._ell_closed(xs) is None
+        assert "ell" not in p._caches
+        p.ell(xs)
+        assert "ell" in p._caches
+        k_ref = _ladder_K(p, xs)
+        assert np.all(np.abs(p._K_closed(xs) - k_ref) <= 1e-12 * k_ref)
+
+
+class TestShapes:
+    """Floats, 0-d arrays and arrays of any shape give the same values."""
+
+    LAWS = [mat.DebyeLikeCapacity(1.0, 1.0), mat.DebyeLikeCapacity(1.0, 1.0).floor(1e-3),
+            mat.PowerGrowthCapacity(0.05, 1.0).floor(0.2), mat.SlowDecayCapacity(1.0, 0.5)]
+
+    @pytest.mark.parametrize("model", LAWS, ids=lambda m: m.describe()["variant"])
+    def test_primitives_and_chord(self, model):
+        a = np.array([[0.05, 0.1, 0.24, 0.26], [1.0, 2.5, 1.0, 40.0]])
+        b = np.array([[0.07, 0.1, 0.25, 0.26 + 1e-12], [0.9, 2.5, 1.3, 41.0]])
+        for name in ("K", "ell"):
+            fn = getattr(model, name)
+            grid = fn(a)
+            assert grid.shape == a.shape
+            assert np.array_equal(fn(a.ravel()), grid.ravel())
+            for i, x in enumerate(a.ravel()):
+                assert fn(float(x)) == grid.flat[i]
+                assert fn(np.array(x)) == grid.flat[i]
+        chord = model.kappa_chord(a, b)
+        assert chord.shape == a.shape
+        assert np.array_equal(model.kappa_chord(a.ravel(), b.ravel()), chord.ravel())
+        for i, (x, y) in enumerate(zip(a.ravel(), b.ravel())):
+            assert model.kappa_chord(float(x), float(y)) == chord.flat[i]
+            assert model.kappa_chord(np.array(x), np.array(y)) == chord.flat[i]
+
+    @pytest.mark.parametrize("model", LAWS, ids=lambda m: m.describe()["variant"])
+    def test_inverses(self, model):
+        assert model.K_inverse(float(model.K(2.5))) == pytest.approx(2.5, rel=1e-10)
+        assert model.ell_inverse(float(model.ell(2.5))) == pytest.approx(2.5, rel=1e-9)
+
+
 class TestQuadratureTable:
     """The cached quadrature tables do not depend on the call history."""
 
