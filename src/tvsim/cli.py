@@ -84,8 +84,7 @@ def _parse_value(text):
 def _cmd_sweep(args):
     config = _load_config(args.config)
     values = [_parse_value(v) for v in args.values]
-    results = runner.sweep(config, args.axis, values, args.out,
-                           workers=args.workers)
+    results = runner.sweep(config, args.axis, values, args.out)
     bad = sum(1 for r in results if r["status"] != "ok"
               or r["manifest"]["violations"]["total"] > 0)
     for r in results:
@@ -167,7 +166,6 @@ def main(argv=None):
     p_sweep.add_argument("--values", nargs="*", default=[],
                          help="values (JSON literals) along the axis")
     p_sweep.add_argument("--out", default="tvsim-sweep")
-    p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_conv = sub.add_parser("convergence", help="manufactured-solution orders")

@@ -190,15 +190,14 @@ class FieldState:
 class SolverConfig:
     """Time-step controls for the semi-implicit integrator."""
 
-    dt0: float = 0.01
     dt_min: float = 1e-7
     dt_max: float = 0.01
     eps_reg: float = 0.0
     m: int = 1
 
     def validate(self):
-        if not (0 < self.dt_min <= self.dt0 <= self.dt_max):
-            raise ConfigError("need 0 < dt_min <= dt0 <= dt_max")
+        if not (0 < self.dt_min <= self.dt_max):
+            raise ConfigError("need 0 < dt_min <= dt_max")
         if self.eps_reg < 0:
             raise ConfigError("eps_reg must be >= 0")
         if self.eps_reg > 0 and not 1 <= self.m <= 3:
@@ -213,9 +212,6 @@ class Forcing:
 
     def g(self, t, grid):
         return np.zeros((grid.ny, grid.nx))
-
-    def describe(self):
-        return {"type": "zero"}
 
 
 class PulseForcing(Forcing):
@@ -248,18 +244,13 @@ class PulseForcing(Forcing):
         r2 = (grid.X - 0.5 * grid.Lx) ** 2 + (grid.Y - 0.5 * grid.Ly) ** 2
         return env * np.exp(-r2 / (0.1 * grid.Lx) ** 2 / 2.0)
 
-    def describe(self):
-        return {"type": "pulse", "amp_f": self.amp_f, "t0": self.t0,
-                "tau_f": self.tau_f, "amp_g": self.amp_g, "tau_g": self.tau_g}
-
 
 class CallableForcing(Forcing):
     """Wraps callables (t, grid) -> field; clips g roundoff below zero."""
 
-    def __init__(self, f_fn=None, g_fn=None, label="callable"):
+    def __init__(self, f_fn=None, g_fn=None):
         self.f_fn = f_fn
         self.g_fn = g_fn
-        self.label = label
 
     def f(self, t, grid):
         return super().f(t, grid) if self.f_fn is None else self.f_fn(t, grid)
@@ -271,9 +262,6 @@ class CallableForcing(Forcing):
         if out.min() < -1e-10 * (1.0 + abs(out.max())):
             raise ConfigError(f"heat source went negative: min g = {out.min():g}")
         return np.maximum(out, 0.0)
-
-    def describe(self):
-        return {"type": self.label}
 
 
 def _safe_ratio(num, den):
@@ -379,7 +367,7 @@ class Integrator:
         self._heat_diag_pos = None
         self._heat_pre = None  # built by the first heat solve (_heat_preconditioner)
         self._reg_block = self._build_regularization() if config.eps_reg > 0 else None
-        self.dt_prev = config.dt0
+        self.dt_prev = config.dt_max
         self.last_step = None
 
     # -- setup -----------------------------------------------------------

@@ -10,19 +10,26 @@ A run produces, inside its output directory:
                     counted by reason, Picard/CG iteration totals of the
                     accepted and (wasted) rejected attempts, stabilization
   snapshot_*.bin    binary field snapshots (u, v, theta) at requested times
-  checkpoint.bin/.txt  restartable state at the configured checkpoint time,
-                    with the theta and v its last step began from and the
-                    last contraction ratio of that step's Picard loop (the
-                    restart predicts its first step and that step's first
-                    CG tolerance from them, as the uninterrupted run does),
-                    the grid dims and the hash of the physics config
+  checkpoint.bin    restartable state at the configured checkpoint time, and
+                    the theta and v its last step began from
+  checkpoint.json   that state's time, grid and physics-config hash, the dt
+                    and last Picard contraction ratio of its last step (with
+                    the step start, a restart takes its first step as the
+                    uninterrupted run does) and the run's tally
 
-manifest.json, the checkpoint and the snapshots are written through a
+The tally is the one mapping of the run's totals, keyed as the manifest
+reports them.  The steps and records feed it, the manifest's run, violations
+and stabilization sections print it, and a restart loads it back, so a
+resumed run reports the whole run.  A window, or the final unit behind the
+limits, that starts before the checkpoint state cannot be recomputed: the
+window is skipped, and the limits use the records from that state on.
+
+manifest.json, the checkpoint files and the snapshots are written through a
 temporary file and os.replace, so a killed run never leaves a partial one,
 and a run first removes the manifest an earlier run left in its directory.
 A restart is refused unless the run's config matches the checkpoint's outside
-the sections in _RESTART_FREE, and a checkpoint.bin without the step start
-(the older five-field layout) is refused too.
+the sections in _RESTART_FREE and its two files hold one valid checkpoint:
+eight finite fields, every key of a fresh checkpoint.json, and one time.
 
 Violations are counted per accepted step by one function, _broken_laws, fed
 by the integrator's ledger: an energy residual above +_ENERGY_TOL_REL * F(0),
@@ -40,19 +47,17 @@ import hashlib
 import json
 import math
 import os
-from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from . import __version__, mms
 from .diagnostics import (Diagnostics, WindowSample, log_entropy_inequality,
                           theta_infinity, window_metrics)
-from .errors import AdmissibilityError, ConfigError
-from .grid import read_snapshot, write_atomic, write_snapshot
-from .integrator import CallableForcing, FieldState, Integrator
-from .scenarios import (admissibility, build_scenario, builtin_scenarios,
-                        canonical_json)
+from .errors import AdmissibilityError, ConfigError, _number, _section
+from .grid import Grid, read_snapshot, write_atomic, write_snapshot
+from .integrator import CallableForcing, FieldState, Integrator, SolverConfig
+from .scenarios import (_reject_non_finite, admissibility, build_scenario,
+                        builtin_scenarios, canonical_json)
 
 _FMT = "{:.17g}"
 _ENERGY_TOL_REL = 1e-9  # energy residual allowed above zero, times F(0)
@@ -60,13 +65,15 @@ _INEQ_TOL_REL = 1e-8    # entropy shortfall allowed, times (1 + |S|)
 # config sections a restart may change: they name the run, steer its output
 # and set where it ends, but leave the physics of the checkpoint alone
 _RESTART_FREE = ("name", "output", "t_final")
-_CHECKPOINT_KEYS = ("config_hash", "nx", "ny", "t", "dt_prev", "rho",
-                    "f0_ref", "work_f", "work_g", "eps_diss", "step_index")
 # checkpoint.bin: u, v and theta, then theta and v where the last step began
 _CHECKPOINT_FIELDS = 8
-# StepReport iteration counts the manifest totals over a run's steps
-_ITERATION_KEYS = ("picard_iters", "cg_iters_velocity", "cg_iters_heat",
-                   "wasted_picard", "wasted_cg_velocity", "wasted_cg_heat")
+# the tally's sums over the accepted steps: its key -> the StepReport
+# attribute; the *_total sums are floats, the others iteration counts
+_STEP_SUMS = {**{key: key for key in ("picard_iters", "cg_iters_velocity",
+                                      "cg_iters_heat", "wasted_picard",
+                                      "wasted_cg_velocity", "wasted_cg_heat")},
+              "work_f_total": "work_f", "work_g_total": "work_g",
+              "eps_dissipation_total": "eps_dissipation"}
 
 
 def _fmt_row(values):
@@ -79,6 +86,29 @@ def config_hash(config):
 
 def _physics_hash(config):
     return config_hash({k: v for k, v in config.items() if k not in _RESTART_FREE})
+
+
+def _new_tally(f0, theta_deviation):
+    """The tally of a run before its first step; a checkpoint's tally must
+    have its keys and the types of its values."""
+    return {"steps": 0,
+            **{key: 0.0 if key.endswith("_total") else 0 for key in _STEP_SUMS},
+            "rejection_reasons": {},
+            "violations": dict.fromkeys(("energy", "entropy_monotone",
+                                         "entropy_balance", "log_entropy"), 0),
+            "min_theta": math.inf, "u_norm_max": 0.0, "F0": f0,
+            "theta_initial_deviation": theta_deviation}
+
+
+def _tally_step(tally, rep):
+    """Add the accepted step of rep to the tally (its violations aside)."""
+    tally["steps"] += 1
+    for key, attr in _STEP_SUMS.items():
+        tally[key] += getattr(rep, attr)
+    reasons = tally["rejection_reasons"]
+    for kind in map(_rejection_kind, rep.rejection_reasons):
+        reasons[kind] = reasons.get(kind, 0) + 1
+    tally["min_theta"] = min(tally["min_theta"], rep.min_theta)
 
 
 def _broken_laws(rep, corner, energy_tol):
@@ -142,81 +172,59 @@ def run(config, outdir, restart_from=None):
     t_final = scenario.t_final
 
     state = scenario.initial
-    f0_ref = integ.total_energy(state)
-    work_f = work_g = eps_diss = 0.0
-    step_index = 0
-    wrote_checkpoint = restart_from is not None
-    if restart_from is not None:
-        state, (theta_start, v_start), extra = _load_checkpoint(
+    if restart_from is None:
+        theta0 = state.theta
+        tally = _new_tally(integ.total_energy(state), g.integrate(
+            np.abs(theta0 - g.integrate(theta0) / g.area)))
+    else:
+        state, start, dt_prev, rho, tally = _load_checkpoint(
             restart_from, g, _physics_hash(scenario.config))
-        integ.resume(state, theta_start, v_start, extra["dt_prev"], extra["rho"])
-        f0_ref = extra["f0_ref"]
-        work_f, work_g = extra["work_f"], extra["work_g"]
-        eps_diss = extra["eps_diss"]
-        step_index = int(extra["step_index"])
+        integ.resume(state, *start, dt_prev, rho)
     state.validate(g)
-
-    energy_tol = _ENERGY_TOL_REL * max(f0_ref, 1e-300)
-
-    theta0 = state.theta.copy()
-    theta0_dev = g.integrate(np.abs(theta0 - g.integrate(theta0) / g.area))
+    energy_tol = _ENERGY_TOL_REL * max(tally["F0"], 1e-300)
 
     windows = _WindowStore(plan.window_starts, t_final)
     records = []
-    csv_rows = []
-    violations = Counter(energy=0, entropy_monotone=0, entropy_balance=0,
-                         log_entropy=0)
-    rejections = Counter()
-    iterations = Counter(dict.fromkeys(_ITERATION_KEYS, 0))
-    min_theta_run = float(state.theta.min()) if restart_from else math.inf
-    u_norm_max = 0.0
-    pending_snapshots = sorted(t for t in plan.snapshot_times if t > state.t + 1e-12)
 
-    rec = diag.record(state, integ.ledger(state, scenario.forcing.g(state.t, g)))
-    last_rec = rec
-    if restart_from is None:
+    def keep(rec):
         records.append(rec)
-        csv_rows.append(rec.as_row())
         windows.offer(state.t, state.theta, rec.v_l1)
-        u_norm_max = rec.u_norm
+        tally["u_norm_max"] = max(tally["u_norm_max"], rec.u_norm)
+        return rec
+
+    pending_snapshots = sorted(t for t in plan.snapshot_times if t > state.t + 1e-12)
+    wrote_checkpoint = restart_from is not None
+
+    # the start state's record, kept when the uninterrupted run recorded that
+    # state (a fresh run always does); its CSV row is the earlier run's
+    last_rec = diag.record(state, integ.ledger(state, scenario.forcing.g(state.t, g)))
+    if tally["steps"] % plan.record_every == 0:
+        keep(last_rec)
+    first_row = len(records) if restart_from is not None else 0
 
     while state.t < t_final - 1e-12:
-        dt_request = t_final - state.t
-        state, rep = integ.step(state, scenario.forcing, dt_request=dt_request)
-        step_index += 1
-        rejections.update(_rejection_kind(r) for r in rep.rejection_reasons)
-        iterations.update({key: getattr(rep, key) for key in _ITERATION_KEYS})
-        work_f += rep.work_f
-        work_g += rep.work_g
-        eps_diss += rep.eps_dissipation
-        min_theta_run = min(min_theta_run, rep.min_theta)
+        state, rep = integ.step(state, scenario.forcing, dt_request=t_final - state.t)
+        _tally_step(tally, rep)
 
         corner = None
-        if step_index % plan.record_every == 0 or state.t >= t_final - 1e-12:
+        if tally["steps"] % plan.record_every == 0 or state.t >= t_final - 1e-12:
             rec = diag.record(state, rep)
             corner = log_entropy_inequality(last_rec, rec, state.t - last_rec.t,
                                             scenario.tensors, scenario.d_diff,
                                             g.area, scenario.m_shift,
                                             rel_tol=_INEQ_TOL_REL)
-            records.append(rec)
-            csv_rows.append(rec.as_row())
-            windows.offer(state.t, state.theta, rec.v_l1)
-            u_norm_max = max(u_norm_max, rec.u_norm)
-            last_rec = rec
-        violations.update(_broken_laws(rep, corner, energy_tol))
+            last_rec = keep(rec)
+        for law in _broken_laws(rep, corner, energy_tol):
+            tally["violations"][law] += 1
 
         while pending_snapshots and state.t >= pending_snapshots[0] - 1e-12:
             t_snap = pending_snapshots.pop(0)
-            _write_state(os.path.join(outdir, f"snapshot_t{t_snap:.6f}.bin"), state)
+            write_snapshot(os.path.join(outdir, f"snapshot_t{t_snap:.6f}.bin"),
+                           state.t, _state_fields(state))
         if (not wrote_checkpoint and plan.checkpoint_time is not None
                 and state.t >= plan.checkpoint_time - 1e-12):
-            _write_checkpoint(outdir, state, integ.last_step, g,
-                              _physics_hash(scenario.config),
-                              [("dt_prev", integ.dt_prev),
-                               ("rho", integ.last_step.rho), ("f0_ref", f0_ref),
-                               ("work_f", work_f), ("work_g", work_g),
-                               ("eps_diss", eps_diss),
-                               ("step_index", step_index)])
+            _write_checkpoint(outdir, state, integ, _physics_hash(scenario.config),
+                              tally)
             wrote_checkpoint = True
 
     # -- large-time limits and windows ----------------------------------
@@ -224,7 +232,8 @@ def run(config, outdir, restart_from=None):
     if len(tail) < 10:
         tail = records[-10:]
     limits = theta_infinity(tail, scenario.model, g.area,
-                            energy_budget=f0_ref + work_f + work_g)
+                            energy_budget=tally["F0"] + tally["work_f_total"]
+                            + tally["work_g_total"])
     window_rows = []
     windows_skipped = []
     for s in windows.starts:
@@ -239,7 +248,8 @@ def run(config, outdir, restart_from=None):
     rec_final = records[-1]
 
     _write_csv(os.path.join(outdir, "diagnostics.csv"),
-               records[0].field_names(), csv_rows)
+               records[0].field_names(),
+               [r.as_row() for r in records[first_row:]])
     _write_csv(os.path.join(outdir, "windows.csv"),
                ["t0", "w_theta_half", "w_theta_1", "w_ut", "theta_inf", "L"],
                [[w.t0, w.w_theta_half, w.w_theta_1, w.w_ut, w.theta_inf, w.L]
@@ -247,6 +257,7 @@ def run(config, outdir, restart_from=None):
     with open(os.path.join(outdir, "config.json"), "w") as fh:
         fh.write(canonical_json(scenario.config))
 
+    violations = tally["violations"]
     manifest = {
         "name": scenario.name,
         "code_version": __version__,
@@ -256,12 +267,10 @@ def run(config, outdir, restart_from=None):
                           "K_integral": adm.K_integral,
                           "cells_below_floor": adm.cells_below_floor},
         "run": {
-            "steps": step_index, "rejections": rejections.total(),
-            "rejection_reasons": dict(rejections), **iterations,
-            "t_final": state.t, "F0": f0_ref, "F_final": rec_final.F,
-            "S_final": rec_final.S, "work_f_total": work_f,
-            "work_g_total": work_g, "eps_dissipation_total": eps_diss,
-            "min_theta": min_theta_run,
+            **{k: v for k, v in tally.items() if k not in
+               ("violations", "u_norm_max", "theta_initial_deviation")},
+            "rejections": sum(tally["rejection_reasons"].values()),
+            "t_final": state.t, "F_final": rec_final.F, "S_final": rec_final.S,
         },
         "violations": {**violations, "total": sum(violations.values())},
         "limits": {"L": limits.L, "theta_inf": limits.theta_inf,
@@ -275,9 +284,10 @@ def run(config, outdir, restart_from=None):
                     for w in window_rows],
         "windows_skipped": windows_skipped,
         "stabilization": {
-            "u_norm_final": rec_final.u_norm, "u_norm_max": u_norm_max,
+            "u_norm_final": rec_final.u_norm,
+            "u_norm_max": tally["u_norm_max"],
             "theta_final_l1_dist": theta_final_dist,
-            "theta_initial_deviation": theta0_dev,
+            "theta_initial_deviation": tally["theta_initial_deviation"],
         },
     }
     write_atomic(manifest_path,
@@ -297,50 +307,69 @@ def _state_fields(state):
             state.theta]
 
 
-def _write_state(path, state):
-    write_snapshot(path, state.t, _state_fields(state))
+def _sidecar(physics_hash, grid, t, dt_prev, rho, tally):
+    """checkpoint.json: the physics, grid and time of the state, the dt and
+    last contraction ratio of the step that ended at it, and the run's tally."""
+    return {"config_hash": physics_hash, "nx": grid.nx, "ny": grid.ny, "t": t,
+            "dt_prev": dt_prev, "rho": rho, "tally": tally}
 
 
-def _write_checkpoint(outdir, state, last, grid, physics_hash, values):
-    """state, where last (the step that ended at it) began, and the run's
-    totals; a restart needs the start to predict its first step."""
+def _write_checkpoint(outdir, state, integ, physics_hash, tally):
+    """state and where its last step began, in checkpoint.bin, beside its
+    checkpoint.json."""
+    last = integ.last_step
     write_snapshot(os.path.join(outdir, "checkpoint.bin"), state.t,
                    _state_fields(state) + [last.theta_start, last.v_start[..., 0],
                                            last.v_start[..., 1]])
-    lines = [f"config_hash={physics_hash}", f"nx={grid.nx}", f"ny={grid.ny}"]
-    lines += [f"{key}={_FMT.format(val)}" for key, val in [("t", state.t)] + values]
-    write_atomic(os.path.join(outdir, "checkpoint.txt"),
-                 "".join(line + "\n" for line in lines).encode())
+    doc = _sidecar(physics_hash, integ.grid, state.t, integ.dt_prev, last.rho, tally)
+    write_atomic(os.path.join(outdir, "checkpoint.json"),
+                 (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
+
+
+def _checked(val, like, path):
+    """val, the checkpoint value at path, checked against like, the value of
+    a fresh checkpoint: a mapping with its keys (any keys if it is empty), a
+    number of its type, or any string."""
+    if isinstance(like, str):
+        return val
+    if not isinstance(like, dict):
+        return _number(val, path, integral=isinstance(like, int))
+    missing = [key for key in like if key not in _section(val, path, like or None)]
+    if missing:
+        raise ConfigError(f"{path} misses {', '.join(missing)}")
+    return {key: _checked(v, like.get(key, 0), f"{path}.{key}")
+            for key, v in val.items()}
 
 
 def _load_checkpoint(prefix, grid, physics_hash):
-    """State, (theta, v) where the step that ended at it began, and run
-    totals of a checkpoint written under the same physics."""
+    """State, (theta, v) where the step that ended at it began, that step's
+    dt and last contraction ratio, and the run's tally, of a checkpoint
+    written under the same physics."""
     if os.path.isdir(prefix):
         prefix = os.path.join(prefix, "checkpoint")
-    extra = {}
+    path = prefix + ".json"
     try:
-        with open(prefix + ".txt") as fh:
-            for line in fh:
-                key, val = line.strip().split("=")
-                extra[key] = val if key == "config_hash" else float(val)
+        with open(path) as fh:
+            doc = json.load(fh)
+        _reject_non_finite(doc, "checkpoint")
+        doc = _checked(doc, _sidecar("", grid, 0.0, 0.0, 0.0, _new_tally(0.0, 0.0)),
+                       "checkpoint")
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"{prefix}.txt: unreadable checkpoint ({exc})") from exc
-    missing = [key for key in _CHECKPOINT_KEYS if key not in extra]
-    if missing:
-        raise ConfigError(f"{prefix}.txt: checkpoint misses {', '.join(missing)}")
-    for key, val in extra.items():
-        if key != "config_hash" and not math.isfinite(val):
-            raise ConfigError(f"{prefix}.txt: checkpoint value {key}={val} is not finite")
-    if (extra["nx"], extra["ny"]) != (grid.nx, grid.ny):
-        raise ConfigError(f"{prefix}.txt: checkpoint grid is "
-                          f"{extra['nx']:g}x{extra['ny']:g}, the run's is "
-                          f"{grid.nx}x{grid.ny}")
-    if extra["config_hash"] != physics_hash:
-        raise ConfigError(f"{prefix}.txt: checkpoint was written under a "
+        raise ConfigError(f"{path}: unreadable checkpoint ({exc})") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    if (doc["nx"], doc["ny"]) != (grid.nx, grid.ny):
+        raise ConfigError(f"{path}: checkpoint grid is {doc['nx']}x{doc['ny']}, "
+                          f"the run's is {grid.nx}x{grid.ny}")
+    if doc["config_hash"] != physics_hash:
+        raise ConfigError(f"{path}: checkpoint was written under a "
                           "different config (outside "
                           f"{'/'.join(_RESTART_FREE)}); refusing to restart")
     t, fields = read_snapshot(prefix + ".bin")
+    if t != doc["t"]:
+        raise ConfigError(f"{prefix}.bin holds the state at t = {t!r}, but "
+                          f"{path} was written at t = {doc['t']!r}; the two "
+                          "files come from different checkpoints")
     if len(fields) != _CHECKPOINT_FIELDS:
         raise ConfigError(f"{prefix}.bin: checkpoint holds {len(fields)} fields, "
                           f"expected {_CHECKPOINT_FIELDS} (u, v, theta, and "
@@ -350,10 +379,11 @@ def _load_checkpoint(prefix, grid, physics_hash):
     for name, f in zip(names, fields):
         if not np.isfinite(f).all():
             raise ConfigError(f"{prefix}.bin: checkpoint field {name} is not finite")
-    u = np.stack([fields[0], fields[1]], axis=-1)
-    v = np.stack([fields[2], fields[3]], axis=-1)
-    state = FieldState(u=u, v=v, theta=fields[4], t=t)
-    return state, (fields[5], np.stack([fields[6], fields[7]], axis=-1)), extra
+    ux, uy, vx, vy, theta, theta_start, sx, sy = fields
+    state = FieldState(u=np.stack([ux, uy], axis=-1), v=np.stack([vx, vy], axis=-1),
+                       theta=theta, t=t)
+    return (state, (theta_start, np.stack([sx, sy], axis=-1)), doc["dt_prev"],
+            doc["rho"], doc["tally"])
 
 
 # -- sweeps ------------------------------------------------------------------
@@ -366,47 +396,34 @@ def _set_by_path(cfg, path, value):
     node[keys[-1]] = value
 
 
-def _sweep_worker(args):
-    config, outdir = args
-    try:
-        manifest = run(config, outdir)
-        return {"status": "ok", "manifest": manifest, "outdir": outdir}
-    except Exception as exc:  # failures are recorded, the sweep continues
-        return {"status": "error", "error": f"{type(exc).__name__}: {exc}",
-                "outdir": outdir}
-
-
-def sweep(config, axis, values, outdir, workers=1):
-    """Independent runs along one config axis; writes a comparison CSV.
+def sweep(config, axis, values, outdir):
+    """Independent runs along one config axis, one after another; writes a
+    comparison CSV.
 
     An empty axis value list degenerates to a single run of the base config.
     """
     os.makedirs(outdir, exist_ok=True)
-    jobs = []
-    if not values:
-        jobs.append((copy.deepcopy(config), os.path.join(outdir, "base")))
+    jobs = [] if values else [(copy.deepcopy(config), os.path.join(outdir, "base"))]
     for k, val in enumerate(values):
         cfg = copy.deepcopy(config)
         _set_by_path(cfg, axis, val)
         cfg["name"] = f"{cfg.get('name', 'run')}[{axis}={val}]"
         jobs.append((cfg, os.path.join(outdir, f"member_{k}")))
 
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_worker, jobs))
-    else:
-        results = [_sweep_worker(job) for job in jobs]
-
-    rows = []
-    for (cfg, member_dir), res in zip(jobs, results):
-        if res["status"] == "ok":
-            man = res["manifest"]
-            rows.append([member_dir, "ok", man["violations"]["total"],
-                         man["limits"]["theta_inf"],
-                         man["run"]["F0"] - man["run"]["F_final"],
-                         man["run"]["eps_dissipation_total"]])
-        else:
-            rows.append([member_dir, res["error"], "", "", "", ""])
+    results, rows = [], []
+    for cfg, member_dir in jobs:
+        try:
+            man = run(cfg, member_dir)
+        except Exception as exc:  # failures are recorded, the sweep continues
+            error = f"{type(exc).__name__}: {exc}"
+            results.append({"status": "error", "error": error, "outdir": member_dir})
+            rows.append([member_dir, error, "", "", "", ""])
+            continue
+        results.append({"status": "ok", "manifest": man, "outdir": member_dir})
+        rows.append([member_dir, "ok", man["violations"]["total"],
+                     man["limits"]["theta_inf"],
+                     man["run"]["F0"] - man["run"]["F_final"],
+                     man["run"]["eps_dissipation_total"]])
     with open(os.path.join(outdir, "comparison.csv"), "w") as fh:
         fh.write("member,status,violations,theta_inf,F_drop,eps_dissipation\n")
         for row in rows:
@@ -476,16 +493,13 @@ def convergence_study(config, levels=3, base_nx=8, dt_over_h2=8.0,
 
 
 def _mms_run(scenario, problem, nx, dt, dt_over_h2=None, keep_state=False):
-    from .grid import Grid
-    from .integrator import SolverConfig
-
     g = Grid(nx, nx, scenario.grid.Lx, scenario.grid.Ly)
     if dt is None:
         dt = dt_over_h2 * g.hx ** 2
-    cfg = SolverConfig(dt0=dt, dt_min=min(dt, 1e-7), dt_max=dt, eps_reg=0.0)
+    cfg = SolverConfig(dt_min=min(dt, 1e-7), dt_max=dt, eps_reg=0.0)
     integ = Integrator(g, scenario.tensors, scenario.model,
                        cfg).set_diffusivity(scenario.d_diff)
-    forcing = CallableForcing(problem.forcing_f, problem.forcing_g, "manufactured")
+    forcing = CallableForcing(problem.forcing_f, problem.forcing_g)
     state = problem.initial_state(g)
     while state.t < problem.t_final - 1e-12:
         state, _ = integ.step(state, forcing, dt_request=problem.t_final - state.t)

@@ -59,7 +59,6 @@ class Scenario:
     model: materials.HeatCapacity
     d_diff: float
     m_shift: float
-    eps_kappa: float
     forcing: Forcing
     initial: FieldState
     solver: SolverConfig
@@ -199,8 +198,7 @@ def build_scenario(config):
 
     return Scenario(name=str(cfg.get("name", "unnamed")), config=cfg, grid=grid,
                     tensors=tensors, model_raw=model_raw, model=model,
-                    d_diff=d_diff, m_shift=m_shift, eps_kappa=eps_kappa,
-                    forcing=forcing, initial=initial, solver=solver,
+                    d_diff=d_diff, m_shift=m_shift, forcing=forcing, initial=initial, solver=solver,
                     output=output, t_final=t_final)
 
 
@@ -240,7 +238,7 @@ def builtin_scenarios():
             "velocity": {"type": "sine", "amplitude": 0.5},
             "displacement": {"type": "zero"},
         },
-        "solver": {"dt0": 0.01, "dt_max": 0.01, "dt_min": 1e-7},
+        "solver": {"dt_max": 0.01, "dt_min": 1e-7},
         "output": {"record_every": 1, "window_starts": [1.0, 49.0]},
         "t_final": 50.0,
     }

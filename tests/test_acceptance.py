@@ -68,7 +68,7 @@ class TestCriterion02EnergyRefinement:
             cfg = copy.deepcopy(builtin_scenarios()["default-relaxation"])
             cfg["grid"] = {"nx": 16, "ny": 16}
             cfg["t_final"] = 1.0
-            cfg["solver"].update({"dt0": dt, "dt_max": dt})
+            cfg["solver"]["dt_max"] = dt
             scenario = build_scenario(cfg)
             integ = Integrator(scenario.grid, scenario.tensors, scenario.model,
                                scenario.solver).set_diffusivity(scenario.d_diff)

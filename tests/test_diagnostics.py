@@ -29,7 +29,7 @@ def make_setup(n=13, b_scale=0.5, dt=0.01, d_diff=1.0):
                                 B=b_scale * np.eye(2))
     model = ConstantCapacity(1.0)
     diag = Diagnostics(g, tens, model, d_diff)
-    itg = Integrator(g, tens, model, SolverConfig(dt0=dt, dt_max=dt)
+    itg = Integrator(g, tens, model, SolverConfig(dt_max=dt)
                      ).set_diffusivity(d_diff)
     return g, tens, model, diag, itg
 
@@ -217,7 +217,7 @@ class TestLogEntropyInequality:
                                     C4=tn.isotropic_tensor(1, 1),
                                     B=np.zeros((2, 2)))
         diag = Diagnostics(g, tens, model, 1.0)
-        itg = Integrator(g, tens, model, SolverConfig(dt0=0.01, dt_max=0.01)
+        itg = Integrator(g, tens, model, SolverConfig(dt_max=0.01)
                          ).set_diffusivity(1.0)
         st = relaxation_state(g)
         rec = record(diag, itg, st)

@@ -19,7 +19,7 @@ def make_integrator(n=13, dt=0.01, model=None, tensors=None, d_diff=1.0, **cfg):
                                            C4=tn.isotropic_tensor(1, 1),
                                            B=0.5 * np.eye(2))
     model = model or ConstantCapacity(1.0)
-    config = SolverConfig(dt0=dt, dt_max=dt, **cfg)
+    config = SolverConfig(dt_max=dt, **cfg)
     return Integrator(g, tens, model, config).set_diffusivity(d_diff), g
 
 
@@ -64,7 +64,7 @@ class TestFieldState:
 class TestSolverConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
-            SolverConfig(dt0=1.0, dt_max=0.1).validate()
+            SolverConfig(dt_min=1.0, dt_max=0.1).validate()
         with pytest.raises(ConfigError):
             SolverConfig(eps_reg=1e-4, m=5).validate()
         SolverConfig(eps_reg=1e-4, m=3).validate()
@@ -423,7 +423,7 @@ def _rejecting_setup():
     tens = tn.ElasticityTensors(D4=tn.isotropic_tensor(1, 1),
                                 C4=tn.isotropic_tensor(1, 1),
                                 B=3.0 * np.eye(2))
-    cfg = SolverConfig(dt0=0.5, dt_max=0.5, dt_min=1e-9)
+    cfg = SolverConfig(dt_max=0.5, dt_min=1e-9)
     itg = Integrator(g, tens, ConstantCapacity(0.05), cfg).set_diffusivity(1.0)
     theta = 1.0 + 30.0 * np.exp(-((g.X - 0.5) ** 2 + (g.Y - 0.5) ** 2)
                                 / (2 * 0.15 ** 2))
@@ -610,7 +610,7 @@ class TestFullStep:
                                     C4=tn.isotropic_tensor(1, 1),
                                     B=0.5 * np.eye(2))
         itg = Integrator(g, tens, ConstantCapacity(1.0),
-                         SolverConfig(dt0=0.01, dt_max=0.01)).set_diffusivity(1.0)
+                         SolverConfig(dt_max=0.01)).set_diffusivity(1.0)
         st = rest_state(g)
         st.v[..., 0] = 0.4 * np.sin(np.pi * g.X / g.Lx) * np.sin(np.pi * g.Y / g.Ly)
         st.v[g.boundary_mask] = 0.0

@@ -165,6 +165,37 @@ class TestRun:
         assert whole.startswith(header + b"\n")
         assert rows.count(b"\n") == 10 and whole.endswith(rows)
 
+    def test_restart_reports_the_whole_run(self, tmp_path):
+        # the checkpoint carries the run's tally, so the resumed manifest
+        # reports the uninterrupted run: its iterations, its rejection at the
+        # first step, its largest |u| and its initial theta deviation
+        cfg = copy.deepcopy(builtin_scenarios()["debye-hotspot"])
+        cfg["t_final"] = 2.0
+        cfg["output"].update(window_starts=[1.0], checkpoint_time=0.5)
+        full = runner.run(cfg, str(tmp_path / "full"))
+        resumed = runner.run(cfg, str(tmp_path / "resumed"),
+                             restart_from=str(tmp_path / "full"))
+        assert full["run"]["rejections"] == 1 and full["windows"]
+        for section in ("run", "violations", "limits", "windows",
+                        "windows_skipped", "stabilization"):
+            assert resumed[section] == full[section], section
+
+    def test_restart_keeps_the_violations_before_the_checkpoint(
+            self, tmp_path, monkeypatch):
+        # a negative slack counts an energy violation at every step
+        monkeypatch.setattr(runner, "_ENERGY_TOL_REL", -1.0)
+        cfg = short_default(t_final=1.0)
+        cfg["output"]["checkpoint_time"] = 0.5
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        full = runner.run(cfg, str(tmp_path / "full"))
+        assert full["violations"]["energy"] == full["run"]["steps"] == 100
+        rc = cli.main(["run", str(path), "--out", str(tmp_path / "resumed"),
+                       "--restart-from", str(tmp_path / "full")])
+        assert rc == 1
+        resumed = json.loads((tmp_path / "resumed" / "manifest.json").read_text())
+        assert resumed["violations"] == full["violations"]
+
     def test_sympy_stays_off_the_run_path(self, tmp_path):
         # the manufactured solution is written in closed form: neither a run
         # nor a convergence study loads sympy
@@ -207,50 +238,106 @@ class TestRun:
             runner.run(other, str(tmp_path / "b"), restart_from=str(tmp_path / "a"))
         assert not (tmp_path / "b" / "manifest.json").exists()
 
+    @staticmethod
+    def _edit_checkpoint(path, edit):
+        """Rewrite the checkpoint.json at path through edit(doc)."""
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+
     @pytest.mark.parametrize("text, match", [
-        ("t=0.5\n", "misses config_hash"),
+        ('{"t": 0.5}', "checkpoint misses config_hash"),
         ("config_hash=abc\nnx=oops\n", "unreadable checkpoint"),
+        ("[1, 2]", "section checkpoint must be an object"),
     ])
     def test_corrupt_checkpoint_text_refused(self, tmp_path, text, match):
         cfg = short_default(t_final=0.1)
         cfg["output"]["checkpoint_time"] = 0.05
         runner.run(cfg, str(tmp_path / "a"))
-        (tmp_path / "a" / "checkpoint.txt").write_text(text)
+        (tmp_path / "a" / "checkpoint.json").write_text(text)
         with pytest.raises(ConfigError, match=match):
             runner.run(cfg, str(tmp_path / "b"), restart_from=str(tmp_path / "a"))
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_checkpoint_value_refused(self, tmp_path, value):
-        # a NaN f0_ref would switch the energy check off: residual > nan
-        # is never true
+    @pytest.mark.parametrize("key, value, match", [
+        ("nx", 32.5, "key checkpoint.nx must be an integer"),
+        ("t", "0.05", "key checkpoint.t must be a number"),
+        ("steps", 5.5, "key checkpoint.tally.steps must be an integer"),
+        ("min_theta", True, "key checkpoint.tally.min_theta must be a number"),
+        ("violations", {"energy": 0}, "checkpoint.tally.violations misses "
+                                      "entropy_monotone"),
+        ("rejection_reasons", {"x": "1"},
+         "key checkpoint.tally.rejection_reasons.x must be an integer"),
+        ("bogus", 1, r"unknown checkpoint.tally keys: \['bogus'\]"),
+        ("tally", [], "section checkpoint.tally must be an object"),
+    ], ids=["nx-fraction", "t-string", "steps-fraction", "min_theta-bool",
+            "violations-incomplete", "rejection-count-string", "unknown-key",
+            "tally-list"])
+    def test_mistyped_checkpoint_value_refused(self, tmp_path, key, value, match):
         cfg = short_default(t_final=0.1)
         cfg["output"]["checkpoint_time"] = 0.05
         runner.run(cfg, str(tmp_path / "a"))
-        path = tmp_path / "a" / "checkpoint.txt"
-        text = path.read_text()
-        start = text.index("f0_ref=")
-        end = text.index("\n", start)
-        path.write_text(text[:start] + f"f0_ref={value}" + text[end:])
-        with pytest.raises(ConfigError, match=f"f0_ref={value} is not finite"):
+
+        def edit(doc):
+            (doc if key in doc else doc["tally"])[key] = value
+        self._edit_checkpoint(tmp_path / "a" / "checkpoint.json", edit)
+        with pytest.raises(ConfigError, match=match):
             runner.run(cfg, str(tmp_path / "b"), restart_from=str(tmp_path / "a"))
         assert not (tmp_path / "b" / "manifest.json").exists()
 
-    @pytest.mark.parametrize("line, match", [
-        ("", "checkpoint misses rho"),
-        ("rho=nan\n", "rho=nan is not finite"),
-    ])
-    def test_checkpoint_contraction_ratio_required(self, tmp_path, line, match):
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_checkpoint_value_refused(self, tmp_path, value):
+        # a NaN F0 would switch the energy check off: residual > nan is
+        # never true
+        cfg = short_default(t_final=0.1)
+        cfg["output"]["checkpoint_time"] = 0.05
+        runner.run(cfg, str(tmp_path / "a"))
+        self._edit_checkpoint(tmp_path / "a" / "checkpoint.json",
+                              lambda doc: doc["tally"].update(F0=float(value)))
+        with pytest.raises(ConfigError, match=r"checkpoint\.tally\.F0 must be a "
+                                              f"finite number, got {value}"):
+            runner.run(cfg, str(tmp_path / "b"), restart_from=str(tmp_path / "a"))
+        assert not (tmp_path / "b" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("value, match", [
+        (None, "checkpoint misses rho"),
+        (math.nan, "checkpoint.rho must be a finite number, got nan"),
+    ], ids=["missing", "nan"])
+    def test_checkpoint_contraction_ratio_required(self, tmp_path, value, match):
         # without the last step's ratio a restart would solve its first
         # Picard iterations at other CG tolerances than the uninterrupted run
         cfg = short_default(t_final=0.1)
         cfg["output"]["checkpoint_time"] = 0.05
         runner.run(cfg, str(tmp_path / "a"))
-        path = tmp_path / "a" / "checkpoint.txt"
-        text = path.read_text()
-        start = text.index("rho=")
-        end = text.index("\n", start) + 1
-        path.write_text(text[:start] + line + text[end:])
+
+        def edit(doc):
+            del doc["rho"]
+            if value is not None:
+                doc["rho"] = value
+        self._edit_checkpoint(tmp_path / "a" / "checkpoint.json", edit)
         with pytest.raises(ConfigError, match=match):
+            runner.run(cfg, str(tmp_path / "b"), restart_from=str(tmp_path / "a"))
+
+    def test_checkpoint_files_of_different_times_refused(self, tmp_path):
+        # a run killed between the two writes, or a sidecar left by an
+        # earlier run, would pair one checkpoint's state with another's tally
+        cfg = short_default(t_final=0.1)
+        cfg["output"]["checkpoint_time"] = 0.05
+        runner.run(cfg, str(tmp_path / "a"))
+        path = tmp_path / "a" / "checkpoint.json"
+        t_bin = json.loads(path.read_text())["t"]
+        self._edit_checkpoint(path, lambda doc: doc.update(t=0.04))
+        with pytest.raises(ConfigError, match=rf"t = {t_bin!r}.*t = 0\.04"):
+            runner.run(cfg, str(tmp_path / "b"), restart_from=str(tmp_path / "a"))
+        assert not (tmp_path / "b" / "manifest.json").exists()
+
+    def test_old_text_checkpoint_refused(self, tmp_path):
+        # the older key=value sidecar is no checkpoint.json
+        cfg = short_default(t_final=0.1)
+        cfg["output"]["checkpoint_time"] = 0.05
+        runner.run(cfg, str(tmp_path / "a"))
+        (tmp_path / "a" / "checkpoint.json").unlink()
+        (tmp_path / "a" / "checkpoint.txt").write_text("config_hash=abc\nt=0.05\n")
+        with pytest.raises(ConfigError, match="checkpoint.json: unreadable checkpoint"):
             runner.run(cfg, str(tmp_path / "b"), restart_from=str(tmp_path / "a"))
 
     def test_non_finite_checkpoint_field_refused(self, tmp_path):
@@ -282,9 +369,9 @@ class TestRun:
         runner.run(cfg, str(tmp_path / "w"))
         names = sorted(os.listdir(tmp_path / "w"))
         assert not [n for n in names if n.endswith(".tmp")]
-        assert {"manifest.json", "checkpoint.bin", "checkpoint.txt"} <= set(names)
-        assert (tmp_path / "w" / "checkpoint.txt").read_text().startswith(
-            "config_hash=")
+        assert {"manifest.json", "checkpoint.bin", "checkpoint.json"} <= set(names)
+        assert "config_hash" in json.loads(
+            (tmp_path / "w" / "checkpoint.json").read_text())
 
     def test_killed_rerun_leaves_no_manifest(self, tmp_path, monkeypatch):
         cfg = short_default(t_final=0.1)
@@ -502,9 +589,9 @@ class TestManufactured:
         g = Grid(10, 10)
         itg = Integrator(g, self.unit_tensors(),
                          __import__("tvsim.materials", fromlist=["ConstantCapacity"]).ConstantCapacity(1.0),
-                         SolverConfig(dt0=0.05, dt_max=0.05)).set_diffusivity(1.0)
+                         SolverConfig(dt_max=0.05)).set_diffusivity(1.0)
         state = mms.initial_state(g)
-        forcing = CallableForcing(mms.forcing_f, mms.forcing_g, "manufactured")
+        forcing = CallableForcing(mms.forcing_f, mms.forcing_g)
         for _ in range(4):
             state, _ = itg.step(state, forcing)
         e_u, e_th = mms.errors(state, g)
@@ -697,6 +784,7 @@ class TestCli:
         (("solver.picard_max", 80), "solver keys: ['picard_max']"),
         (("solver.dt_growth", 1.2), "solver keys: ['dt_growth']"),
         (("solver.theta_safety", 0.5), "solver keys: ['theta_safety']"),
+        (("solver.dt0", 0.01), "solver keys: ['dt0']"),
         (("output.energy_tol_rel", 1e-9), "output keys: ['energy_tol_rel']"),
         (("output.ineq_tol_rel", 1.0), "output keys: ['ineq_tol_rel']"),
         # misspelt keys of fixed-key sections
@@ -720,7 +808,7 @@ class TestCli:
             "output", "initial.theta", "nx-string", "t_final-string",
             "nx-fraction", "ny-fraction", "record_every-fraction",
             "cg_tol", "cg_maxiter_factor", "picard_tol", "picard_max",
-            "dt_growth", "theta_safety", "energy_tol_rel", "ineq_tol_rel",
+            "dt_growth", "theta_safety", "dt0", "energy_tol_rel", "ineq_tol_rel",
             "grid-typo", "top-level-typo", "material-typo", "output-typo",
             "kappa-k0-string", "B-string", "lambda-string", "mu-string",
             "snapshot_times-scalar", "window_starts-string",
