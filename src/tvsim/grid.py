@@ -22,6 +22,7 @@ velocity unknowns (Grid.interior_dof), never over all 2 n_nodes dof.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -148,26 +149,33 @@ def separable_inverse(qx, qy, inv):
     Qx and Qy are 1-D bases given by their diagonal blocks, qx (bx, hx, hx)
     and qy (by, hy, hy); a plain (h, h) basis is one block.  For
     P-orthonormal modes and inv = 1/symbol this is the exact inverse of
-    (Py (x) Px) + Kronecker terms diagonalized by those modes.  r and inv
-    are laid out (by, bx, hy, k, hx): row block, column block, row, one of k
-    operators sharing the modes, column.  inv is a C-contiguous array that
-    every apply reads, so a caller may refill it in place to change the
-    symbol and keep the bases and buffers.  Each stage is one batched
-    product over the block pairs, with the k operators side by side; reused
-    work buffers keep the intermediates out of the allocator, whose fresh
-    pages cost as much as a product at 128^2.
+    (Py (x) Px) + Kronecker terms diagonalized by those modes.  r is laid
+    out (by, bx, hy, k, hx): row block, column block, row, one of k
+    components sharing the modes, column.  inv holds the inverse symbol as
+    one k x k block per mode pair, which mixes the k components of that
+    mode (the inverse of I + sum a_i lam_i when the component matrices a_i
+    couple the components).  It is laid out (k, by, bx, hy, k, hx), the
+    input component first: inv[d, ..., c, :] is entry (c, d) of the blocks.
+    For k = 1 it is the plain reciprocal symbol, of any shape that holds the
+    modes in that order.  inv is a C-contiguous array that every apply
+    reads, so a caller may refill it in place to change the symbol and keep
+    the bases and buffers.  Each stage is one batched product over the
+    block pairs, with the k components side by side; reused work buffers
+    keep the intermediates out of the allocator, whose fresh pages cost as
+    much as a product at 128^2.
 
-    The velocity preconditioner passes the SBP modes as their two parity
-    blocks (k = 2 components), which halves the work of one dense basis.
-    The heat preconditioner passes one dense cosine basis per direction: the
-    five-point Neumann Laplacian couples neighbouring nodes, which have
-    opposite parity, so it has no such split.
+    The velocity half inverses pass the SBP modes as their two parity
+    blocks in x and one in y (k = 2 components).  The heat preconditioner
+    passes one dense cosine basis per direction (k = 1): the five-point
+    Neumann Laplacian couples neighbouring nodes, which have opposite
+    parity, so it has no such split.
     """
     qx, qy = qx.reshape(-1, *qx.shape[-2:]), qy.reshape(-1, *qy.shape[-2:])
     (by, hy, _), (bx, _, hx) = qy.shape, qx.shape
     pairs = by * bx
-    inv = inv.reshape(pairs, -1, hx)  # a view of the caller's array
-    rows, cols = (pairs, hy, inv.size // (pairs * hy)), inv.shape
+    k = math.isqrt(inv.size // (pairs * hy * hx))
+    inv = inv.reshape(k, pairs, hy, k, hx)  # a view of the caller's array
+    rows, cols = (pairs, hy, k * hx), (pairs, hy * k, hx)
     # one batch entry per block pair (py, px), with the bases spelt out:
     # matmul is slower on broadcast batch dimensions
     qy = np.broadcast_to(qy[:, None], (by, bx, hy, hy)).reshape(pairs, hy, hy)
@@ -175,12 +183,27 @@ def separable_inverse(qx, qy, inv):
     qyt, qxt = np.swapaxes(qy, 1, 2), np.swapaxes(qx, 1, 2)
     work_r, work_c = np.empty(rows), np.empty(cols)
     work_rc = work_r.reshape(cols)  # the same buffer, seen by columns
+    if k == 1:
+        mixed = work_c
+
+        def mix():
+            np.multiply(work_c, inv.reshape(cols), out=work_c)
+    else:
+        # sum over d of inv[d] times input component d, into a second buffer
+        mixed, term = np.empty(cols), np.empty(inv.shape[1:])
+        comp = work_c.reshape(pairs, hy, k, 1, hx)
+        out = mixed.reshape(inv.shape[1:])
+
+        def mix():
+            np.multiply(inv[0], comp[:, :, 0], out=out)
+            for d in range(1, k):
+                np.add(out, np.multiply(inv[d], comp[:, :, d], out=term), out=out)
 
     def apply(r):
         np.matmul(qyt, r.reshape(rows), out=work_r)
         np.matmul(work_rc, qx, out=work_c)
-        np.multiply(work_c, inv, out=work_c)
-        np.matmul(work_c, qxt, out=work_rc)
+        mix()
+        np.matmul(mixed, qxt, out=work_rc)
         return (qy @ work_r).ravel()
     return apply
 
@@ -361,46 +384,60 @@ class Grid:
         return self._op("Ldir", build)
 
 
-def solve_spd(a, rhs, tol=1e-10, maxiter=None, x0=None, precond_apply=None):
-    """Preconditioned conjugate gradients for a sparse SPD system.
+def solve_spd(a, rhs, tol=1e-10, maxiter=None, x0=None, precond_apply=None,
+              ref_norm=None):
+    """Preconditioned conjugate gradients for an SPD system.
 
-    Stops at relative residual <= tol; the iteration cap defaults to 10 times
-    the number of unknowns, and failure raises SolverError with the final
-    residual attached.  precond_apply, when given, is a callable applying an
-    SPD approximate inverse (the integrator passes exact inverses of
-    separable operators close to a, so iteration counts do not grow with
-    1/h).  Convergence is tested on the recursively updated residual
-    r -= alpha A p, which tracks the true residual rhs - A x up to rounding.
+    a is a sparse matrix or any SPD operator with `@` (the integrator passes
+    a Schur complement).  Stops at residual |rhs - a x| <= tol ref_norm;
+    ref_norm defaults to |rhs|, and a caller whose residual equals that of
+    a larger system passes that system's right-hand side norm.  A zero
+    ref_norm returns x = 0, and x0 None starts from 0 without a product.
+    The iteration cap defaults to 10 times the number of unknowns, and
+    failure raises SolverError with the final relative residual attached.
+    precond_apply, when given, applies an SPD approximate inverse (the
+    integrator passes exact inverses of separable operators close to a, so
+    iteration counts do not grow with 1/h).  Convergence is tested on the
+    recursively updated residual r -= alpha A p, which tracks the true
+    residual rhs - A x up to rounding, before the preconditioner is applied
+    to it, so a converged residual costs no apply.  An iteration allocates
+    only what a @ p and precond_apply return: x and r are updated through
+    one work vector, and p in place.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = rhs.size
     if maxiter is None:
         maxiter = 10 * n
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    r = rhs - a @ x
-    bnorm = float(np.linalg.norm(rhs))
+    bnorm = math.sqrt(rhs @ rhs) if ref_norm is None else float(ref_norm)
     if bnorm == 0.0:
         return np.zeros(n), 0
+    if x0 is None:
+        x, r = np.zeros(n), rhs.copy()
+    else:
+        x = np.array(x0, dtype=float)
+        r = rhs - a @ x
     apply_m = precond_apply if precond_apply is not None else (lambda v: v)
-    z = apply_m(r)
-    p = z.copy()
-    rz = float(r @ z)
-    rnorm = float(np.linalg.norm(r))
+    work = np.empty(n)
+    rnorm = math.sqrt(r @ r)
     it = 0
     while rnorm > tol * bnorm:
         if it >= maxiter:
             raise SolverError(
                 f"conjugate gradients stalled at relative residual {rnorm / bnorm:.3e} "
                 f"after {it} iterations", residual=rnorm / bnorm, iterations=it)
-        ap = a @ p
-        alpha = rz / float(p @ ap)
-        x += alpha * p
-        r -= alpha * ap
-        rnorm = float(np.linalg.norm(r))
         z = apply_m(r)
         rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        if it == 0:
+            p = z.copy()
+        else:
+            p *= rz_new / rz
+            p += z
         rz = rz_new
+        ap = a @ p
+        alpha = rz / float(p @ ap)
+        x += np.multiply(alpha, p, out=work)
+        r -= np.multiply(alpha, ap, out=work)
+        rnorm = math.sqrt(r @ r)
         it += 1
     return x, it
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from tvsim.grid import Grid
 from tvsim.materials import ConstantCapacity
@@ -55,3 +56,10 @@ def boundary_vanishing_field(grid, rng, ncomp=2):
         w = np.zeros((grid.ny, grid.nx))
         w[1:-1, 1:-1] = rng.standard_normal((grid.ny - 2, grid.nx - 2))
     return w
+
+
+def velocity_system(itg, dt):
+    """W + dt A_D + dt^2 A_C, the eps_reg = 0 velocity system of an
+    Integrator, assembled in full apart from the solver, which keeps only
+    its parts."""
+    return (sp.diags(itg.w2_int) + dt * itg.A_D + dt * dt * itg.A_C).tocsr()

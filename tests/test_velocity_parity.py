@@ -1,0 +1,96 @@
+"""Property tests of the velocity system's y-parity structure.
+
+On random coercive tensors, grid shapes with odd and even node counts and
+time steps, the system W + dt A_D + dt^2 A_C must split as the reduced solve
+assumes: each y-parity half of Grid.interior_dof keeps its x-parity blocks
+apart, the coupling between the halves only joins x-parity px to 1 - px,
+each half's block has an exact separable inverse, and the reduced solve
+meets its tolerance on the full system.
+"""
+
+import itertools
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from tvsim import tensors as tn
+from tvsim.grid import Grid
+from tvsim.integrator import Integrator, SolverConfig
+from tvsim.materials import ConstantCapacity
+
+from conftest import velocity_system
+
+# about 3 s in all: the examples are small, and the draws repeat run to run
+PROPERTY = settings(max_examples=50, deadline=None, database=None,
+                    derandomize=True)
+
+_entry = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def coercive_tensors(draw):
+    """A 4th-order tensor L L^T + 0.1 I in the orthonormal basis, with every
+    normal/shear coupling free."""
+    low = np.zeros((3, 3))
+    low[np.tril_indices(3)] = draw(st.lists(_entry, min_size=6, max_size=6))
+    return tn.onb_matrix_to_tensor(low @ low.T + 0.1 * np.eye(3))
+
+
+@st.composite
+def velocity_cases(draw):
+    """(integrator, grid, dt) on a 6..14 x 6..14 grid of random sides."""
+    g = Grid(draw(st.integers(6, 14)), draw(st.integers(6, 14)),
+             Lx=draw(st.floats(0.5, 2.0)), Ly=draw(st.floats(0.5, 2.0)))
+    tens = tn.ElasticityTensors(D4=draw(coercive_tensors()),
+                                C4=draw(coercive_tensors()), B=0.5 * np.eye(2))
+    itg = Integrator(g, tens, ConstantCapacity(1.0), SolverConfig())
+    return itg, g, draw(st.floats(1e-3, 0.1))
+
+
+def _padded(g, seed, half=None):
+    """A random vector of the unknowns, 0 in the pad slots (or one half)."""
+    real = g.interior_dof < 2 * g.n_nodes
+    if half is not None:
+        real = np.split(real, 2)[half]
+    return np.random.default_rng(seed).standard_normal(real.size) * real, real
+
+
+@PROPERTY
+@given(velocity_cases())
+def test_halves_couple_only_opposite_x_parities(case):
+    itg, _, dt = case
+    # the unknowns are laid out (py, px, iy, component, ix): q per block
+    q = itg.w2_int.size // 4
+    blocks = velocity_system(itg, dt).toarray().reshape(2, 2, q, 2, 2, q)
+    # py, px of the row block and cy, cx of the column block
+    for py, px, cy, cx in itertools.product((0, 1), repeat=4):
+        linked = (py, px) == (cy, cx) or (py != cy and px != cx)
+        assert linked or not blocks[py, px, :, cy, cx].any(), (py, px, cy, cx)
+
+
+@PROPERTY
+@given(velocity_cases(), st.integers(0, 2**32 - 1))
+def test_half_inverses_are_exact(case, seed):
+    itg, g, dt = case
+    m = velocity_system(itg, dt).toarray()
+    h = m.shape[0] // 2
+    for half, pre in enumerate(itg._half_inverses(dt)):
+        block = m[half * h:(half + 1) * h, half * h:(half + 1) * h]
+        x, real = _padded(g, seed, half)
+        assert np.abs(pre(block @ x) - x).max() <= 1e-12 * np.abs(x).max()
+        z = pre(x)
+        assert np.abs(block @ z - x).max() <= 1e-12 * np.abs(x).max()
+        assert not z[~real].any()
+
+
+@PROPERTY
+@given(velocity_cases(), st.integers(0, 2**32 - 1),
+       st.sampled_from([1e-12, 1e-8, 1e-4]))
+def test_reduced_solve_meets_its_tolerance_on_the_full_system(case, seed, tol):
+    itg, g, dt = case
+    rhs, real = _padded(g, seed)
+    x0, _ = _padded(g, seed + 1)
+    x, _ = itg._solve_velocity(dt, rhs, 0.1 * x0, tol)
+    resid = velocity_system(itg, dt).toarray() @ x - rhs
+    assert np.linalg.norm(resid) <= 2.0 * tol * np.linalg.norm(rhs)
+    assert not x[~real].any()
