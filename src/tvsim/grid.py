@@ -143,67 +143,43 @@ def _restrict(a, rows, cols=None):
     return (a if cols is None else a[:, cols]).tocsr()
 
 
-def separable_inverse(qx, qy, inv):
-    """Apply (Qy (x) Qx) diag(inv) (Qy (x) Qx)^T to stacked vectors.
+def _sbp_coupling_1d(n, h, q):
+    """E = P d on the interior nodes, between the parity blocks of the modes q.
 
-    Qx and Qy are 1-D bases given by their diagonal blocks, qx (bx, hx, hx)
-    and qy (by, hy, hy); a plain (h, h) basis is one block.  For
-    P-orthonormal modes and inv = 1/symbol this is the exact inverse of
-    (Py (x) Px) + Kronecker terms diagonalized by those modes.  r is laid
-    out (by, bx, hy, k, hx): row block, column block, row, one of k
-    components sharing the modes, column.  inv holds the inverse symbol as
-    one k x k block per mode pair, which mixes the k components of that
-    mode (the inverse of I + sum a_i lam_i when the component matrices a_i
-    couple the components).  It is laid out (k, by, bx, hy, k, hx), the
-    input component first: inv[d, ..., c, :] is entry (c, d) of the blocks.
-    For k = 1 it is the plain reciprocal symbol, of any shape that holds the
-    modes in that order.  inv is a C-contiguous array that every apply
-    reads, so a caller may refill it in place to change the symbol and keep
-    the bases and buffers.  Each stage is one batched product over the
-    block pairs, with the k components side by side; reused work buffers
-    keep the intermediates out of the allocator, whose fresh pages cost as
-    much as a product at 128^2.
-
-    The velocity half inverses pass the SBP modes as their two parity
-    blocks in x and one in y (k = 2 components).  The heat preconditioner
-    passes one dense cosine basis per direction (k = 1): the five-point
-    Neumann Laplacian couples neighbouring nodes, which have opposite
-    parity, so it has no such split.
+    d is the SBP first derivative and P the trapezoid weights.  On interior
+    nodes E is exactly skew (P d + d^T P has only boundary entries), and like
+    K = d^T P d it joins nodes of opposite parity only.  Returns e (2, b, b),
+    e[j] = Q[1-j]^T E[1-j, j] Q[j], the block that takes the parity-j modes
+    of q (_sbp_modes_1d) to the parity 1 - j ones; E's pad row and column
+    are 0, so no pad mode is coupled.
     """
-    qx, qy = qx.reshape(-1, *qx.shape[-2:]), qy.reshape(-1, *qy.shape[-2:])
-    (by, hy, _), (bx, _, hx) = qy.shape, qx.shape
-    pairs = by * bx
-    k = math.isqrt(inv.size // (pairs * hy * hx))
-    inv = inv.reshape(k, pairs, hy, k, hx)  # a view of the caller's array
-    rows, cols = (pairs, hy, k * hx), (pairs, hy * k, hx)
-    # one batch entry per block pair (py, px), with the bases spelt out:
-    # matmul is slower on broadcast batch dimensions
-    qy = np.broadcast_to(qy[:, None], (by, bx, hy, hy)).reshape(pairs, hy, hy)
-    qx = np.broadcast_to(qx, (by, bx, hx, hx)).reshape(pairs, hx, hx)
-    qyt, qxt = np.swapaxes(qy, 1, 2), np.swapaxes(qx, 1, 2)
-    work_r, work_c = np.empty(rows), np.empty(cols)
-    work_rc = work_r.reshape(cols)  # the same buffer, seen by columns
-    if k == 1:
-        mixed = work_c
+    e = (sp.diags(_trapezoid_1d(n, h)) @ _sbp_derivative_1d(n, h)).toarray()
+    e = np.pad(e[1:-1, 1:-1], (0, 1))  # a zero pad row and column
+    order = _parity_order(n - 2)
+    return np.stack([q[1 - j].T @ e[np.ix_(order[1 - j], order[j])] @ q[j]
+                     for j in (0, 1)])
 
-        def mix():
-            np.multiply(work_c, inv.reshape(cols), out=work_c)
-    else:
-        # sum over d of inv[d] times input component d, into a second buffer
-        mixed, term = np.empty(cols), np.empty(inv.shape[1:])
-        comp = work_c.reshape(pairs, hy, k, 1, hx)
-        out = mixed.reshape(inv.shape[1:])
 
-        def mix():
-            np.multiply(inv[0], comp[:, :, 0], out=out)
-            for d in range(1, k):
-                np.add(out, np.multiply(inv[d], comp[:, :, d], out=term), out=out)
+def separable_inverse(qx, qy, inv):
+    """Apply (Qy (x) Qx) diag(inv) (Qy (x) Qx)^T to a vector.
+
+    qx (hx, hx) and qy (hy, hy) are dense 1-D bases and inv (hy, hx) the
+    reciprocal symbol.  For P-orthonormal modes this is the exact inverse of
+    (Py (x) Px) + Kronecker terms diagonalized by those modes: the heat
+    preconditioner passes the cosine basis of each direction, because the
+    five-point Neumann Laplacian couples neighbouring nodes, which have
+    opposite parity.  inv is an array that every apply reads, so a caller may
+    refill it in place to change the symbol and keep the bases and buffers.
+    Reused work buffers keep the intermediates out of the allocator, whose
+    fresh pages cost as much as a product at 128^2.
+    """
+    work_r, work_c = np.empty(inv.shape), np.empty(inv.shape)
 
     def apply(r):
-        np.matmul(qyt, r.reshape(rows), out=work_r)
-        np.matmul(work_rc, qx, out=work_c)
-        mix()
-        np.matmul(mixed, qxt, out=work_rc)
+        np.matmul(qy.T, r.reshape(inv.shape), out=work_r)
+        np.matmul(work_r, qx, out=work_c)
+        np.multiply(work_c, inv, out=work_c)
+        np.matmul(work_c, qx.T, out=work_r)
         return (qy @ work_r).ravel()
     return apply
 
@@ -374,6 +350,13 @@ class Grid:
         return self._op("modes_K", lambda: (_sbp_modes_1d(self.nx, self.hx),
                                             _sbp_modes_1d(self.ny, self.hy)))
 
+    def sbp_coupling(self):
+        """(e_x, e_y): P d on the interior nodes of each direction in its
+        SBP modes, between the parity blocks (see _sbp_coupling_1d)."""
+        (qx, _), (qy, _) = self.sbp_modes()
+        return self._op("coupling_K", lambda: (_sbp_coupling_1d(self.nx, self.hx, qx),
+                                               _sbp_coupling_1d(self.ny, self.hy, qy)))
+
     def dirichlet_laplacian_interior(self):
         """Five-point Laplacian with clamped boundary on each component of
         the interior velocity unknowns, in interior_dof order."""
@@ -389,9 +372,10 @@ def solve_spd(a, rhs, tol=1e-10, maxiter=None, x0=None, precond_apply=None,
     """Preconditioned conjugate gradients for an SPD system.
 
     a is a sparse matrix or any SPD operator with `@` (the integrator passes
-    a Schur complement).  Stops at residual |rhs - a x| <= tol ref_norm;
-    ref_norm defaults to |rhs|, and a caller whose residual equals that of
-    a larger system passes that system's right-hand side norm.  A zero
+    a Schur complement in mode coordinates).  Stops at residual
+    |rhs - a x| <= tol ref_norm; ref_norm defaults to |rhs|, and a caller
+    whose residual is that of a larger system, up to a known factor, passes
+    that system's right-hand side norm over the factor.  A zero
     ref_norm returns x = 0, and x0 None starts from 0 without a product.
     The iteration cap defaults to 10 times the number of unknowns, and
     failure raises SolverError with the final relative residual attached.

@@ -61,30 +61,35 @@ after it (_inner_tol); a continued step forecasts its first iteration from the
 predictor step and the remembered ratio.  Every iteration that can stop the
 loop is solved to _CG_TOL, a loose one that meets the stop test is followed by
 a tight one, and the Anderson history is dropped when the solves tighten.
-Both systems use exact inverses of separable operators, applied as dense
-products with 1-D eigenbases (fast diagonalization, Lynch, Rice &
-Thomas 1964), so iteration counts do not grow with 1/h and nothing is
-factorized:
+Both systems are preconditioned by exact inverses of separable operators,
+applied in 1-D eigenbases by dense products (fast diagonalization, Lynch,
+Rice & Thomas 1964), so iteration counts do not grow with 1/h and nothing
+is factorized:
 
-* velocity: CG runs on one half of the unknowns.  K = d^T P d on interior
-  nodes couples no odd with an even node, so the unknowns are ordered by
-  parity blocks (Grid.interior_dof: y-parity py, x-parity px, then row,
-  component, column).  W and every Dx-Dx and Dy-Dy term of A_D and A_C
-  keep a node's parity pair, and every Dx-Dy term flips both parities, so
-  the system M is 2-cyclic between the halves py = 0 and py = 1: each
-  half's block M00, M11 keeps px = 0 and px = 1 apart, and M01 joins px
-  to 1 - px only.  On a half, the block is diagonalized by the SBP modes
-  with a 2 x 2 component symbol per mode pair, I + a_x lam_x + a_y lam_y,
+* velocity: CG runs on one half of the unknowns, in the SBP modes.
+  K = d^T P d on interior nodes couples no odd with an even node, so the
+  unknowns are ordered by parity blocks (Grid.interior_dof: y-parity py,
+  x-parity px, then row, component, column).  W and every Dx-Dx and Dy-Dy
+  term of A_D and A_C keep a node's parity pair, and every Dx-Dy term flips
+  both parities, so the system M is 2-cyclic between the halves py = 0 and
+  py = 1: each half's block M00, M11 keeps px = 0 and px = 1 apart, and M01
+  joins px to 1 - px only.  In the SBP modes V_py (Grid.sbp_modes) a half's
+  block is one 2 x 2 component symbol per mode, I + a_x lam_x + a_y lam_y,
   a_x and a_y holding the normal and the normal-shear entries of
-  dt D + dt^2 C (Integrator._half_inverses), so both blocks have exact
-  inverses for every tensor.  CG solves the Schur complement
-  S = M11 - M10 M00^-1 M01 on the odd half, preconditioned by M11^-1, and
-  the even half follows as M00^-1 (f0 - M01 y) (_SchurComplement).  With
-  sigma the singular values of M00^-1/2 M01 M11^-1/2 (at most 0.487 at
-  32^2 and dt = 0.01 on the built-in tensors), the preconditioned S has the
-  spectrum 1 - sigma^2, where block Jacobi on M has 1 +- sigma, so the
-  reduced solve takes about half the iterations (Reid 1972); its residual
-  is the full system's;
+  dt D + dt^2 C, so both blocks have exact inverses for every tensor.  On
+  interior nodes E = P d is exactly skew, every Dx-Dy term is a multiple of
+  Ey (x) Ex, and so the coupling is C2 (x) Ny (x) Nx there, with Ny and Nx
+  the 1-D matrices of E between the parity blocks in the modes
+  (Grid.sbp_coupling).  CG solves the Schur complement
+  S = M11 - M10 M00^-1 M01 in the odd half's mode coefficients, where it is
+  a 2 x 2 block per mode minus one Kronecker product of 1-D matrices and
+  its preconditioner M11^-1 a 2 x 2 block per mode (_ReducedSystem); the
+  even half follows as M00^-1 (f0 - M01 y).  An iteration costs four dense
+  1-D products and three 2 x 2 mixes.  With sigma the singular values of
+  M00^-1/2 M01 M11^-1/2 (at most 0.487 at 32^2 and dt = 0.01 on the
+  built-in tensors), the preconditioned S has the spectrum 1 - sigma^2,
+  where block Jacobi on M has 1 +- sigma, so the reduced solve takes about
+  half the iterations (Reid 1972); its residual is the full system's;
 * heat: the preconditioner is W (c_bar - D lap_N), with c_bar the weighted
   mean of kappa_bar/dt + b, inverted in the cosine (type-I DCT) modes of the
   Neumann Laplacian, one dense block per direction: the five-point stencil
@@ -92,7 +97,8 @@ factorized:
 
 Only the eps_reg > 0 velocity system, whose high-order term couples
 x-parity neighbours inside a half and is not diagonal in those modes, is
-solved in full, with a sparse LU factorization as its preconditioner.
+assembled and solved in full, with a sparse LU factorization as its
+preconditioner; it is the only user of the assembled A_D.
 
 Work is done where it changes.  Once per attempt, _picard gathers u, v and
 f onto the interior unknowns and forms -A_C u and W f (_velocity_sources),
@@ -100,10 +106,13 @@ and evaluates K(theta) unless the remembered step holds it.  Each Picard
 iteration pays only for what depends on the iterate x: the chord kappa_bar,
 T_B x in the velocity right-hand side, the heat system's strain Gi v+ (no
 scatter to the full grid), diagonal and right-hand side, the heat
-preconditioner's symbol, and the two CG solves.  The velocity system's
-parts (M01, the odd-half rows of M and the two half inverses) are cached
-per dt, built by the first solve of that dt; the heat preconditioner's
-bases and buffers are built by the first heat solve and kept.
+preconditioner's symbol, and the two CG solves.  The velocity warm start
+passes from one iteration to the next as the odd half's mode coefficients,
+so only the predictor's v0 is transformed into the modes.  The 1-D bases
+and coupling matrices of the velocity modes are built by the first velocity
+solve and kept (_VelocityModes); per dt only the 2 x 2 blocks per mode are
+formed, at the first solve of that dt.  The heat preconditioner's bases and
+buffers are built by the first heat solve and kept.
 
 The solver tolerances and caps, the dt growth and the positivity safety
 factor are module constants: the identities hold only to about _CG_TOL and
@@ -172,33 +181,111 @@ def _inner_tol(rho, change, scale):
     return _CG_TOL
 
 
-class _SchurComplement:
-    """S = M11 - M10 M00^-1 M01 of the velocity system M on its odd-y half.
+# the parts of the strain (e11, e22, e12) that the x- and the y-derivatives
+# of (v_x, v_y) make: e = ALPHA dv/dx + BETA dv/dy
+_ALPHA = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.5]])
+_BETA = np.array([[0.0, 0.0], [0.0, 1.0], [0.5, 0.0]])
 
-    H0 and H1, the even and odd y-parity halves of Grid.interior_dof, are
-    the two contiguous halves of the vector; M is 2-cyclic between them
-    (module docstring).  Kept are M01, the H1 rows [M10 M11] of M and
-    inv0 = M00^-1, not M itself; nnz counts the two sparse parts, what one
-    product reads.
+
+def _inverse_2x2(sym):
+    """The inverse of every 2 x 2 block of sym (a, b, *modes), in closed form."""
+    (s00, s01), (s10, s11) = sym
+    return np.array([[s11, -s01], [-s10, s00]]) / (s00 * s11 - s01 * s10)
+
+
+class _VelocityModes:
+    """The velocity unknowns in the SBP modes, one y-parity half at a time.
+
+    A half py of Grid.interior_dof, laid out (px, iy, c, ix), has the modes
+    V_py = Qy[py] (x) Qx of Grid.sbp_modes, V^T W V = I for W = hx hy I; its
+    coefficients are laid out component first, (c, px, ky, kx).  couple and
+    couple_t apply the coupling N = Ny (x) Nx between the halves
+    (Grid.sbp_coupling; Nx flips the x-parity).  Each transform and each
+    factor of N is one matmul, its 1-D matrices broadcast over the other
+    axes; the transposes of the stacked ones are kept as copies, because at
+    128^2 matmul takes about 1.7 times as long on a transposed view of a
+    stack.  Built at the first velocity solve, and kept.
     """
 
-    def __init__(self, m, inv0):
-        h = m.shape[0] // 2
-        self.m01, self.rows1 = m[:h, h:], m[h:]
-        self.inv0 = inv0
-        self.shape = (h, h)
-        self.nnz = self.m01.nnz + self.rows1.nnz
-        self._both = np.empty(2 * h)  # [-M00^-1 M01 p, p]
+    def __init__(self, grid):
+        (self.qx, self.lam_x), (qy, self.lam_y) = grid.sbp_modes()
+        self.ex, ey = grid.sbp_coupling()  # ex[j] takes x-parity j to 1 - j
+        self.qy, self.ny = qy, ey[1]
+        self.qx_t, self.qy_t, self.ex_t = (np.ascontiguousarray(np.swapaxes(a, 1, 2))
+                                           for a in (self.qx, qy, self.ex))
+        self.shape = (2, 2) + self.lam_y.shape[1:] + self.lam_x.shape[1:]
+
+    @staticmethod
+    def mix(sym, p):
+        """sum over b of sym[a, b] p[b]: one 2 x 2 component block per mode,
+        sym laid out (a, b, px, ky, kx) and p (b, px, ky, kx)."""
+        return np.einsum("ab...,b...->a...", sym, p)
+
+    def symbol(self, py, a_x, a_y):
+        """V^T M_pp V, the half py's block in its modes: the 2 x 2 block
+        I + a_x lam_x + a_y lam_y per mode, laid out (a, b, px, ky, kx)."""
+        return (np.eye(2)[:, :, None, None, None]
+                + a_x[:, :, None, None, None] * self.lam_x[:, None, :]
+                + a_y[:, :, None, None, None] * self.lam_y[py][:, None])
+
+    def to_modes(self, y, py=slice(None)):
+        """V^T y of the halves py of y, laid out (py, c, px, ky, kx)."""
+        _, _, by, bx = self.shape
+        rows = (y.reshape(-1, 2, 2 * by, bx) @ self.qx).reshape(-1, 2, by, 2, bx)
+        return self.qy_t[py][:, None, None] @ rows.transpose(0, 3, 1, 2, 4)
+
+    def from_modes(self, even, odd):
+        """V0 even + V1 odd in interior_dof order, from the two halves'
+        coefficients (c, px, ky, kx)."""
+        _, _, by, bx = self.shape
+        y = np.empty((2, 2, by, 2, bx))
+        for py, coeffs in enumerate((even, odd)):
+            np.matmul(self.qy[py] @ coeffs, self.qx_t, out=y[py].transpose(2, 0, 1, 3))
+        return y.ravel()
+
+    def couple(self, p):
+        """N p: odd-half coefficients to even-half ones."""
+        return self.ny @ (p @ self.ex_t)[:, ::-1]
+
+    def couple_t(self, q):
+        """N^T q: even-half coefficients to odd-half ones."""
+        return (self.ny.T @ q)[:, ::-1] @ self.ex
+
+
+class _ReducedSystem:
+    """S = L1 - N^T B0 N, the velocity system's Schur complement on its odd-y
+    half in the SBP modes, and the parts that recover the even half.
+
+    In the modes (_VelocityModes) each y-parity half's block of the system M
+    is L_py = V^T M_pp V, one 2 x 2 block per mode, and the coupling is
+    V0^T M01 V1 = C2 (x) N with C2 = -(ALPHA^T c BETA + BETA^T c ALPHA),
+    c = dt D + dt^2 C (module docstring).  So M11 - M10 M00^-1 M01 becomes S
+    with B0 = C2 L0^-1 C2 per even-half mode, and its preconditioner M11^-1
+    becomes L1^-1.  nnz counts the matrix entries one product reads: the
+    2 x 2 blocks of L1 and B0, and the 1-D factors of N and of N^T.
+    """
+
+    def __init__(self, modes, c):
+        self.modes = modes
+        a_x, a_y = _ALPHA.T @ c @ _ALPHA, _BETA.T @ c @ _BETA
+        c2 = -(_ALPHA.T @ c @ _BETA + _BETA.T @ c @ _ALPHA)
+        self.c2 = c2[:, :, None, None, None]  # the same block for every mode
+        self.inv0 = _inverse_2x2(modes.symbol(0, a_x, a_y))
+        self.sym1 = modes.symbol(1, a_x, a_y)
+        self.inv1 = _inverse_2x2(self.sym1)
+        self.h0 = np.einsum("ad...,db->ab...", self.inv0, c2)  # L0^-1 C2
+        self.b0 = np.einsum("ad,db...->ab...", c2, self.h0)
+        n = self.sym1[0].size
+        self.shape = (n, n)
+        self.nnz = self.sym1.size + self.b0.size + 2 * (modes.ex.size + modes.ny.size)
 
     def __matmul__(self, p):
-        h = self.shape[0]
-        np.negative(self.inv0(self.m01 @ p), out=self._both[:h])
-        self._both[h:] = p
-        return self.rows1 @ self._both
+        m = self.modes
+        p = p.reshape(m.shape)
+        return (m.mix(self.sym1, p) - m.couple_t(m.mix(self.b0, m.couple(p)))).ravel()
 
-    def even_half(self, f0, y):
-        """The even half x0 = M00^-1 (f0 - M01 y) that solves the H0 rows."""
-        return self.inv0(f0 - self.m01 @ y)
+    def precondition(self, r):
+        return self.modes.mix(self.inv1, r.reshape(self.modes.shape)).ravel()
 
 
 @dataclass
@@ -396,7 +483,6 @@ class Integrator:
         self.comp_D = tn.component_matrix(tensors.D4)
         self.comp_C = tn.component_matrix(tensors.C4)
         self.b_triple = tensors.b_triple
-        self.A_D = grid.quadratic_form_matrix(self.comp_D)
         self.A_C = grid.quadratic_form_matrix(self.comp_C)
         self.T_B = grid.coupling_force_matrix(self.b_triple)
         self.A_N = grid.neumann_weighted()
@@ -404,6 +490,7 @@ class Integrator:
         # every interior node, and every pad slot, has the weight hx hy
         self.w2_int = np.full(grid.interior_dof.size, grid.hx * grid.hy)
         self.D_diff = None  # set via diffusivity property
+        self._vel_modes = None  # built by the first velocity solve
         self._vel_cache = {}
         self._heat_base = None
         self._heat_work = None  # refilled from _heat_base by each heat solve
@@ -440,6 +527,8 @@ class Integrator:
             theta_start=theta_start, v_start=v_start, dt=dt_prev, rho=rho)
 
     def _build_regularization(self):
+        # the eps_reg > 0 system is assembled in full, the only user of A_D
+        self._A_D = self.grid.quadratic_form_matrix(self.comp_D)
         op = -self.grid.dirichlet_laplacian_interior()
         power = op
         for _ in range(2 * self.config.m - 1):
@@ -460,60 +549,27 @@ class Integrator:
         return pos
 
     def _velocity_matrix(self, dt):
-        """The velocity system of dt as (operator, preconditioner), cached.
-
-        With eps_reg = 0 the operator is the _SchurComplement of the system
-        on its odd-y half, preconditioned by the exact inverse of that
-        half's own block; otherwise the full sparse system, preconditioned by
-        its LU factorization.  Built at the first solve of each dt.
+        """The velocity system of dt, cached: a _ReducedSystem when
+        eps_reg = 0, else (the full sparse system, its LU solve).  Built at
+        the first solve of each dt; only the per-mode blocks change with dt.
         """
         key = float(dt)
         if key not in self._vel_cache:
             if len(self._vel_cache) > 8:
                 self._vel_cache.clear()
-            m = sp.diags(self.w2_int) + dt * self.A_D + dt * dt * self.A_C
-            if self._reg_block is not None:
+            if self._reg_block is None:
+                if self._vel_modes is None:
+                    self._vel_modes = _VelocityModes(self.grid)
+                self._vel_cache[key] = _ReducedSystem(
+                    self._vel_modes, dt * self.comp_D + dt * dt * self.comp_C)
+            else:
+                m = sp.diags(self.w2_int) + dt * self._A_D + dt * dt * self.A_C
                 m = (m + dt * self.config.eps_reg * self._reg_block).tocsr()
                 # the high-order term conditions the system like h^{-4m} and
                 # is not diagonal in the 1-D modes; an exact factorization
                 # keeps the iteration count independent of that
                 self._vel_cache[key] = (m, sp.linalg.splu(m.tocsc()).solve)
-            else:
-                inv0, inv1 = self._half_inverses(dt)
-                self._vel_cache[key] = (_SchurComplement(m.tocsr(), inv0), inv1)
         return self._vel_cache[key]
-
-    def _half_inverses(self, dt):
-        """Exact inverses of the velocity system's blocks on its two y-parity
-        halves, (M00^-1, M11^-1).
-
-        On one half, every term of W + dt A_D + dt^2 A_C that keeps the half
-        is a sum of Kronecker products W, Wy (x) Kx and Ky (x) Wx, with
-        K = d^T P d on interior nodes, acting on the two components through
-        the 2 x 2 matrices a_x = [[c00, c02/2], [c20/2, c22/4]] and
-        a_y = [[c22/4, c21/2], [c12/2, c11]] of c = dt D + dt^2 C; the
-        Dx-Dy terms all change the half.  The SBP modes diagonalize every
-        such term, so per mode pair the block is the 2 x 2 symbol
-        I + a_x lam_x + a_y lam_y, inverted in closed form.  Each half holds
-        both x-parity blocks of the modes and one y-parity block; the pad
-        slot that evens out an odd node count holds 0 and stays 0.
-        """
-        (qx, lam_x), (qy, lam_y) = self.grid.sbp_modes()
-        c = dt * self.comp_D + dt * dt * self.comp_C
-        a_x = np.array([[c[0, 0], 0.5 * c[0, 2]], [0.5 * c[2, 0], 0.25 * c[2, 2]]])
-        a_y = np.array([[0.25 * c[2, 2], 0.5 * c[2, 1]], [0.5 * c[1, 2], c[1, 1]]])
-        inverses = []
-        for py in (0, 1):
-            # the symbol in the half's (px, iy, component, component, ix)
-            # layout, and its inverse input component first
-            sym = (np.eye(2)[:, :, None] + a_x[:, :, None] * lam_x[:, None, None, None, :]
-                   + a_y[:, :, None] * lam_y[py, None, :, None, None, None])
-            (s00, s01), (s10, s11) = np.moveaxis(sym, (2, 3), (0, 1))
-            det = (s00 * s11 - s01 * s10)[:, :, None]
-            inv = np.stack([np.stack([s11, -s10], axis=2),
-                            np.stack([-s01, s00], axis=2)]) / det
-            inverses.append(separable_inverse(qx, qy[py], inv))
-        return inverses
 
     def _heat_preconditioner(self, c_bar):
         """Exact inverse of W (c_bar - D lap_N) in the cosine modes.
@@ -557,7 +613,9 @@ class Integrator:
         viscous form, the optional high-order regularization and the dt^2
         elastic term that evaluates the elastic force at the end-of-step
         displacement.  sources, when given, is _velocity_sources(state,
-        f_field), which a Picard loop forms once for all its solves.
+        f_field), which a Picard loop forms once for all its solves.  x0 is
+        the warm start, state.v by default (see _solve_velocity).  Returns
+        the interior v+, the CG iterations and v+ as a warm start.
         """
         theta = state.theta if theta_force is None else theta_force
         v_int, elastic, w_f = (self._velocity_sources(state, f_field)
@@ -566,30 +624,48 @@ class Integrator:
         return self._solve_velocity(dt, rhs, v_int if x0 is None else x0, tol)
 
     def _solve_velocity(self, dt, rhs, x0, tol):
-        """(x, CG iterations) of the velocity system of dt, started at x0.
+        """(x, CG iterations, warm start) of the velocity system of dt.
 
-        With eps_reg = 0, CG runs on the odd-y half y only (see
-        _SchurComplement).  From the warm start's half y0 it solves S dy = r,
-        r being the residual of [even_half(y0), y0], whose even half is 0,
-        and returns [even_half(y), y] with y = y0 + dy.  The reduced residual
-        is the full system's, so tol is measured against the full
-        right-hand side.  rhs, like every velocity right-hand side, is 0 in
-        the pad slots.
+        x0 is the interior unknowns to start from or, of half their size,
+        the warm start a velocity solve returned: the odd half's mode
+        coefficients when eps_reg = 0, which a Picard loop hands on without
+        transforming them back and forth.  With eps_reg = 0 CG runs on the
+        _ReducedSystem in the coefficients c of the odd half y = V1 c: from
+        c0 = hx hy V1^T y0 it solves S dc = r, r being the residual of
+        (even half of c0, c0), whose even half is 0, and c = c0 + dc.  V1 is
+        an orthogonal matrix over sqrt(hx hy), so the reduced residual in the
+        modes has the norm of the full system's over sqrt(hx hy), and tol
+        keeps measuring the full residual against the full right-hand side.
+        The even half is V0 L0^-1 (V0^T f0 - C2 N c).  rhs, like every
+        velocity right-hand side, is 0 in the pad slots, so the pad modes'
+        coefficients stay 0.
         """
-        op, pre_apply = self._velocity_matrix(dt)
+        system = self._velocity_matrix(dt)
         if self._reg_block is not None:
-            return solve_spd(op, rhs, tol=tol, maxiter=_CG_MAXITER_FACTOR * rhs.size,
-                             x0=x0, precond_apply=pre_apply)
+            x, iters = solve_spd(system[0], rhs, tol=tol,
+                                 maxiter=_CG_MAXITER_FACTOR * rhs.size, x0=x0,
+                                 precond_apply=system[1])
+            return x, iters, x
+        h, w = rhs.size // 2, self.grid.hx * self.grid.hy
         ref = math.sqrt(rhs @ rhs)
         if ref == 0.0:
-            return np.zeros(rhs.size), 0
-        h = rhs.size // 2
-        f0, y0 = rhs[:h], x0[h:]
-        resid = rhs[h:] - op.rows1 @ np.concatenate([op.even_half(f0, y0), y0])
-        dy, iters = solve_spd(op, resid, tol=tol, maxiter=_CG_MAXITER_FACTOR * h,
-                              precond_apply=pre_apply, ref_norm=ref)
-        y = y0 + dy
-        return np.concatenate([op.even_half(f0, y), y]), iters
+            return np.zeros(rhs.size), 0, np.zeros(h)
+        modes = system.modes
+        f0, f1 = modes.to_modes(rhs)
+        g0 = modes.mix(system.inv0, f0)  # L0^-1 V0^T f0
+        c0 = (x0 if x0.size == h else w * modes.to_modes(x0[h:], slice(1, 2))).reshape(
+            modes.shape)
+        # the reduced residual f1 - L1 c0 - N^T C2 (g0 - L0^-1 C2 N c0),
+        # with one product by N^T
+        resid = f1 - modes.mix(system.sym1, c0) - modes.couple_t(
+            modes.mix(system.c2, g0) - modes.mix(system.b0, modes.couple(c0)))
+        dc, iters = solve_spd(system, resid.ravel(), tol=tol,
+                              maxiter=_CG_MAXITER_FACTOR * h,
+                              precond_apply=system.precondition,
+                              ref_norm=ref / math.sqrt(w))
+        c = c0 + dc.reshape(modes.shape)
+        even = g0 - modes.mix(system.h0, modes.couple(c))
+        return modes.from_modes(even, c), iters, c.ravel()
 
     @staticmethod
     def displacement_step(u, v_new, dt):
@@ -794,10 +870,9 @@ class Integrator:
         g_hist, f_hist = [], []
         for _ in range(_PICARD_MAX):
             spent[0] += 1
-            v_int, _ = self._counted(spent, 1, self.velocity_step, state,
-                                     f_field, dt, theta_force=x, x0=v_guess,
-                                     tol=tol, sources=sources)
-            v_guess = v_int
+            v_int, _, v_guess = self._counted(
+                spent, 1, self.velocity_step, state, f_field, dt,
+                theta_force=x, x0=v_guess, tol=tol, sources=sources)
             theta_new, _, b, _ = self._counted(
                 spent, 2, self.temperature_step, state, v_int, g_field, dt,
                 theta_guess=theta_guess, kappa_bar=kappa_bar, tol=tol)

@@ -60,6 +60,25 @@ def boundary_vanishing_field(grid, rng, ncomp=2):
 
 def velocity_system(itg, dt):
     """W + dt A_D + dt^2 A_C, the eps_reg = 0 velocity system of an
-    Integrator, assembled in full apart from the solver, which keeps only
-    its parts."""
-    return (sp.diags(itg.w2_int) + dt * itg.A_D + dt * dt * itg.A_C).tocsr()
+    Integrator, assembled in full apart from the solver, which works in the
+    SBP modes and assembles none of it."""
+    a_d = itg.grid.quadratic_form_matrix(itg.comp_D)
+    return (sp.diags(itg.w2_int) + dt * a_d + dt * dt * itg.A_C).tocsr()
+
+
+def mode_basis(g, py):
+    """V_py = Qy[py] (x) Qx as a dense matrix, built from Grid.sbp_modes:
+    rows are the y-parity half py of the unknowns, laid out (px, iy, c, ix),
+    columns its mode coefficients, laid out (c, px, ky, kx)."""
+    (qx, _), (qy, _) = g.sbp_modes()
+    v = np.einsum("cd,pq,ik,pjl->picjdqkl", np.eye(2), np.eye(2), qy[py], qx)
+    h = v[0, 0, 0, 0].size
+    return v.reshape(h, h)
+
+
+def mode_blocks(sym):
+    """The dense matrix of one 2 x 2 component block per mode: sym is laid
+    out (a, b, *modes), the coefficients it acts on (c, *modes)."""
+    s = sym.reshape(2, 2, -1)
+    n = s.shape[-1]
+    return np.einsum("abm,mn->ambn", s, np.eye(n)).reshape(2 * n, 2 * n)

@@ -4,8 +4,9 @@ On random coercive tensors, grid shapes with odd and even node counts and
 time steps, the system W + dt A_D + dt^2 A_C must split as the reduced solve
 assumes: each y-parity half of Grid.interior_dof keeps its x-parity blocks
 apart, the coupling between the halves only joins x-parity px to 1 - px,
-each half's block has an exact separable inverse, and the reduced solve
-meets its tolerance on the full system.
+the SBP modes turn each half's block into one 2 x 2 block per mode and the
+coupling into C2 (x) Ny (x) Nx, and the reduced solve meets its tolerance on
+the full system.
 """
 
 import itertools
@@ -18,7 +19,7 @@ from tvsim.grid import Grid
 from tvsim.integrator import Integrator, SolverConfig
 from tvsim.materials import ConstantCapacity
 
-from conftest import velocity_system
+from conftest import mode_basis, mode_blocks, velocity_system
 
 # about 3 s in all: the examples are small, and the draws repeat run to run
 PROPERTY = settings(max_examples=50, deadline=None, database=None,
@@ -70,17 +71,41 @@ def test_halves_couple_only_opposite_x_parities(case):
 
 @PROPERTY
 @given(velocity_cases(), st.integers(0, 2**32 - 1))
-def test_half_inverses_are_exact(case, seed):
+def test_modes_turn_the_system_into_blocks_and_one_kronecker_coupling(case, seed):
     itg, g, dt = case
     m = velocity_system(itg, dt).toarray()
     h = m.shape[0] // 2
-    for half, pre in enumerate(itg._half_inverses(dt)):
-        block = m[half * h:(half + 1) * h, half * h:(half + 1) * h]
-        x, real = _padded(g, seed, half)
-        assert np.abs(pre(block @ x) - x).max() <= 1e-12 * np.abs(x).max()
-        z = pre(x)
-        assert np.abs(block @ z - x).max() <= 1e-12 * np.abs(x).max()
-        assert not z[~real].any()
+    v0, v1 = mode_basis(g, 0), mode_basis(g, 1)
+    system = itg._velocity_matrix(dt)
+    # a pad mode's basis vector lives on pad slots only, where M is W alone,
+    # so only the real modes carry the symbol
+    real = g.interior_dof < 2 * g.n_nodes
+    real_modes = [np.abs(v[half]).sum(axis=0) > 0.0
+                  for v, half in ((v0, real[:h]), (v1, real[h:]))]
+    symbols = (np.linalg.inv(mode_blocks(system.inv0)), mode_blocks(system.sym1))
+    for half, (v, symbol, keep) in enumerate(zip((v0, v1), symbols, real_modes)):
+        rows = slice(half * h, (half + 1) * h)
+        got = v.T @ m[rows, rows] @ v
+        assert np.abs(np.where(np.outer(keep, keep), got - symbol, 0.0)).max() \
+            <= 1e-12 * np.abs(symbol).max()
+    # the preconditioner is the exact inverse of the odd half's symbol
+    assert np.abs(symbols[1] @ mode_blocks(system.inv1) - np.eye(h)).max() <= 1e-12
+    # the coupling: C2 from the strain map, Nx block off-diagonal in px
+    c = dt * itg.comp_D + dt * dt * itg.comp_C
+    alpha = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.5]])
+    beta = np.array([[0.0, 0.0], [0.0, 1.0], [0.5, 0.0]])
+    c2 = -(alpha.T @ c @ beta + beta.T @ c @ alpha)
+    ex, ey = g.sbp_coupling()
+    bx = ex.shape[1]
+    nx = np.zeros((2, bx, 2, bx))
+    nx[1, :, 0, :], nx[0, :, 1, :] = ex
+    expected = np.einsum("cd,kl,pxqy->cpkxdqly", c2, ey[1], nx).reshape(h, h)
+    assert np.abs(v0.T @ m[:h, h:] @ v1 - expected).max() \
+        <= 1e-12 * np.abs(expected).max()
+    # the pad modes' coefficients stay 0, and so do the pad slots
+    rhs, _ = _padded(g, seed)
+    x, _, coeffs = itg._solve_velocity(dt, rhs, np.zeros(rhs.size), 1e-12)
+    assert not coeffs[~real_modes[1]].any() and not x[~real].any()
 
 
 @PROPERTY
@@ -90,7 +115,7 @@ def test_reduced_solve_meets_its_tolerance_on_the_full_system(case, seed, tol):
     itg, g, dt = case
     rhs, real = _padded(g, seed)
     x0, _ = _padded(g, seed + 1)
-    x, _ = itg._solve_velocity(dt, rhs, 0.1 * x0, tol)
+    x, _, _ = itg._solve_velocity(dt, rhs, 0.1 * x0, tol)
     resid = velocity_system(itg, dt).toarray() @ x - rhs
     assert np.linalg.norm(resid) <= 2.0 * tol * np.linalg.norm(rhs)
     assert not x[~real].any()
