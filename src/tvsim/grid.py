@@ -15,9 +15,14 @@ field w vanishing on the boundary,
 
 holds to rounding, and sum over the grid of any sym_grad component of such a
 w vanishes identically.  These two identities are what make the discrete
-energy and entropy exchange terms cancel exactly rather than to O(h^2).  The
-velocity forms are assembled through Gi, the columns of G at the interior
-velocity unknowns (Grid.interior_dof), never over all 2 n_nodes dof.
+energy and entropy exchange terms cancel exactly rather than to O(h^2).
+
+Every 2-D operator is a Kronecker product or sum of 1-D factors (the SBP
+derivative, the trapezoid weights, the three-point Laplacians), and each is
+written as CSR arrays straight from those factors: no generic sparse
+product, stack or slice assembles it.  The velocity forms live on the
+interior velocity unknowns (Grid.interior_dof) only, through Gi, the
+columns of G at those unknowns, never over all 2 n_nodes dof.
 """
 
 from __future__ import annotations
@@ -43,18 +48,21 @@ def _sbp_derivative_1d(n, h):
     With the trapezoid weights p = h*(1/2, 1, ..., 1, 1/2) this operator D
     satisfies the exact summation-by-parts relation P D + D^T P = B where B
     carries only boundary entries, which is what the discrete integration by
-    parts below relies on.
+    parts below relies on.  Every row has two entries, in column order.
     """
-    inv2h = 0.5 / h
-    main = np.zeros(n)
-    main[0], main[-1] = -1.0 / h, 1.0 / h
-    upper = np.full(n - 1, inv2h)
-    upper[0] = 1.0 / h
-    lower = np.full(n - 1, -inv2h)
-    lower[-1] = -1.0 / h
-    d = sp.diags([lower, main, upper], [-1, 0, 1], format="csr")
-    d.eliminate_zeros()
-    return d
+    cols = np.arange(n)[:, None] + np.array([-1, 1])
+    cols[0], cols[-1] = (0, 1), (n - 2, n - 1)
+    vals = np.tile([-0.5 / h, 0.5 / h], (n, 1))
+    vals[0] = vals[-1] = (-1.0 / h, 1.0 / h)
+    return _csr(vals, cols, n)
+
+
+def _tridiagonal(lower, main, upper):
+    """The n x n tridiagonal matrix with these diagonals (n - 1, n, n - 1)."""
+    n = main.size
+    vals = np.column_stack([np.append(0.0, lower), main, np.append(upper, 0.0)])
+    cols = np.clip(np.arange(n)[:, None] + np.array([-1, 0, 1]), 0, n - 1)
+    return _csr(vals, cols, n)
 
 
 def _neumann_laplacian_1d(n, h):
@@ -65,15 +73,14 @@ def _neumann_laplacian_1d(n, h):
     upper[0] = 2.0 * inv_h2
     lower = np.full(n - 1, inv_h2)
     lower[-1] = 2.0 * inv_h2
-    return sp.diags([lower, main, upper], [-1, 0, 1], format="csr")
+    return _tridiagonal(lower, main, upper)
 
 
 def _dirichlet_laplacian_1d(n, h):
     """Three-point second difference; on the interior rows and columns it is
     the clamped (zero boundary) one."""
-    main = np.full(n, -2.0 / h**2)
     off = np.full(n - 1, 1.0 / h**2)
-    return sp.diags([off, main, off], [-1, 0, 1]).tocsr()
+    return _tridiagonal(off, np.full(n, -2.0 / h**2), off)
 
 
 def _trapezoid_1d(n, h):
@@ -134,13 +141,58 @@ def _sbp_modes_1d(n, h):
     return q / np.sqrt(h), lam
 
 
-def _restrict(a, rows, cols=None):
-    """a[rows][:, cols] of a sparse a, where the index one past the last row
-    (column) picks an empty one: that is what a pad slot reads."""
-    a = a.tocsr(copy=True)
-    a.resize(a.shape[0] + 1, a.shape[1] + (cols is not None))
-    a = a[rows]
-    return (a if cols is None else a[:, cols]).tocsr()
+def _csr(vals, cols, n_cols):
+    """A CSR matrix from its rows' entries: the last axis of vals and cols
+    (broadcast to one shape) runs over a row's entries in column order, the
+    others over the rows in order.  Entries of value 0 are not stored, so a
+    row with fewer entries pads them with 0 (at any valid column)."""
+    vals, cols = np.broadcast_arrays(vals, cols)
+    a = sp.csr_matrix((vals.ravel(), cols.astype(np.int32).ravel(),
+                       np.arange(0, vals.size + 1, vals.shape[-1], dtype=np.int32)),
+                      shape=(vals.size // vals.shape[-1], n_cols))
+    a.eliminate_zeros()
+    return a
+
+
+def _relabel(a, col_of, n_cols, rows=None):
+    """The rows `rows` of a CSR a (all by default; the index one past the
+    last row reads as an empty row), with column j renamed col_of[j], or
+    dropped where col_of[j] is -1.  Each row keeps its entries in their
+    stored order, as a[rows][:, cols] does."""
+    indptr, indices, data = a.indptr, a.indices, a.data
+    if rows is not None:
+        ptr = np.append(indptr, indptr[-1])
+        lens = ptr[rows + 1] - ptr[rows]
+        indptr = np.concatenate(([0], np.cumsum(lens)))
+        take = np.arange(indptr[-1]) + np.repeat(ptr[rows] - indptr[:-1], lens)
+        indices, data = indices.take(take), data.take(take)
+    cols = col_of.take(indices)
+    drop = np.flatnonzero(cols < 0)
+    lost = np.bincount(np.searchsorted(indptr, drop, side="right") - 1,
+                       minlength=indptr.size)  # dropped entries per row
+    return sp.csr_matrix((np.delete(data, drop), np.delete(cols, drop),
+                          indptr - np.concatenate(([0], np.cumsum(lost[:-1])))),
+                         shape=(indptr.size - 1, n_cols))
+
+
+def _kron_sum(wx, lx, wy, ly):
+    """diag(wy) (x) diag(wx) lx + diag(wy) ly (x) diag(wx) for tridiagonal
+    1-D lx and ly: five diagonals, each row listing its entries south,
+    west, node, east, north (column order) where those nodes exist."""
+    nx, ny = wx.size, wy.size
+    ax = (wx[1:] * lx.diagonal(-1), wx * lx.diagonal(), wx[:-1] * lx.diagonal(1))
+    ay = (wy[1:] * ly.diagonal(-1), wy * ly.diagonal(), wy[:-1] * ly.diagonal(1))
+    vals = np.zeros((ny, nx, 5))  # a neighbour past the boundary stays 0
+    vals[1:, :, 0] = ay[0][:, None] * wx
+    vals[:, 1:, 1] = wy[:, None] * ax[0]
+    vals[:, :, 2] = wy[:, None] * ax[1] + ay[1][:, None] * wx
+    vals[:, :-1, 3] = wy[:, None] * ax[2]
+    vals[:-1, :, 4] = ay[2][:, None] * wx
+    cols = np.arange(nx * ny, dtype=np.int32).reshape(ny, nx, 1) \
+        + np.array([-nx, -1, 0, 1, nx], dtype=np.int32)
+    cols[0, :, 0], cols[-1, :, 4] = cols[0, :, 2], cols[-1, :, 2]  # any valid column
+    cols[:, 0, 1], cols[:, -1, 3] = cols[:, 0, 2], cols[:, -1, 2]
+    return _csr(vals, cols, nx * ny)
 
 
 def _sbp_coupling_1d(n, h, q):
@@ -276,22 +328,41 @@ class Grid:
         return self._ops[key]
 
     def Dx(self):
-        return self._op("Dx", lambda: sp.kron(sp.identity(self.ny, format="csr"),
-                                              _sbp_derivative_1d(self.nx, self.hx),
-                                              format="csr"))
+        """I (x) d: the SBP derivative along every row of nodes."""
+        def build():
+            d = _sbp_derivative_1d(self.nx, self.hx)
+            cols = d.indices.reshape(self.nx, 2) + np.arange(0, self.n_nodes, self.nx,
+                                                             dtype=np.int32)[:, None, None]
+            return _csr(d.data.reshape(self.nx, 2), cols, self.n_nodes)
+        return self._op("Dx", build)
 
     def Dy(self):
-        return self._op("Dy", lambda: sp.kron(_sbp_derivative_1d(self.ny, self.hy),
-                                              sp.identity(self.nx, format="csr"),
-                                              format="csr"))
+        """d (x) I: the SBP derivative along every column of nodes."""
+        def build():
+            d = _sbp_derivative_1d(self.ny, self.hy)
+            cols = d.indices.reshape(self.ny, 1, 2) * self.nx \
+                + np.arange(self.nx, dtype=np.int32)[:, None]
+            return _csr(d.data.reshape(self.ny, 1, 2), cols, self.n_nodes)
+        return self._op("Dy", build)
 
     def G(self):
-        """Symmetric-gradient matrix: (vx, vy) dof -> (a11, a22, a12) dof."""
+        """Symmetric-gradient matrix: (vx, vy) dof -> (a11, a22, a12) dof,
+        the blocks [[Dx, 0], [0, Dy], [Dy/2, Dx/2]]."""
         def build():
+            n = self.n_nodes
             dx, dy = self.Dx(), self.Dy()
-            zero = sp.csr_matrix(dx.shape)
-            return sp.bmat([[dx, zero], [zero, dy], [0.5 * dy, 0.5 * dx]],
-                           format="csr")
+            data, index = np.empty(8 * n), np.empty(8 * n, dtype=np.int32)
+            data[:2 * n], data[2 * n:4 * n] = dx.data, dy.data
+            index[:2 * n] = dx.indices
+            np.add(dy.indices, n, out=index[2 * n:4 * n])
+            shear, shear_index = data[4 * n:].reshape(n, 4), index[4 * n:].reshape(n, 4)
+            np.multiply(dy.data.reshape(n, 2), 0.5, out=shear[:, :2])
+            np.multiply(dx.data.reshape(n, 2), 0.5, out=shear[:, 2:])
+            shear_index[:, :2] = dy.indices.reshape(n, 2)
+            np.add(dx.indices.reshape(n, 2), n, out=shear_index[:, 2:])
+            indptr = np.concatenate([np.arange(0, 4 * n, 2, dtype=np.int32),
+                                     np.arange(4 * n, 8 * n + 1, 4, dtype=np.int32)])
+            return sp.csr_matrix((data, index, indptr), shape=(3 * n, 2 * n))
         return self._op("G", build)
 
     def mat_weight_diag(self):
@@ -299,10 +370,87 @@ class Grid:
         w = self.weights.ravel()
         return self._op("Wmat", lambda: sp.diags(np.concatenate([w, w, 2.0 * w])))
 
+    def _interior_col(self):
+        """col_of[j]: the position of full dof j in interior_dof, -1 for a
+        boundary dof."""
+        def build():
+            real = np.flatnonzero(self.interior_dof < 2 * self.n_nodes)
+            col_of = np.full(2 * self.n_nodes, -1, dtype=np.int32)
+            col_of[self.interior_dof[real]] = real
+            return col_of
+        return self._op("col_of", build)
+
     def _g_interior(self):
         """Gi, the columns of G at interior_dof; a pad column is empty."""
-        return self._op("Gi", lambda: _restrict(self.G(), np.arange(3 * self.n_nodes),
-                                                self.interior_dof))
+        return self._op("Gi", lambda: _relabel(self.G(), self._interior_col(),
+                                               self.interior_dof.size))
+
+    def _strain_transpose(self):
+        """Gi^T as four entries per interior unknown, written from the 1-D
+        factors.
+
+        A centred row of the SBP derivative reaches the two nodes beside its
+        own, a one-sided closure its own boundary node and one neighbour, so
+        the strain rows (c, node) of G that reach an interior unknown are
+        those of its south, west, east and north neighbours, in that (column)
+        order: the x-derivatives through c = 0 for vx and c = 2 for vy, the
+        y-derivatives through c = 2 for vx and c = 1 for vy.  Returns, per
+        neighbour k, c[k, component] and, laid out (py, px, iy, ix) like
+        interior_dof, the neighbour nodes[k], the entries g[k] of the 1-D
+        derivative that reach the unknown (G's entries but for the 1/2 of
+        the a12 row; 0 in a pad slot) and the nodes' quadrature weights w[k].
+        """
+        def build():
+            def axis(n, h, shape):
+                pos = _parity_order(n - 2)
+                real = pos < n - 2
+                j = np.where(real, pos, n - 3) + 1  # a pad: the last node, d read as 0
+                d = _sbp_derivative_1d(n, h).toarray()
+                w = _trapezoid_1d(n, h)
+                return [a.reshape(shape) for a in (j, d[j - 1, j] * real, d[j + 1, j] * real,
+                                                   w[j - 1], w[j], w[j + 1], real)]
+            jy, d_s, d_n, w_s, wy, w_n, ry = axis(self.ny, self.hy, (2, 1, -1, 1))
+            jx, d_w, d_e, w_w, wx, w_e, rx = axis(self.nx, self.hx, (1, 2, 1, -1))
+            nx = self.nx
+            g = np.stack(np.broadcast_arrays(d_s * rx, d_w * ry, d_e * ry, d_n * rx))
+            w = np.stack(np.broadcast_arrays(w_s * wx, wy * w_w, wy * w_e, w_n * wx))
+            nodes = (jy * nx + jx) + np.array([-nx, -1, 1, nx]).reshape(4, 1, 1, 1, 1)
+            return (nodes.astype(np.int32), np.array([[2, 1], [0, 2], [0, 2], [2, 1]]),
+                    g, w)
+        return self._op("GiT", build)
+
+    def _weighted_transpose(self, scale):
+        """[Gi^T (s_0 (x) W) | Gi^T (s_1 (x) W) | ...] for the columns s_j
+        of scale (3 x p), a scale per strain component.
+
+        Each entry is one product Gi[(c, node), i] (s_j[c] w[node]), because
+        a node's three strain rows reach disjoint interior columns; the 1/2
+        of the a12 row is a power of two, so it may scale either factor.  A
+        row lists block j = 0, 1, ... and in each its neighbours in column
+        order, leaving out those whose s_j[c] is 0, so all rows of one
+        component are equally long; a pad slot's row holds zeros.
+        """
+        nodes, c, g, w = self._strain_transpose()
+        p, n, hx = scale.shape[1], self.n_nodes, nodes.shape[-1]
+        slots = [[(j, k) for j in range(p) for k in range(4) if scale[c[k, comp], j]]
+                 for comp in (0, 1)]
+        widths = [len(s) for s in slots]
+        data = np.empty(nodes.shape[1:-1] + (hx * sum(widths),))
+        index = np.empty(data.shape, dtype=np.int32)
+        first = 0
+        for comp in (0, 1):  # the rows of one component: hx per (py, px, iy)
+            block = np.s_[..., first:first + hx * widths[comp]]
+            split = data.shape[:-1] + (hx, widths[comp])
+            d, i = data[block].reshape(split), index[block].reshape(split)
+            for slot, (j, k) in enumerate(slots[comp]):
+                f = scale[c[k, comp], j] * (0.5 if c[k, comp] == 2 else 1.0)
+                np.multiply(g[k], f * w[k], out=d[..., slot])
+                np.add(nodes[k], j * n, out=i[..., slot])
+            first += hx * widths[comp]
+        row = np.broadcast_to(np.array(widths, dtype=np.int32)[:, None],
+                              nodes.shape[1:-1] + (2, hx))
+        indptr = np.concatenate(([0], np.cumsum(row, dtype=np.int32)))
+        return sp.csr_matrix((data.ravel(), index.ravel(), indptr), shape=(indptr.size - 1, p * n))
 
     def quadratic_form_matrix(self, comp_matrix):
         """A = Gi^T [M (x) diag(w)] Gi on the interior unknowns, for a 3x3
@@ -310,34 +458,36 @@ class Grid:
 
         Gives v . A v = integrate(<T: sym_grad v, sym_grad v>) exactly for v
         in interior_dof order, where M is the component matrix of the
-        4th-order tensor T; the pad rows and columns are zero.
+        4th-order tensor T; the pad rows and columns are zero.  The left
+        factor Gi^T [M (x) W] is written entry by entry
+        (_weighted_transpose); only its product with Gi is a sparse product.
         """
-        gi = self._g_interior()
-        return (gi.T @ sp.kron(comp_matrix, sp.diags(self.weights.ravel())) @ gi).tocsr()
+        a = self._weighted_transpose(np.asarray(comp_matrix, dtype=float)) @ self._g_interior()
+        a.sort_indices()
+        return a
 
     def interior_submatrix(self, a):
         """a on the interior velocity unknowns; pad rows and columns are 0."""
-        return _restrict(a, self.interior_dof, self.interior_dof)
+        return _relabel(sp.csr_matrix(a), self._interior_col(),
+                        self.interior_dof.size, rows=self.interior_dof)
 
     def coupling_force_matrix(self, b_triple):
         """T_B: nodal theta -> interior force dof of -div(theta * B).
 
-        Built as Gi^T [(b0, b1, 2 b2)^T (x) diag(w)], so that
+        Gi^T [(b0, b1, 2 b2)^T (x) diag(w)], so that
         v . T_B theta = integrate(theta * <B, sym_grad v>) exactly.
         """
-        b = np.array([[b_triple[0]], [b_triple[1]], [2.0 * b_triple[2]]])
-        return (self._g_interior().T @ sp.kron(b, sp.diags(self.weights.ravel()))).tocsr()
+        t = self._weighted_transpose(
+            np.array([[b_triple[0]], [b_triple[1]], [2.0 * b_triple[2]]]))
+        t.eliminate_zeros()  # the pad rows
+        return t
 
     def neumann_weighted(self):
-        """W * Laplacian_N: symmetric negative semidefinite, zero row sums."""
-        def build():
-            px = sp.diags(_trapezoid_1d(self.nx, self.hx))
-            py = sp.diags(_trapezoid_1d(self.ny, self.hy))
-            lx = _neumann_laplacian_1d(self.nx, self.hx)
-            ly = _neumann_laplacian_1d(self.ny, self.hy)
-            a = sp.kron(py, px @ lx) + sp.kron(py @ ly, px)
-            return a.tocsr()
-        return self._op("AN", build)
+        """W * Laplacian_N: symmetric negative semidefinite, zero row sums;
+        five diagonals (see _kron_sum)."""
+        return self._op("AN", lambda: _kron_sum(
+            _trapezoid_1d(self.nx, self.hx), _neumann_laplacian_1d(self.nx, self.hx),
+            _trapezoid_1d(self.ny, self.hy), _neumann_laplacian_1d(self.ny, self.hy)))
 
     def neumann_modes(self):
         """((Qx, mu_x), (Qy, mu_y)): cosine modes of the Neumann Laplacian."""
@@ -361,9 +511,14 @@ class Grid:
         """Five-point Laplacian with clamped boundary on each component of
         the interior velocity unknowns, in interior_dof order."""
         def build():
-            lap = (sp.kron(sp.identity(self.ny), _dirichlet_laplacian_1d(self.nx, self.hx))
-                   + sp.kron(_dirichlet_laplacian_1d(self.ny, self.hy), sp.identity(self.nx)))
-            return self.interior_submatrix(sp.block_diag([lap, lap]))
+            lap = _kron_sum(np.ones(self.nx), _dirichlet_laplacian_1d(self.nx, self.hx),
+                            np.ones(self.ny), _dirichlet_laplacian_1d(self.ny, self.hy))
+            n, nnz = self.n_nodes, lap.nnz
+            both = sp.csr_matrix((np.tile(lap.data, 2),
+                                  np.concatenate([lap.indices, lap.indices + n]),
+                                  np.concatenate([lap.indptr, lap.indptr[1:] + nnz])),
+                                 shape=(2 * n, 2 * n))
+            return self.interior_submatrix(both)
         return self._op("Ldir", build)
 
 

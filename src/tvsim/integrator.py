@@ -141,6 +141,7 @@ _PICARD_TOL = 1e-11      # stop once |G(x) - x| <= _PICARD_TOL (1 + |G(x)|)
 _PICARD_MAX = 80         # Picard iterations before an attempt is rejected
 _DT_GROWTH = 1.2         # dt growth after an accepted step, up to dt_max
 _THETA_SAFETY = 0.5      # share of the positivity guard's dt bound used
+_T_STOP_SLACK = 1e-12    # a step may end this far past its t_stop
 
 
 def _anderson_update(g_hist, f_hist, g_new, f_new):
@@ -506,10 +507,10 @@ class Integrator:
             raise ConfigError("diffusivity D must be positive")
         self.D_diff = float(d_diff)
         base = (-d_diff) * self.A_N
-        base = base.tocsr()
-        base.sort_indices()
         self._heat_base = base
-        self._heat_work = base.copy()
+        # each heat solve refills the data; the structure is shared
+        self._heat_work = sp.csr_matrix((base.data.copy(), base.indices, base.indptr),
+                                        shape=base.shape)
         self._heat_diag_pos = self._diag_positions(base)
         self._heat_pre = None
         return self
@@ -541,12 +542,14 @@ class Integrator:
 
     @staticmethod
     def _diag_positions(a):
-        n = a.shape[0]
-        rows = np.repeat(np.arange(n), np.diff(a.indptr))
-        pos = np.flatnonzero(a.indices == rows)
-        if pos.size != n or np.any(rows[pos] != np.arange(n)):
+        """Where a CSR matrix without duplicate entries stores its diagonal:
+        a copy of its structure whose entries hold their positions + 1 reads
+        them off its diagonal, where a missing entry reads 0."""
+        marks = sp.csr_matrix((np.arange(1.0, a.nnz + 1), a.indices, a.indptr),
+                              shape=a.shape).diagonal()
+        if not marks.all():
             raise RuntimeError("matrix misses a diagonal entry")
-        return pos
+        return marks.astype(np.intp) - 1
 
     def _velocity_matrix(self, dt):
         """The velocity system of dt, cached: a _ReducedSystem when
@@ -737,13 +740,17 @@ class Integrator:
         return dt
 
     # -- full step ---------------------------------------------------------
-    def step(self, state, forcing, dt_request=None):
+    def step(self, state, forcing, dt_request=None, t_stop=None):
         """Advance one accepted step; returns (new_state, StepReport).
 
-        Rejected attempts (guard, solver or positivity failures) halve dt and
-        retry without mutating the input state; the report counts the
-        iterations they spent as wasted.  The step continues the last
-        accepted one when state equals its end state (see LastStep).
+        dt_request caps dt.  A step that would end more than _T_STOP_SLACK
+        past t_stop ends at t_stop instead, so that a time the caller must
+        record (a checkpoint, a snapshot) is landed on; a step that ends
+        within the slack keeps its dt.  Rejected attempts (guard, solver or
+        positivity failures) halve dt and retry without mutating the input
+        state; the report counts the iterations they spent as wasted.  The
+        step continues the last accepted one when state equals its end state
+        (see LastStep).
         """
         cfg = self.config
         if self.D_diff is None:
@@ -752,6 +759,8 @@ class Integrator:
         if dt_request is not None:
             dt = min(dt, dt_request)
         dt = min(dt, self.adaptive_dt(state, state.v))
+        if t_stop is not None and state.t + dt > t_stop + _T_STOP_SLACK:
+            dt = t_stop - state.t
         last = self.last_step
         if last is not None and not last.continues(state):
             last = None

@@ -203,7 +203,13 @@ def run(config, outdir, restart_from=None):
     first_row = len(records) if restart_from is not None else 0
 
     while state.t < t_final - 1e-12:
-        state, rep = integ.step(state, scenario.forcing, dt_request=t_final - state.t)
+        # land on the next snapshot or checkpoint time rather than step past it
+        stops = pending_snapshots[:1]
+        if (not wrote_checkpoint and plan.checkpoint_time is not None
+                and plan.checkpoint_time > state.t + 1e-12):
+            stops.append(plan.checkpoint_time)
+        state, rep = integ.step(state, scenario.forcing, dt_request=t_final - state.t,
+                                t_stop=min(stops, default=None))
         _tally_step(tally, rep)
 
         corner = None

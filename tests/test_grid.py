@@ -450,6 +450,79 @@ class TestOneDerivative:
                               full_t_b[g.interior_dof])
 
 
+def _restricted(a, rows, cols=None):
+    """a[rows][:, cols] by generic sparse slicing, where the index one past
+    the last row (column) reads an empty one, as a pad slot does."""
+    a = sp.csr_matrix(a, copy=True)
+    a.resize(a.shape[0] + 1, a.shape[1] + (cols is not None))
+    a = a[rows]
+    return (a if cols is None else a[:, cols]).tocsr()
+
+
+def generic_operators(g, bs, comps):
+    """Oracle: every grid operator built by generic sparse algebra (Kronecker
+    products, block stacks, products and slices) from the 1-D factors."""
+    n, dof = g.n_nodes, g.interior_dof
+    d_x, d_y = _sbp_derivative_1d(g.nx, g.hx), _sbp_derivative_1d(g.ny, g.hy)
+    dx = sp.kron(sp.identity(g.ny), d_x, format="csr")
+    dy = sp.kron(d_y, sp.identity(g.nx), format="csr")
+    zero = sp.csr_matrix(dx.shape)
+    gm = sp.bmat([[dx, zero], [zero, dy], [0.5 * dy, 0.5 * dx]], format="csr")
+    w = sp.diags(g.weights.ravel())
+    px, py = sp.diags(_trapezoid_1d(g.nx, g.hx)), sp.diags(_trapezoid_1d(g.ny, g.hy))
+    lx, ly = _neumann_laplacian_1d(g.nx, g.hx), _neumann_laplacian_1d(g.ny, g.hy)
+
+    def clamped(m, h):
+        return sp.diags([np.full(m - 1, 1.0 / h**2), np.full(m, -2.0 / h**2),
+                         np.full(m - 1, 1.0 / h**2)], [-1, 0, 1])
+    lap = (sp.kron(sp.identity(g.ny), clamped(g.nx, g.hx))
+           + sp.kron(clamped(g.ny, g.hy), sp.identity(g.nx)))
+    ops = {"Dx": dx, "Dy": dy, "G": gm, "Gi": _restricted(gm, np.arange(3 * n), dof),
+           "A_N": sp.kron(py, px @ lx) + sp.kron(py @ ly, px),
+           "L_dir": _restricted(sp.block_diag([lap, lap]), dof, dof)}
+    for i, b in enumerate(bs):
+        stack = sp.kron(np.array([[b[0]], [b[1]], [2.0 * b[2]]]), w)
+        ops[f"T_B{i}"] = _restricted(gm.T @ stack, dof)
+    for i, comp in enumerate(comps):
+        ops[f"A{i}"] = _restricted(full_form(g, comp), dof, dof)
+    return ops
+
+
+class TestBuiltFromFactors:
+    """Each operator, written straight from its 1-D factors, equals value
+    for value what generic sparse algebra builds from the same factors."""
+
+    bs = [(0.5, 0.3, 0.2), (0.7, 0.0, -0.4)]
+    comps = [tn.component_matrix(tn.isotropic_tensor(1.0, 2.0)),
+             np.array([[2.0, 0.3, 0.1], [0.3, 1.5, 0.2], [0.1, 0.2, 0.9]])]
+
+    @pytest.mark.parametrize("nx, ny, lx", [(4, 4, 1.0), (5, 4, 1.0), (13, 9, 1.3),
+                                            (12, 10, 1.3), (32, 32, 1.0)])
+    def test_operators_equal_the_generic_builds(self, nx, ny, lx):
+        g = Grid(nx, ny, Lx=lx)
+        built = {"Dx": g.Dx(), "Dy": g.Dy(), "G": g.G(), "Gi": g._g_interior(),
+                 "A_N": g.neumann_weighted(), "L_dir": g.dirichlet_laplacian_interior()}
+        built.update({f"T_B{i}": g.coupling_force_matrix(b) for i, b in enumerate(self.bs)})
+        built.update({f"A{i}": g.quadratic_form_matrix(c) for i, c in enumerate(self.comps)})
+        oracle = generic_operators(g, self.bs, self.comps)
+        for name, got in built.items():
+            want = oracle[name]
+            assert got.format == "csr" and got.shape == want.shape, name
+            assert (got != want).nnz == 0, name
+            assert np.all(got.data != 0.0), name  # no stored zeros
+
+    @pytest.mark.parametrize("nx, ny", [(5, 4), (13, 9), (12, 10)])
+    def test_interior_submatrix_equals_the_slices(self, nx, ny):
+        g = Grid(nx, ny, Lx=1.3)
+        rng = np.random.default_rng(nx * ny)
+        full = sp.random(2 * g.n_nodes, 2 * g.n_nodes, density=0.1, format="csr",
+                         random_state=rng)
+        for a in (full, full_form(g, self.comps[1]), full.tocoo()):
+            got = g.interior_submatrix(a)
+            want = _restricted(a, g.interior_dof, g.interior_dof)
+            assert got.shape == want.shape and (got != want).nnz == 0
+
+
 class TestSnapshots:
     def test_header_layout(self, tmp_path):
         g = Grid(5, 4)

@@ -180,6 +180,26 @@ class TestRun:
                         "windows_skipped", "stabilization"):
             assert resumed[section] == full[section], section
 
+    def test_checkpoint_and_snapshot_land_on_their_times(self, tmp_path):
+        # debye-hotspot's adaptive dt divides neither time; the step that
+        # would pass one ends on it, so the restart from t = 1 recomputes
+        # the window [1, 2] that the uninterrupted run computes
+        cfg = copy.deepcopy(builtin_scenarios()["debye-hotspot"])
+        cfg["t_final"] = 2.0
+        cfg["output"].update(window_starts=[1.0], checkpoint_time=1.0,
+                             snapshot_times=[0.25])
+        full = runner.run(cfg, str(tmp_path / "full"))
+        doc = json.loads((tmp_path / "full" / "checkpoint.json").read_text())
+        assert abs(doc["t"] - 1.0) <= 1e-12
+        t_snap, _ = read_snapshot(str(tmp_path / "full" / "snapshot_t0.250000.bin"))
+        assert abs(t_snap - 0.25) <= 1e-12
+        resumed = runner.run(cfg, str(tmp_path / "resumed"),
+                             restart_from=str(tmp_path / "full"))
+        assert full["windows"] and not full["windows_skipped"]
+        for section in ("run", "violations", "limits", "windows",
+                        "windows_skipped", "stabilization"):
+            assert resumed[section] == full[section], section
+
     def test_restart_keeps_the_violations_before_the_checkpoint(
             self, tmp_path, monkeypatch):
         # a negative slack counts an energy violation at every step
