@@ -2,13 +2,17 @@
 
 One step advances (u, v, theta) by:
 
-    (W + dt A_D + dt eps A_R + dt^2 A_C) v+ = W v + dt (-A_C u + T_B theta+ + W f)
+    (W + dt A_D + dt eps R + dt^2 A_C) v+ = W v + dt (-A_C u + T_B theta+ + W f)
     u+ = u + dt v+
     [kappa_bar/dt + b - D lap_N] theta+ = kappa_bar theta/dt + q + g
 
 where A_D, A_C are the quadrature-exact viscous/elastic stiffness forms and
-T_B the thermal-force operator, all three assembled on the interior velocity
-unknowns only (Grid.quadratic_form_matrix, Grid.coupling_force_matrix);
+T_B the thermal-force operator, on the interior velocity unknowns only
+(Grid.quadratic_form_matrix, Grid.coupling_force_matrix; A_D is never
+assembled, the velocity solve uses its symbol in the SBP modes);
+R = hx hy L^2m is the regularizer of the term eps (-lap)^2m v, with
+L = I (x) Lx + Ly (x) I on each component and L1 = P^-1 d^T P d, the SBP
+Laplacian of the first derivative d on a direction's interior nodes;
 b = <B, sym_grad v+> and q = <D: sym_grad v+, sym_grad v+> are nodal fields
 from the same SBP matrix G, and kappa_bar is the chord mean of the
 (floored) heat capacity over [theta, theta+].
@@ -25,7 +29,7 @@ end-of-step displacement.  With those choices the discrete total energy
 obeys
 
     F+ - F = -1/2 |v+ - v|_W^2 - dt^2/2 <C: sym_grad v+, sym_grad v+>
-             - dt eps |lap^m v+|^2 + dt (f . v+) + dt int g
+             - dt eps <R v+, v+> + dt (f . v+) + dt int g
 
 exactly (to solver tolerance), and the discrete entropy sum of ell(theta) is
 nondecreasing whenever g >= 0: the viscous heating q converts one-for-one,
@@ -73,10 +77,12 @@ is factorized:
   term of A_D and A_C keep a node's parity pair, and every Dx-Dy term flips
   both parities, so the system M is 2-cyclic between the halves py = 0 and
   py = 1: each half's block M00, M11 keeps px = 0 and px = 1 apart, and M01
-  joins px to 1 - px only.  In the SBP modes V_py (Grid.sbp_modes) a half's
-  block is one 2 x 2 component symbol per mode, I + a_x lam_x + a_y lam_y,
-  a_x and a_y holding the normal and the normal-shear entries of
-  dt D + dt^2 C, so both blocks have exact inverses for every tensor.  On
+  joins px to 1 - px only.  R keeps both parities too, since d^T P d does.
+  In the SBP modes V_py (Grid.sbp_modes) a half's block is one 2 x 2
+  component symbol per mode,
+  (1 + dt eps (lam_x + lam_y)^2m) I + a_x lam_x + a_y lam_y, a_x and a_y
+  holding the normal and the normal-shear entries of dt D + dt^2 C, so both
+  blocks have exact inverses for every tensor and every eps_reg and m.  On
   interior nodes E = P d is exactly skew, every Dx-Dy term is a multiple of
   Ey (x) Ex, and so the coupling is C2 (x) Ny (x) Nx there, with Ny and Nx
   the 1-D matrices of E between the parity blocks in the modes
@@ -89,16 +95,13 @@ is factorized:
   M00^-1/2 M01 M11^-1/2 (at most 0.487 at 32^2 and dt = 0.01 on the
   built-in tensors), the preconditioned S has the spectrum 1 - sigma^2,
   where block Jacobi on M has 1 +- sigma, so the reduced solve takes about
-  half the iterations (Reid 1972); its residual is the full system's;
+  half the iterations (Reid 1972); its residual is the full system's.  The
+  regularizer adds a nonnegative diagonal to both halves' blocks, which
+  cannot raise sigma, so no eps_reg or m widens that spectrum;
 * heat: the preconditioner is W (c_bar - D lap_N), with c_bar the weighted
   mean of kappa_bar/dt + b, inverted in the cosine (type-I DCT) modes of the
   Neumann Laplacian, one dense block per direction: the five-point stencil
   couples neighbours, which have opposite parity.
-
-Only the eps_reg > 0 velocity system, whose high-order term couples
-x-parity neighbours inside a half and is not diagonal in those modes, is
-assembled and solved in full, with a sparse LU factorization as its
-preconditioner; it is the only user of the assembled A_D.
 
 Work is done where it changes.  Once per attempt, _picard gathers u, v and
 f onto the interior unknowns and forms -A_C u and W f (_velocity_sources),
@@ -215,6 +218,8 @@ class _VelocityModes:
         self.qx_t, self.qy_t, self.ex_t = (np.ascontiguousarray(np.swapaxes(a, 1, 2))
                                            for a in (self.qx, qy, self.ex))
         self.shape = (2, 2) + self.lam_y.shape[1:] + self.lam_x.shape[1:]
+        # lam_x + lam_y, L's eigenvalue per mode, laid out (py, px, ky, kx)
+        self.lam = self.lam_x[:, None, :] + self.lam_y[:, None, :, None]
 
     @staticmethod
     def mix(sym, p):
@@ -222,10 +227,11 @@ class _VelocityModes:
         sym laid out (a, b, px, ky, kx) and p (b, px, ky, kx)."""
         return np.einsum("ab...,b...->a...", sym, p)
 
-    def symbol(self, py, a_x, a_y):
+    def symbol(self, py, a_x, a_y, reg):
         """V^T M_pp V, the half py's block in its modes: the 2 x 2 block
-        I + a_x lam_x + a_y lam_y per mode, laid out (a, b, px, ky, kx)."""
-        return (np.eye(2)[:, :, None, None, None]
+        (1 + reg) I + a_x lam_x + a_y lam_y per mode, laid out
+        (a, b, px, ky, kx), with reg the regularizer's weight per mode."""
+        return (np.eye(2)[:, :, None, None, None] * (1.0 + reg)
                 + a_x[:, :, None, None, None] * self.lam_x[:, None, :]
                 + a_y[:, :, None, None, None] * self.lam_y[py][:, None])
 
@@ -260,19 +266,23 @@ class _ReducedSystem:
     In the modes (_VelocityModes) each y-parity half's block of the system M
     is L_py = V^T M_pp V, one 2 x 2 block per mode, and the coupling is
     V0^T M01 V1 = C2 (x) N with C2 = -(ALPHA^T c BETA + BETA^T c ALPHA),
-    c = dt D + dt^2 C (module docstring).  So M11 - M10 M00^-1 M01 becomes S
-    with B0 = C2 L0^-1 C2 per even-half mode, and its preconditioner M11^-1
-    becomes L1^-1.  nnz counts the matrix entries one product reads: the
-    2 x 2 blocks of L1 and B0, and the 1-D factors of N and of N^T.
+    c = dt D + dt^2 C (module docstring).  reg, laid out (py, px, ky, kx),
+    is the regularizer dt eps R per mode, dt eps (lam_x + lam_y)^2m, which
+    both halves' blocks add to their diagonal.  So M11 - M10 M00^-1 M01
+    becomes S with B0 = C2 L0^-1 C2 per even-half mode, and its
+    preconditioner M11^-1 becomes L1^-1.  nnz counts the matrix entries one
+    product reads: the 2 x 2 blocks of L1 and B0, and the 1-D factors of N
+    and of N^T.
     """
 
-    def __init__(self, modes, c):
+    def __init__(self, modes, c, reg):
         self.modes = modes
+        self.reg = reg
         a_x, a_y = _ALPHA.T @ c @ _ALPHA, _BETA.T @ c @ _BETA
         c2 = -(_ALPHA.T @ c @ _BETA + _BETA.T @ c @ _ALPHA)
         self.c2 = c2[:, :, None, None, None]  # the same block for every mode
-        self.inv0 = _inverse_2x2(modes.symbol(0, a_x, a_y))
-        self.sym1 = modes.symbol(1, a_x, a_y)
+        self.inv0 = _inverse_2x2(modes.symbol(0, a_x, a_y, reg[0]))
+        self.sym1 = modes.symbol(1, a_x, a_y, reg[1])
         self.inv1 = _inverse_2x2(self.sym1)
         self.h0 = np.einsum("ad...,db->ab...", self.inv0, c2)  # L0^-1 C2
         self.b0 = np.einsum("ad,db...->ab...", c2, self.h0)
@@ -331,7 +341,7 @@ class SolverConfig:
             raise ConfigError("need 0 < dt_min <= dt_max")
         if self.eps_reg < 0:
             raise ConfigError("eps_reg must be >= 0")
-        if self.eps_reg > 0 and not 1 <= self.m <= 3:
+        if not 1 <= self.m <= 3:
             raise ConfigError("regularization order m must lie in 1..3")
 
 
@@ -497,7 +507,6 @@ class Integrator:
         self._heat_work = None  # refilled from _heat_base by each heat solve
         self._heat_diag_pos = None
         self._heat_pre = None  # built by the first heat solve (_heat_preconditioner)
-        self._reg_block = self._build_regularization() if config.eps_reg > 0 else None
         self.dt_prev = config.dt_max
         self.last_step = None
 
@@ -527,19 +536,6 @@ class Integrator:
             F=kinetic + elastic + thermal, S=self.entropy(state), K=k_nodal,
             theta_start=theta_start, v_start=v_start, dt=dt_prev, rho=rho)
 
-    def _build_regularization(self):
-        # the eps_reg > 0 system is assembled in full, the only user of A_D
-        self._A_D = self.grid.quadratic_form_matrix(self.comp_D)
-        op = -self.grid.dirichlet_laplacian_interior()
-        power = op
-        for _ in range(2 * self.config.m - 1):
-            power = (power @ op).tocsr()
-        half = op
-        for _ in range(self.config.m - 1):
-            half = (half @ op).tocsr()
-        self._reg_half = half
-        return (self.grid.hx * self.grid.hy) * power
-
     @staticmethod
     def _diag_positions(a):
         """Where a CSR matrix without duplicate entries stores its diagonal:
@@ -552,26 +548,22 @@ class Integrator:
         return marks.astype(np.intp) - 1
 
     def _velocity_matrix(self, dt):
-        """The velocity system of dt, cached: a _ReducedSystem when
-        eps_reg = 0, else (the full sparse system, its LU solve).  Built at
-        the first solve of each dt; only the per-mode blocks change with dt.
+        """The _ReducedSystem of the velocity system of dt, cached.
+
+        Built at the first solve of each dt, for every eps_reg and m: only
+        the per-mode blocks change with dt, and the regularizer adds
+        dt eps (lam_x + lam_y)^2m to each mode's diagonal.
         """
         key = float(dt)
         if key not in self._vel_cache:
             if len(self._vel_cache) > 8:
                 self._vel_cache.clear()
-            if self._reg_block is None:
-                if self._vel_modes is None:
-                    self._vel_modes = _VelocityModes(self.grid)
-                self._vel_cache[key] = _ReducedSystem(
-                    self._vel_modes, dt * self.comp_D + dt * dt * self.comp_C)
-            else:
-                m = sp.diags(self.w2_int) + dt * self._A_D + dt * dt * self.A_C
-                m = (m + dt * self.config.eps_reg * self._reg_block).tocsr()
-                # the high-order term conditions the system like h^{-4m} and
-                # is not diagonal in the 1-D modes; an exact factorization
-                # keeps the iteration count independent of that
-                self._vel_cache[key] = (m, sp.linalg.splu(m.tocsc()).solve)
+            if self._vel_modes is None:
+                self._vel_modes = _VelocityModes(self.grid)
+            cfg, modes = self.config, self._vel_modes
+            self._vel_cache[key] = _ReducedSystem(
+                modes, dt * self.comp_D + dt * dt * self.comp_C,
+                dt * cfg.eps_reg * modes.lam ** (2 * cfg.m))
         return self._vel_cache[key]
 
     def _heat_preconditioner(self, c_bar):
@@ -613,7 +605,7 @@ class Integrator:
 
         f_field is the momentum source f(t + dt), shape (ny, nx, 2), and tol
         the relative residual CG stops at.  The system matrix contains the
-        viscous form, the optional high-order regularization and the dt^2
+        viscous form, the high-order regularization dt eps R and the dt^2
         elastic term that evaluates the elastic force at the end-of-step
         displacement.  sources, when given, is _velocity_sources(state,
         f_field), which a Picard loop forms once for all its solves.  x0 is
@@ -631,8 +623,8 @@ class Integrator:
 
         x0 is the interior unknowns to start from or, of half their size,
         the warm start a velocity solve returned: the odd half's mode
-        coefficients when eps_reg = 0, which a Picard loop hands on without
-        transforming them back and forth.  With eps_reg = 0 CG runs on the
+        coefficients, which a Picard loop hands on without transforming them
+        back and forth.  For every eps_reg and m CG runs on the
         _ReducedSystem in the coefficients c of the odd half y = V1 c: from
         c0 = hx hy V1^T y0 it solves S dc = r, r being the residual of
         (even half of c0, c0), whose even half is 0, and c = c0 + dc.  V1 is
@@ -644,11 +636,6 @@ class Integrator:
         coefficients stay 0.
         """
         system = self._velocity_matrix(dt)
-        if self._reg_block is not None:
-            x, iters = solve_spd(system[0], rhs, tol=tol,
-                                 maxiter=_CG_MAXITER_FACTOR * rhs.size, x0=x0,
-                                 precond_apply=system[1])
-            return x, iters, x
         h, w = rhs.size // 2, self.grid.hx * self.grid.hy
         ref = math.sqrt(rhs @ rhs)
         if ref == 0.0:
@@ -681,17 +668,14 @@ class Integrator:
 
         Solves [kappa_bar/dt + b - D lap_N] theta+ = kappa_bar theta/dt + q + g
         to relative residual tol, with g_field the heat source g(t + dt),
-        shape (ny, nx).  v_new is the new velocity field, shape (ny, nx, 2),
-        or its interior unknowns as velocity_step returns them, whose strain
-        is Gi v_int: the same values as that of the zero-extended field.
-        The system is an M-matrix whenever the diagonal guard
-        kappa_bar/dt + b > 0 holds at every node; a violation raises StepError
-        (the step is rejected, never clamped).
+        shape (ny, nx).  v_new is the new velocity's interior unknowns as
+        velocity_step returns them; its strain is Gi v_new.  The system is
+        an M-matrix whenever the diagonal guard kappa_bar/dt + b > 0 holds at
+        every node; a violation raises StepError (the step is rejected, never
+        clamped).
         """
         g = self.grid
-        # (n_nodes, 3) either way; Gi v_int is component-major
-        strain = ((g._g_interior() @ v_new).reshape(3, -1).T if v_new.ndim == 1
-                  else g.sym_grad(v_new).reshape(-1, 3))
+        strain = (g._g_interior() @ v_new).reshape(3, -1).T  # Gi is component-major
         b = self.coupling_field(strain)
         q = self.heating_field(strain)
         theta_old = state.theta.ravel()
@@ -969,10 +953,10 @@ class Integrator:
                                   + f_field[..., 1] * new_state.v[..., 1])
         work_g = dt * g.integrate(g_field)
         eps_diss = 0.0
-        if self._reg_block is not None:
-            half = self._reg_half @ v_int
-            eps_diss = dt * self.config.eps_reg * self.grid.hx * self.grid.hy \
-                * float(half @ half)
+        if self.config.eps_reg > 0:
+            # dt eps <R v+, v+> in the modes: c = hx hy V^T v+
+            c = (g.hx * g.hy) * self._vel_modes.to_modes(v_int)
+            eps_diss = float(np.sum(self._velocity_matrix(dt).reg[:, None] * c * c))
         end, k_end = self._ledger(new_state, g_field)
         if last is None:
             f_old, s_old = self.total_energy(state), self.entropy(state)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from tvsim.grid import Grid
+from tvsim.grid import Grid, _sbp_derivative_1d, _trapezoid_1d
 from tvsim.materials import ConstantCapacity
 from tvsim.tensors import ElasticityTensors, isotropic_tensor
 
@@ -58,12 +58,36 @@ def boundary_vanishing_field(grid, rng, ncomp=2):
     return w
 
 
+def sbp_laplacian(g):
+    """L = I (x) Lx + Ly (x) I on each velocity component, in interior_dof
+    order, with L1 = P^-1 d^T P d of the SBP derivative d and the trapezoid
+    weights P on a direction's interior nodes.  Generic sparse algebra; the
+    solver's SBP modes play no part in it."""
+    def interior(n, h):
+        d = _sbp_derivative_1d(n, h)
+        p = sp.diags(_trapezoid_1d(n, h))
+        keep = sp.diags(np.r_[0.0, np.ones(n - 2), 0.0])  # the clamped ends
+        return keep @ sp.diags(1.0 / _trapezoid_1d(n, h)) @ d.T @ p @ d @ keep
+    lap = (sp.kron(sp.identity(g.ny), interior(g.nx, g.hx))
+           + sp.kron(interior(g.ny, g.hy), sp.identity(g.nx)))
+    return g.interior_submatrix(sp.block_diag([lap, lap]))
+
+
+def regularizer(g, m):
+    """R = hx hy L^2m, the regularizer of the velocity system."""
+    return (g.hx * g.hy) * sp.linalg.matrix_power(sbp_laplacian(g), 2 * m).tocsr()
+
+
 def velocity_system(itg, dt):
-    """W + dt A_D + dt^2 A_C, the eps_reg = 0 velocity system of an
+    """W + dt A_D + dt eps R + dt^2 A_C, the velocity system of an
     Integrator, assembled in full apart from the solver, which works in the
     SBP modes and assembles none of it."""
-    a_d = itg.grid.quadratic_form_matrix(itg.comp_D)
-    return (sp.diags(itg.w2_int) + dt * a_d + dt * dt * itg.A_C).tocsr()
+    g, cfg = itg.grid, itg.config
+    a_d = g.quadratic_form_matrix(itg.comp_D)
+    m = sp.diags(itg.w2_int) + dt * a_d + dt * dt * itg.A_C
+    if cfg.eps_reg > 0:
+        m = m + dt * cfg.eps_reg * regularizer(g, cfg.m)
+    return m.tocsr()
 
 
 def mode_basis(g, py):
