@@ -377,6 +377,20 @@ class TestTemperatureStep:
             assert all(np.array_equal(x, y) for x, y in zip(first, again))
         assert np.array_equal(itg._heat_base.data, base)
 
+    @pytest.mark.parametrize("n", [13, 12])
+    def test_interior_velocity_is_bitwise_the_zero_extended_field(self, n):
+        # the strain temperature_step forms from the interior unknowns is
+        # bitwise that of the zero-extended field, which adaptive_dt reads
+        itg, g = make_integrator(n=n, model=DebyeLikeCapacity(1.0, 1.0).floor(1e-3))
+        st = sine_velocity_state(g)
+        v_int, _, _ = itg.velocity_step(st, np.zeros((g.ny, g.nx, 2)), 0.01)
+        kappa_bar = itg.model.kappa_chord(st.theta.ravel(), 1.01 * st.theta.ravel())
+        _, _, b, q = itg.temperature_step(st, v_int, np.full((g.ny, g.nx), 0.05),
+                                          0.01, kappa_bar=kappa_bar)
+        strain = g.sym_grad(g.vec_from_interior(v_int)).reshape(-1, 3)
+        assert np.array_equal(b, itg.coupling_field(strain))
+        assert np.array_equal(q, itg.heating_field(strain))
+
     def test_preconditioner_follows_a_new_diffusivity(self, rng):
         itg, g = make_integrator(n=9)
         r = rng.standard_normal(g.n_nodes)
@@ -620,6 +634,18 @@ class TestFullStep:
         # each retry halves dt, and the sources follow the attempt's end time
         assert forcing.g_times == [rep.dt * 2.0 ** k
                                    for k in range(rep.rejections, -1, -1)]
+
+    def test_velocity_system_symmetric_positive_definite(self):
+        # CG runs on the reduced system S of W + dt A_D + dt eps R + dt^2 A_C;
+        # both must be SPD
+        itg, g = make_integrator(n=8, eps_reg=1e-5, m=2)
+        m = velocity_system(itg, 0.01)
+        assert abs(m - m.T).max() <= 1e-14
+        assert np.linalg.eigvalsh(m.toarray()).min() > 0
+        system = itg._velocity_matrix(0.01)
+        s = np.column_stack([system @ e for e in np.eye(system.shape[1])])
+        assert np.abs(s - s.T).max() <= 1e-14 * np.abs(s).max()
+        assert np.linalg.eigvalsh(s).min() > 0
 
     def test_energy_residual_equals_numerical_dissipation(self):
         # the balance residual is exactly the two quadratic defect terms
