@@ -399,25 +399,24 @@ class Grid:
         interior_dof, the neighbour nodes[k], the entries g[k] of the 1-D
         derivative that reach the unknown (G's entries but for the 1/2 of
         the a12 row; 0 in a pad slot) and the nodes' quadrature weights w[k].
+        Not cached: only the one-time builds of _weighted_transpose read it.
         """
-        def build():
-            def axis(n, h, shape):
-                pos = _parity_order(n - 2)
-                real = pos < n - 2
-                j = np.where(real, pos, n - 3) + 1  # a pad: the last node, d read as 0
-                d = _sbp_derivative_1d(n, h).toarray()
-                w = _trapezoid_1d(n, h)
-                return [a.reshape(shape) for a in (j, d[j - 1, j] * real, d[j + 1, j] * real,
-                                                   w[j - 1], w[j], w[j + 1], real)]
-            jy, d_s, d_n, w_s, wy, w_n, ry = axis(self.ny, self.hy, (2, 1, -1, 1))
-            jx, d_w, d_e, w_w, wx, w_e, rx = axis(self.nx, self.hx, (1, 2, 1, -1))
-            nx = self.nx
-            g = np.stack(np.broadcast_arrays(d_s * rx, d_w * ry, d_e * ry, d_n * rx))
-            w = np.stack(np.broadcast_arrays(w_s * wx, wy * w_w, wy * w_e, w_n * wx))
-            nodes = (jy * nx + jx) + np.array([-nx, -1, 1, nx]).reshape(4, 1, 1, 1, 1)
-            return (nodes.astype(np.int32), np.array([[2, 1], [0, 2], [0, 2], [2, 1]]),
-                    g, w)
-        return self._op("GiT", build)
+        def axis(n, h, shape):
+            pos = _parity_order(n - 2)
+            real = pos < n - 2
+            j = np.where(real, pos, n - 3) + 1  # a pad: the last node, d read as 0
+            d = _sbp_derivative_1d(n, h).toarray()
+            w = _trapezoid_1d(n, h)
+            return [a.reshape(shape) for a in (j, d[j - 1, j] * real, d[j + 1, j] * real,
+                                               w[j - 1], w[j], w[j + 1], real)]
+        jy, d_s, d_n, w_s, wy, w_n, ry = axis(self.ny, self.hy, (2, 1, -1, 1))
+        jx, d_w, d_e, w_w, wx, w_e, rx = axis(self.nx, self.hx, (1, 2, 1, -1))
+        nx = self.nx
+        g = np.stack(np.broadcast_arrays(d_s * rx, d_w * ry, d_e * ry, d_n * rx))
+        w = np.stack(np.broadcast_arrays(w_s * wx, wy * w_w, wy * w_e, w_n * wx))
+        nodes = (jy * nx + jx) + np.array([-nx, -1, 1, nx]).reshape(4, 1, 1, 1, 1)
+        return (nodes.astype(np.int32), np.array([[2, 1], [0, 2], [0, 2], [2, 1]]),
+                g, w)
 
     def _weighted_transpose(self, scale):
         """[Gi^T (s_0 (x) W) | Gi^T (s_1 (x) W) | ...] for the columns s_j
@@ -461,6 +460,9 @@ class Grid:
         4th-order tensor T; the pad rows and columns are zero.  The left
         factor Gi^T [M (x) W] is written entry by entry
         (_weighted_transpose); only its product with Gi is a sparse product.
+        The integrator applies these forms through Gi and assembles none of
+        them, so this matrix is the assembled oracle the tests compare
+        against, and a span target of the benchmark's tracer.
         """
         a = self._weighted_transpose(np.asarray(comp_matrix, dtype=float)) @ self._g_interior()
         a.sort_indices()

@@ -7,9 +7,10 @@ One step advances (u, v, theta) by:
     [kappa_bar/dt + b - D lap_N] theta+ = kappa_bar theta/dt + q + g
 
 where A_D, A_C are the quadrature-exact viscous/elastic stiffness forms and
-T_B the thermal-force operator, on the interior velocity unknowns only
-(Grid.quadratic_form_matrix, Grid.coupling_force_matrix; A_D is never
-assembled, the velocity solve uses its symbol in the SBP modes);
+T_B the thermal-force operator, on the interior velocity unknowns only.
+Only T_B is assembled (Grid.coupling_force_matrix).  A_C is applied as
+Gi^T [C (x) W] Gi through the strain matrix Gi (_StrainForm), and the
+velocity solve uses the symbols of A_D and A_C in the SBP modes;
 R = hx hy L^2m is the regularizer of the term eps (-lap)^2m v, with
 L = I (x) Lx + Ly (x) I on each component and L1 = P^-1 d^T P d, the SBP
 Laplacian of the first derivative d on a direction's interior nodes;
@@ -103,13 +104,18 @@ is factorized:
   Neumann Laplacian, one dense block per direction: the five-point stencil
   couples neighbours, which have opposite parity.
 
-Work is done where it changes.  Once per attempt, _picard gathers u, v and
-f onto the interior unknowns and forms -A_C u and W f (_velocity_sources),
-and evaluates K(theta) unless the remembered step holds it.  Each Picard
-iteration pays only for what depends on the iterate x: the chord kappa_bar,
-T_B x in the velocity right-hand side, the heat system's strain Gi v+ (no
-scatter to the full grid), diagonal and right-hand side, the heat
-preconditioner's symbol, and the two CG solves.  The velocity warm start
+Work is done where it changes.  Set-up builds the strain matrix Gi, T_B and
+the weighted Neumann Laplacian A_N, and nothing else a step reads: A_C
+stays the factors it is defined by, and the heat solve keeps one work
+matrix with A_N's structure, whose data each solve refills with -D A_N plus
+its diagonal.  Once per attempt, _picard gathers u, v and f onto the
+interior unknowns and forms -A_C u (a product by Gi and one by Gi^T) and
+W f (_velocity_sources), and evaluates K(theta) unless the remembered step
+holds it; the elastic energy of the ledger takes the one product Gi u.
+Each Picard iteration pays only for what depends on the iterate x: the
+chord kappa_bar, T_B x in the velocity right-hand side, the heat system's
+strain Gi v+ (no scatter to the full grid), diagonal and right-hand side,
+the heat preconditioner's symbol, and the two CG solves.  The velocity warm start
 passes from one iteration to the next as the odd half's mode coefficients,
 so only the predictor's v0 is transformed into the modes.  The 1-D bases
 and coupling matrices of the velocity modes are built by the first velocity
@@ -195,6 +201,35 @@ def _inverse_2x2(sym):
     """The inverse of every 2 x 2 block of sym (a, b, *modes), in closed form."""
     (s00, s01), (s10, s11) = sym
     return np.array([[s11, -s01], [-s10, s00]]) / (s00 * s11 - s01 * s10)
+
+
+class _StrainForm:
+    """A = Gi^T [M (x) W] Gi on the interior unknowns, applied through the
+    strain matrix Gi and never assembled.
+
+    M is a 3 x 3 component matrix and W the nodal quadrature weights, so
+    x . A x is the quadrature of <T: sym_grad x, sym_grad x> for the tensor T
+    of M, as for Grid.quadratic_form_matrix(M).  A @ x costs a product by Gi
+    and one by its transpose, a CSC view of Gi's arrays; energy(x) = x . A x / 2
+    only the first.
+    """
+
+    def __init__(self, gi, comp, weights):
+        self.gi, self.gi_t = gi, gi.T
+        self.comp, self.w = comp, weights
+
+    def _strain_stress(self, x):
+        """The strain e = Gi x, laid out (component, node), and (M (x) W) e."""
+        e = (self.gi @ x).reshape(3, -1)
+        return e, (self.comp @ e) * self.w
+
+    def __matmul__(self, x):
+        return self.gi_t @ self._strain_stress(x)[1].ravel()
+
+    def energy(self, x):
+        """1/2 sum over the nodes of w <M e, e>, e = Gi x."""
+        e, s = self._strain_stress(x)
+        return 0.5 * float(np.vdot(e, s))
 
 
 class _VelocityModes:
@@ -483,7 +518,7 @@ class LastStep:
 
 
 class Integrator:
-    """Owns the assembled operators and advances one FieldState in time."""
+    """Owns the operators and advances one FieldState in time."""
 
     def __init__(self, grid, tensors, model, config):
         config.validate()
@@ -494,17 +529,17 @@ class Integrator:
         self.comp_D = tn.component_matrix(tensors.D4)
         self.comp_C = tn.component_matrix(tensors.C4)
         self.b_triple = tensors.b_triple
-        self.A_C = grid.quadratic_form_matrix(self.comp_C)
+        self.w_flat = grid.weights.ravel()
+        self.Gi = grid._g_interior()
+        self.A_C = _StrainForm(self.Gi, self.comp_C, self.w_flat)
         self.T_B = grid.coupling_force_matrix(self.b_triple)
         self.A_N = grid.neumann_weighted()
-        self.w_flat = grid.weights.ravel()
         # every interior node, and every pad slot, has the weight hx hy
         self.w2_int = np.full(grid.interior_dof.size, grid.hx * grid.hy)
         self.D_diff = None  # set via diffusivity property
         self._vel_modes = None  # built by the first velocity solve
         self._vel_cache = {}
-        self._heat_base = None
-        self._heat_work = None  # refilled from _heat_base by each heat solve
+        self._heat_work = None  # refilled from A_N by each heat solve
         self._heat_diag_pos = None
         self._heat_pre = None  # built by the first heat solve (_heat_preconditioner)
         self.dt_prev = config.dt_max
@@ -515,12 +550,11 @@ class Integrator:
         if d_diff <= 0:
             raise ConfigError("diffusivity D must be positive")
         self.D_diff = float(d_diff)
-        base = (-d_diff) * self.A_N
-        self._heat_base = base
-        # each heat solve refills the data; the structure is shared
-        self._heat_work = sp.csr_matrix((base.data.copy(), base.indices, base.indptr),
-                                        shape=base.shape)
-        self._heat_diag_pos = self._diag_positions(base)
+        a = self.A_N
+        # each heat solve refills the data; the structure is A_N's
+        self._heat_work = sp.csr_matrix((np.empty_like(a.data), a.indices, a.indptr),
+                                        shape=a.shape)
+        self._heat_diag_pos = self._diag_positions(a)
         self._heat_pre = None
         return self
 
@@ -675,7 +709,7 @@ class Integrator:
         clamped).
         """
         g = self.grid
-        strain = (g._g_interior() @ v_new).reshape(3, -1).T  # Gi is component-major
+        strain = (self.Gi @ v_new).reshape(3, -1).T  # Gi is component-major
         b = self.coupling_field(strain)
         q = self.heating_field(strain)
         theta_old = state.theta.ravel()
@@ -689,7 +723,7 @@ class Integrator:
         if g_field.min() < 0.0:
             raise ConfigError("heat source g must be nonnegative")
         s = self._heat_work
-        np.copyto(s.data, self._heat_base.data)
+        np.multiply(self.A_N.data, -self.D_diff, out=s.data)
         s.data[self._heat_diag_pos] += diag_add
         rhs = self.w_flat * (kappa_bar * theta_old / dt + q + g_field.ravel())
         x0 = theta_old if theta_guess is None else theta_guess.ravel()
@@ -895,8 +929,7 @@ class Integrator:
         quadrature, and the nodal K(theta) (flat) the thermal energy sums."""
         g = self.grid
         kinetic = 0.5 * g.integrate(state.v[..., 0] ** 2 + state.v[..., 1] ** 2)
-        u_int = g.interior_vec(state.u)
-        elastic = 0.5 * float(u_int @ (self.A_C @ u_int))
+        elastic = self.A_C.energy(g.interior_vec(state.u))
         k_nodal = self.model.K(state.theta).ravel()
         thermal = float(np.sum(self.w_flat * k_nodal))
         return kinetic, elastic, thermal, k_nodal

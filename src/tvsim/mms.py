@@ -53,10 +53,12 @@ class ManufacturedProblem:
         self._amp_u = amp_u
         self._amp_theta = amp_theta
         self.t_final = t_final
+        self._grid_factors = {}  # (nx, ny, Lx, Ly) -> _factors of that grid
 
+        # broadcastable axes: only the heat parts fill the whole sample
         xg, yg, tg = np.meshgrid(np.linspace(0, lx, 41), np.linspace(0, ly, 41),
-                                 np.linspace(0, t_final, 41), indexing="ij")
-        g0, gs = self._heat_parts(xg, yg, tg)
+                                 np.linspace(0, t_final, 41), indexing="ij", sparse=True)
+        g0, gs = self._heat_parts(self._shape(xg, yg)[1], np.cos(self._kx * xg), tg)
         if gs.min() <= 0:
             raise ConfigError("cannot offset the heat forcing to nonnegative; "
                               "reduce the coupling matrix")
@@ -84,9 +86,20 @@ class ManufacturedProblem:
         return s, (kx * cx * sy, ky * sx * cy), ((-kx * kx * s, s_xy),
                                                   (s_xy, -ky * ky * s))
 
-    def _heat_parts(self, x, y, t):
-        """g at ramp slope 0 and dg/ds, so g = g0 + s * gs."""
-        _, (s_x, s_y), _ = self._shape(x, y)
+    def _factors(self, grid):
+        """_shape(X, Y), sin(kx X) and cos(kx X) on grid's nodes, evaluated
+        once per grid size: a study builds a new Grid for every run, and the
+        forcings read these factors at every step."""
+        key = (grid.nx, grid.ny, grid.Lx, grid.Ly)
+        if key not in self._grid_factors:
+            self._grid_factors[key] = (self._shape(grid.X, grid.Y),
+                                       np.sin(self._kx * grid.X), np.cos(self._kx * grid.X))
+        return self._grid_factors[key]
+
+    def _heat_parts(self, grad_s, cos_kx, t):
+        """g at ramp slope 0 and dg/ds, so g = g0 + s * gs, from (S_x, S_y)
+        and cos(kx x) at the points."""
+        s_x, s_y = grad_s
         _, dc, _ = self._time_factors(t)
         e_xx, e_yy = dc[0] * s_x, dc[1] * s_y
         e_xy = 0.5 * (dc[0] * s_y + dc[1] * s_x)
@@ -95,14 +108,14 @@ class ManufacturedProblem:
                    + self._lam_d * tr ** 2)
         b = self._b
         b_e = b[0, 0] * e_xx + (b[0, 1] + b[1, 0]) * e_xy + b[1, 1] * e_yy
-        wave = self._amp_theta * np.cos(self._kx * x)
+        wave = self._amp_theta * cos_kx
         g0 = (-self._kappa0 * wave * np.sin(t)
               + self._d_diff * self._kx ** 2 * wave * np.cos(t)
               - heating + (1.0 + wave * np.cos(t)) * b_e)
         return g0, self._kappa0 + t * b_e
 
     def _clamped(self, factor, grid):
-        s, _, _ = self._shape(grid.X, grid.Y)
+        s = self._factors(grid)[0][0]
         out = np.stack([factor[0] * s, factor[1] * s], axis=-1)
         out[grid.boundary_mask] = 0.0
         return out
@@ -114,16 +127,16 @@ class ManufacturedProblem:
         return self._clamped(self._time_factors(t)[1], grid)
 
     def exact_theta(self, t, grid):
-        return (1.0 + self._amp_theta * np.cos(self._kx * grid.X) * math.cos(t)
+        return (1.0 + self._amp_theta * self._factors(grid)[2] * math.cos(t)
                 + self.slope * t)
 
     def forcing_f(self, t, grid):
-        s, _, hess = self._shape(grid.X, grid.Y)
+        (s, _, hess), sin_kx, _ = self._factors(grid)
         c, dc, ddc = self._time_factors(t)
         lap = hess[0][0] + hess[1][1]
         # B grad theta, with theta_y = 0
         out = -self._b[:, 0] * (self._amp_theta * self._kx * math.cos(t)
-                                * np.sin(self._kx * grid.X))[..., None]
+                                * sin_kx)[..., None]
         for i, row in enumerate(hess):
             out[..., i] += (ddc[i] * s
                             - (self._mu_d * dc[i] + self._mu_c * c[i]) * lap
@@ -132,7 +145,8 @@ class ManufacturedProblem:
         return out
 
     def forcing_g(self, t, grid):
-        g0, gs = self._heat_parts(grid.X, grid.Y, t)
+        (_, grad_s, _), _, cos_kx = self._factors(grid)
+        g0, gs = self._heat_parts(grad_s, cos_kx, t)
         out = g0 + self.slope * gs
         if out.min() < -1e-10:
             raise ConfigError(f"manufactured heat source negative: {out.min():g}")

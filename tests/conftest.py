@@ -84,7 +84,8 @@ def velocity_system(itg, dt):
     SBP modes and assembles none of it."""
     g, cfg = itg.grid, itg.config
     a_d = g.quadratic_form_matrix(itg.comp_D)
-    m = sp.diags(itg.w2_int) + dt * a_d + dt * dt * itg.A_C
+    a_c = g.quadratic_form_matrix(itg.comp_C)
+    m = sp.diags(itg.w2_int) + dt * a_d + dt * dt * a_c
     if cfg.eps_reg > 0:
         m = m + dt * cfg.eps_reg * regularizer(g, cfg.m)
     return m.tocsr()

@@ -138,6 +138,48 @@ def _aniso_tensors():
                                 B=0.5 * np.eye(2))
 
 
+class TestElasticForm:
+    """A_C is applied through Gi, never assembled; it and the elastic energy
+    match the assembled form Grid.quadratic_form_matrix(comp_C)."""
+
+    @staticmethod
+    def setup_form(aniso, nx, ny, rng):
+        g = Grid(nx, ny, Lx=1.3 if nx != ny else 1.0)
+        tens = _aniso_tensors() if aniso else tn.ElasticityTensors(
+            D4=tn.isotropic_tensor(1, 1), C4=tn.isotropic_tensor(2, 0.5), B=0.5 * np.eye(2))
+        itg = Integrator(g, tens, ConstantCapacity(1.0), SolverConfig()).set_diffusivity(1.0)
+        a_c = g.quadratic_form_matrix(itg.comp_C)
+        # random interior unknowns, 0 in the pad slots
+        x = rng.standard_normal(g.interior_dof.size) * (g.interior_dof < 2 * g.n_nodes)
+        return itg, g, a_c, x
+
+    @pytest.mark.parametrize("nx, ny", [(8, 8), (13, 9), (32, 32)])
+    @pytest.mark.parametrize("aniso", [False, True])
+    def test_product_matches_the_assembled_form(self, rng, aniso, nx, ny):
+        itg, g, a_c, x = self.setup_form(aniso, nx, ny, rng)
+        want = a_c @ x
+        got = itg.A_C @ x
+        assert not sp.issparse(itg.A_C)
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("nx, ny", [(8, 8), (13, 9), (32, 32)])
+    @pytest.mark.parametrize("aniso", [False, True])
+    def test_energy_is_the_assembled_quadratic_form(self, rng, aniso, nx, ny):
+        itg, g, a_c, x = self.setup_form(aniso, nx, ny, rng)
+        want = 0.5 * float(x @ (a_c @ x))
+        assert abs(itg.A_C.energy(x) - want) <= 1e-14 * abs(want)
+        st = rest_state(g)
+        st.u = g.vec_from_interior(x)
+        assert itg._energies(st)[1] == itg.A_C.energy(x)
+
+    def test_transpose_is_a_view_of_gi(self):
+        itg, g = make_integrator(n=9)
+        assert itg.A_C.gi is itg.Gi is g._g_interior()
+        gi_t = itg.A_C.gi_t
+        assert all(np.shares_memory(getattr(gi_t, k), getattr(itg.Gi, k))
+                   for k in ("data", "indices", "indptr"))
+
+
 def _interior_form_1d(n, h):
     d = _sbp_derivative_1d(n, h)
     return (d.T @ sp.diags(_trapezoid_1d(n, h)) @ d).toarray()[1:-1, 1:-1]
@@ -255,8 +297,9 @@ class TestSeparablePreconditioners:
 class TestDiagPositions:
     def test_points_at_diagonal_entries(self):
         itg, g = make_integrator(n=9)
-        a = itg._heat_base
+        a = itg.A_N
         pos = Integrator._diag_positions(a)
+        assert np.array_equal(pos, itg._heat_diag_pos)
         assert np.array_equal(a.data[pos], a.diagonal())
         rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
         assert np.array_equal(rows[pos], np.arange(a.shape[0]))
@@ -363,19 +406,27 @@ class TestTemperatureStep:
             itg.temperature_step(st, g.interior_vec(v), np.zeros((g.ny, g.nx)), 0.01)
 
     def test_repeated_calls_are_bitwise_unchanged(self):
-        # each solve refills one work matrix from the base operator
-        itg, g = make_integrator()
+        # each solve refills one work matrix, which shares A_N's structure,
+        # with -D A_N plus the diagonal, and leaves A_N as it was
+        itg, g = make_integrator(d_diff=0.7)
         st = sine_velocity_state(g)
         v_int, _, _ = itg.velocity_step(st, np.zeros((g.ny, g.nx, 2)), 0.01)
-        base = itg._heat_base.data.copy()
+        a_n = itg.A_N.data.copy()
+        work = itg._heat_work
+        assert np.shares_memory(work.indices, itg.A_N.indices)
+        assert np.shares_memory(work.indptr, itg.A_N.indptr)
         kappa_bar = itg.model.kappa_chord(st.theta.ravel(), 1.01 * st.theta.ravel())
         first = itg.temperature_step(st, v_int, np.full((g.ny, g.nx), 0.05), 0.01,
                                      kappa_bar=kappa_bar)
+        want = ((-0.7) * itg.A_N).data
+        want[itg._heat_diag_pos] += itg.w_flat * (kappa_bar / 0.01 + first[2])
+        assert np.array_equal(work.data, want)
         for _ in range(2):
             again = itg.temperature_step(st, v_int, np.full((g.ny, g.nx), 0.05), 0.01,
                                          kappa_bar=kappa_bar)
             assert all(np.array_equal(x, y) for x, y in zip(first, again))
-        assert np.array_equal(itg._heat_base.data, base)
+            assert np.array_equal(work.data, want)
+        assert np.array_equal(itg.A_N.data, a_n)
 
     @pytest.mark.parametrize("n", [13, 12])
     def test_interior_velocity_is_bitwise_the_zero_extended_field(self, n):

@@ -100,6 +100,15 @@ class TestRun:
         for w in man["windows"]:
             assert w["w_ut"] == 0.0 and w["w_theta_1"] == pytest.approx(0.0, abs=1e-12)
 
+    def test_runs_without_an_assembled_quadratic_form(self, tmp_path, monkeypatch):
+        # the integrator applies A_C through Gi; the assembled form is only
+        # the tests' oracle
+        def refuse(grid, comp_matrix):
+            raise AssertionError("Grid.quadratic_form_matrix was called")
+        monkeypatch.setattr(tvsim.grid.Grid, "quadratic_form_matrix", refuse)
+        man = runner.run(short_default(t_final=0.2), str(tmp_path / "out"))
+        assert man["run"]["steps"] == 20 and man["violations"]["total"] == 0
+
     def test_inadmissible_rejected_before_stepping(self, tmp_path):
         cfg = builtin_scenarios()["inadmissible-zero-cell"]
         with pytest.raises(AdmissibilityError):
@@ -635,6 +644,21 @@ class TestManufactured:
             # zero normal derivative: mirror symmetry of the cosine profile
             assert np.abs(th[:, 0] - th[:, 1]).max() <= \
                 0.5 * np.abs(th[:, 1] - th[:, 2]).max() + 1e-12
+
+    def test_factors_evaluated_once_per_grid_size(self, monkeypatch):
+        # a study builds a new Grid for every run; the forcings of one size
+        # share one evaluation of the spatial factors
+        from tvsim.grid import Grid
+        mms = ManufacturedProblem(self.unit_tensors(), 1.0, 1.0, lx=1.3)
+        shape, sizes = mms._shape, []
+        monkeypatch.setattr(mms, "_shape", lambda x, y: sizes.append(x.shape) or shape(x, y))
+        first = [mms.forcing_f(0.3, Grid(12, 9, 1.3)), mms.forcing_g(0.3, Grid(12, 9, 1.3)),
+                 mms.exact_u(0.3, Grid(12, 9, 1.3)), mms.exact_theta(0.3, Grid(12, 9, 1.3))]
+        again = [mms.forcing_f(0.3, Grid(12, 9, 1.3)), mms.forcing_g(0.3, Grid(12, 9, 1.3)),
+                 mms.exact_u(0.3, Grid(12, 9, 1.3)), mms.exact_theta(0.3, Grid(12, 9, 1.3))]
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
+        assert mms.forcing_g(0.3, Grid(16, 9, 1.3)).shape == (9, 16)
+        assert sizes == [(9, 12), (9, 16)]
 
     def test_study_builds_one_problem(self, monkeypatch):
         built = []
