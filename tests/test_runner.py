@@ -652,10 +652,10 @@ class TestManufactured:
         mms = ManufacturedProblem(self.unit_tensors(), 1.0, 1.0, lx=1.3)
         shape, sizes = mms._shape, []
         monkeypatch.setattr(mms, "_shape", lambda x, y: sizes.append(x.shape) or shape(x, y))
-        first = [mms.forcing_f(0.3, Grid(12, 9, 1.3)), mms.forcing_g(0.3, Grid(12, 9, 1.3)),
-                 mms.exact_u(0.3, Grid(12, 9, 1.3)), mms.exact_theta(0.3, Grid(12, 9, 1.3))]
-        again = [mms.forcing_f(0.3, Grid(12, 9, 1.3)), mms.forcing_g(0.3, Grid(12, 9, 1.3)),
-                 mms.exact_u(0.3, Grid(12, 9, 1.3)), mms.exact_theta(0.3, Grid(12, 9, 1.3))]
+        def evaluate():  # each on a new grid of one size
+            return [fn(0.3, Grid(12, 9, 1.3)) for fn in
+                    (mms.forcing_f, mms.forcing_g, mms.exact_u, mms.exact_theta)]
+        first, again = evaluate(), evaluate()
         assert all(np.array_equal(a, b) for a, b in zip(first, again))
         assert mms.forcing_g(0.3, Grid(16, 9, 1.3)).shape == (9, 16)
         assert sizes == [(9, 12), (9, 16)]
