@@ -18,11 +18,13 @@ w vanishes identically.  These two identities are what make the discrete
 energy and entropy exchange terms cancel exactly rather than to O(h^2).
 
 Every 2-D operator is a Kronecker product or sum of 1-D factors (the SBP
-derivative, the trapezoid weights, the three-point Laplacians), and each is
-written as CSR arrays straight from those factors: no generic sparse
-product, stack or slice assembles it.  The velocity forms live on the
-interior velocity unknowns (Grid.interior_dof) only, through Gi, the
-columns of G at those unknowns, never over all 2 n_nodes dof.
+derivative, the trapezoid weights, the three-point Laplacians).  Dx, Dy, G
+and the weighted Neumann Laplacian are written as CSR arrays straight from
+those factors, several times faster than generic sparse algebra builds
+them.  The velocity forms live on the interior velocity unknowns
+(Grid.interior_dof) only, through Gi, the columns of G at those unknowns,
+never over all 2 n_nodes dof: Gi is one column slice of G, and the
+thermal-force matrix T_B one sparse product with Gi^T.
 """
 
 from __future__ import annotations
@@ -154,27 +156,6 @@ def _csr(vals, cols, n_cols):
     return a
 
 
-def _relabel(a, col_of, n_cols, rows=None):
-    """The rows `rows` of a CSR a (all by default; the index one past the
-    last row reads as an empty row), with column j renamed col_of[j], or
-    dropped where col_of[j] is -1.  Each row keeps its entries in their
-    stored order, as a[rows][:, cols] does."""
-    indptr, indices, data = a.indptr, a.indices, a.data
-    if rows is not None:
-        ptr = np.append(indptr, indptr[-1])
-        lens = ptr[rows + 1] - ptr[rows]
-        indptr = np.concatenate(([0], np.cumsum(lens)))
-        take = np.arange(indptr[-1]) + np.repeat(ptr[rows] - indptr[:-1], lens)
-        indices, data = indices.take(take), data.take(take)
-    cols = col_of.take(indices)
-    drop = np.flatnonzero(cols < 0)
-    lost = np.bincount(np.searchsorted(indptr, drop, side="right") - 1,
-                       minlength=indptr.size)  # dropped entries per row
-    return sp.csr_matrix((np.delete(data, drop), np.delete(cols, drop),
-                          indptr - np.concatenate(([0], np.cumsum(lost[:-1])))),
-                         shape=(indptr.size - 1, n_cols))
-
-
 def _kron_sum(wx, lx, wy, ly):
     """diag(wy) (x) diag(wx) lx + diag(wy) ly (x) diag(wx) for tridiagonal
     1-D lx and ly: five diagonals, each row listing its entries south,
@@ -262,7 +243,6 @@ class Grid:
         self.weights = np.outer(wy, wx)
         self.boundary_mask = np.ones((self.ny, self.nx), dtype=bool)
         self.boundary_mask[1:-1, 1:-1] = False
-        self.interior_idx = np.flatnonzero(~self.boundary_mask.ravel())
         self.area = self.Lx * self.Ly
         # the interior velocity unknowns as full vector dof, laid out
         # (py, px, iy, c, ix) with py, px the parity blocks of _parity_order
@@ -370,86 +350,18 @@ class Grid:
         w = self.weights.ravel()
         return self._op("Wmat", lambda: sp.diags(np.concatenate([w, w, 2.0 * w])))
 
-    def _interior_col(self):
-        """col_of[j]: the position of full dof j in interior_dof, -1 for a
-        boundary dof."""
-        def build():
-            real = np.flatnonzero(self.interior_dof < 2 * self.n_nodes)
-            col_of = np.full(2 * self.n_nodes, -1, dtype=np.int32)
-            col_of[self.interior_dof[real]] = real
-            return col_of
-        return self._op("col_of", build)
-
     def _g_interior(self):
-        """Gi, the columns of G at interior_dof; a pad column is empty."""
-        return self._op("Gi", lambda: _relabel(self.G(), self._interior_col(),
-                                               self.interior_dof.size))
+        """Gi = G[:, interior_dof], G's columns at the interior unknowns.
 
-    def _strain_transpose(self):
-        """Gi^T as four entries per interior unknown, written from the 1-D
-        factors.
-
-        A centred row of the SBP derivative reaches the two nodes beside its
-        own, a one-sided closure its own boundary node and one neighbour, so
-        the strain rows (c, node) of G that reach an interior unknown are
-        those of its south, west, east and north neighbours, in that (column)
-        order: the x-derivatives through c = 0 for vx and c = 2 for vy, the
-        y-derivatives through c = 2 for vx and c = 1 for vy.  Returns, per
-        neighbour k, c[k, component] and, laid out (py, px, iy, ix) like
-        interior_dof, the neighbour nodes[k], the entries g[k] of the 1-D
-        derivative that reach the unknown (G's entries but for the 1/2 of
-        the a12 row; 0 in a pad slot) and the nodes' quadrature weights w[k].
-        Not cached: only the one-time builds of _weighted_transpose read it.
+        G's arrays are read as a matrix one column wider, so that a pad
+        slot's column 2 n_nodes is empty.  The column slice keeps each row's
+        entries in G's stored order.
         """
-        def axis(n, h, shape):
-            pos = _parity_order(n - 2)
-            real = pos < n - 2
-            j = np.where(real, pos, n - 3) + 1  # a pad: the last node, d read as 0
-            d = _sbp_derivative_1d(n, h).toarray()
-            w = _trapezoid_1d(n, h)
-            return [a.reshape(shape) for a in (j, d[j - 1, j] * real, d[j + 1, j] * real,
-                                               w[j - 1], w[j], w[j + 1], real)]
-        jy, d_s, d_n, w_s, wy, w_n, ry = axis(self.ny, self.hy, (2, 1, -1, 1))
-        jx, d_w, d_e, w_w, wx, w_e, rx = axis(self.nx, self.hx, (1, 2, 1, -1))
-        nx = self.nx
-        g = np.stack(np.broadcast_arrays(d_s * rx, d_w * ry, d_e * ry, d_n * rx))
-        w = np.stack(np.broadcast_arrays(w_s * wx, wy * w_w, wy * w_e, w_n * wx))
-        nodes = (jy * nx + jx) + np.array([-nx, -1, 1, nx]).reshape(4, 1, 1, 1, 1)
-        return (nodes.astype(np.int32), np.array([[2, 1], [0, 2], [0, 2], [2, 1]]),
-                g, w)
-
-    def _weighted_transpose(self, scale):
-        """[Gi^T (s_0 (x) W) | Gi^T (s_1 (x) W) | ...] for the columns s_j
-        of scale (3 x p), a scale per strain component.
-
-        Each entry is one product Gi[(c, node), i] (s_j[c] w[node]), because
-        a node's three strain rows reach disjoint interior columns; the 1/2
-        of the a12 row is a power of two, so it may scale either factor.  A
-        row lists block j = 0, 1, ... and in each its neighbours in column
-        order, leaving out those whose s_j[c] is 0, so all rows of one
-        component are equally long; a pad slot's row holds zeros.
-        """
-        nodes, c, g, w = self._strain_transpose()
-        p, n, hx = scale.shape[1], self.n_nodes, nodes.shape[-1]
-        slots = [[(j, k) for j in range(p) for k in range(4) if scale[c[k, comp], j]]
-                 for comp in (0, 1)]
-        widths = [len(s) for s in slots]
-        data = np.empty(nodes.shape[1:-1] + (hx * sum(widths),))
-        index = np.empty(data.shape, dtype=np.int32)
-        first = 0
-        for comp in (0, 1):  # the rows of one component: hx per (py, px, iy)
-            block = np.s_[..., first:first + hx * widths[comp]]
-            split = data.shape[:-1] + (hx, widths[comp])
-            d, i = data[block].reshape(split), index[block].reshape(split)
-            for slot, (j, k) in enumerate(slots[comp]):
-                f = scale[c[k, comp], j] * (0.5 if c[k, comp] == 2 else 1.0)
-                np.multiply(g[k], f * w[k], out=d[..., slot])
-                np.add(nodes[k], j * n, out=i[..., slot])
-            first += hx * widths[comp]
-        row = np.broadcast_to(np.array(widths, dtype=np.int32)[:, None],
-                              nodes.shape[1:-1] + (2, hx))
-        indptr = np.concatenate(([0], np.cumsum(row, dtype=np.int32)))
-        return sp.csr_matrix((data.ravel(), index.ravel(), indptr), shape=(indptr.size - 1, p * n))
+        def build():
+            g, n = self.G(), self.n_nodes
+            wide = sp.csr_matrix((g.data, g.indices, g.indptr), shape=(3 * n, 2 * n + 1))
+            return wide[:, self.interior_dof]
+        return self._op("Gi", build)
 
     def quadratic_form_matrix(self, comp_matrix):
         """A = Gi^T [M (x) diag(w)] Gi on the interior unknowns, for a 3x3
@@ -457,32 +369,34 @@ class Grid:
 
         Gives v . A v = integrate(<T: sym_grad v, sym_grad v>) exactly for v
         in interior_dof order, where M is the component matrix of the
-        4th-order tensor T; the pad rows and columns are zero.  The left
-        factor Gi^T [M (x) W] is written entry by entry
-        (_weighted_transpose); only its product with Gi is a sparse product.
-        The integrator applies these forms through Gi and assembles none of
-        them, so this matrix is the assembled oracle the tests compare
-        against, and a span target of the benchmark's tracer.
+        4th-order tensor T; the pad rows and columns are zero.  The
+        integrator applies these forms through Gi and assembles none of
+        them, so this product of the three factors is the oracle the tests
+        compare against, and a span target of the benchmark's tracer.
         """
-        a = self._weighted_transpose(np.asarray(comp_matrix, dtype=float)) @ self._g_interior()
-        a.sort_indices()
-        return a
+        gi = self._g_interior()
+        m = sp.kron(np.asarray(comp_matrix, dtype=float), sp.diags(self.weights.ravel()))
+        return (gi.T @ m @ gi).tocsr()
 
     def interior_submatrix(self, a):
-        """a on the interior velocity unknowns; pad rows and columns are 0."""
-        return _relabel(sp.csr_matrix(a), self._interior_col(),
-                        self.interior_dof.size, rows=self.interior_dof)
+        """a[interior_dof][:, interior_dof], a pad slot reading an empty row
+        and column.  No run calls it; it is kept only as a span target of
+        the benchmark's tracer."""
+        a = sp.csr_matrix(a, copy=True)
+        a.resize(2 * self.n_nodes + 1, 2 * self.n_nodes + 1)
+        return a[self.interior_dof][:, self.interior_dof]
 
     def coupling_force_matrix(self, b_triple):
-        """T_B: nodal theta -> interior force dof of -div(theta * B).
+        """T_B = Gi^T S: nodal theta -> interior force dof of -div(theta * B).
 
-        Gi^T [(b0, b1, 2 b2)^T (x) diag(w)], so that
-        v . T_B theta = integrate(theta * <B, sym_grad v>) exactly.
+        S = (b0, b1, 2 b2)^T (x) diag(w), one entry per strain row, so that
+        v . T_B theta = integrate(theta * <B, sym_grad v>) exactly.  A node's
+        three strain rows reach disjoint interior columns, so every entry of
+        T_B is one product.
         """
-        t = self._weighted_transpose(
-            np.array([[b_triple[0]], [b_triple[1]], [2.0 * b_triple[2]]]))
-        t.eliminate_zeros()  # the pad rows
-        return t
+        s = np.outer([b_triple[0], b_triple[1], 2.0 * b_triple[2]], self.weights.ravel())
+        stack = _csr(s[..., None], np.arange(self.n_nodes)[:, None], self.n_nodes)
+        return (self._g_interior().T @ stack).tocsr()
 
     def neumann_weighted(self):
         """W * Laplacian_N: symmetric negative semidefinite, zero row sums;
@@ -511,16 +425,12 @@ class Grid:
 
     def dirichlet_laplacian_interior(self):
         """Five-point Laplacian with clamped boundary on each component of
-        the interior velocity unknowns, in interior_dof order."""
+        the interior velocity unknowns, in interior_dof order.  No run calls
+        it; it is kept only as a span target of the benchmark's tracer."""
         def build():
-            lap = _kron_sum(np.ones(self.nx), _dirichlet_laplacian_1d(self.nx, self.hx),
-                            np.ones(self.ny), _dirichlet_laplacian_1d(self.ny, self.hy))
-            n, nnz = self.n_nodes, lap.nnz
-            both = sp.csr_matrix((np.tile(lap.data, 2),
-                                  np.concatenate([lap.indices, lap.indices + n]),
-                                  np.concatenate([lap.indptr, lap.indptr[1:] + nnz])),
-                                 shape=(2 * n, 2 * n))
-            return self.interior_submatrix(both)
+            lap = sp.kronsum(_dirichlet_laplacian_1d(self.nx, self.hx),
+                             _dirichlet_laplacian_1d(self.ny, self.hy), format="csr")
+            return self.interior_submatrix(sp.block_diag([lap, lap]))
         return self._op("Ldir", build)
 
 

@@ -172,6 +172,25 @@ class TestDivergenceAdjoint:
                                  + 2.0 * b[2] * e[..., 2])
             assert abs(val) <= 1e-12 * (1.0 + np.abs(w).max())
 
+    @pytest.mark.parametrize("nx, ny", [(5, 4), (13, 9), (12, 10), (32, 32)])
+    def test_thermal_force_is_the_quadrature_adjoint(self, nx, ny, rng):
+        """v . T_B theta = integrate(theta <B, sym_grad v>), checked against
+        the quadrature, not against the Gi^T formula that builds T_B."""
+        g = Grid(nx, ny, Lx=1.3)
+        worst = 0.0
+        for b in [(1.0, 1.0, 0.0), (0.5, 0.3, 0.2), (0.7, 0.0, -0.4)]:
+            t_b = g.coupling_force_matrix(b)
+            for _ in range(5):
+                v = boundary_vanishing_field(g, rng)
+                theta = rng.uniform(0.5, 2.0, (ny, nx))
+                e = g.sym_grad(v)
+                terms = [b[0] * e[..., 0], b[1] * e[..., 1], 2.0 * b[2] * e[..., 2]]
+                pairing = g.integrate(theta * sum(terms))
+                scale = g.integrate(theta * sum(np.abs(t) for t in terms))
+                got = g.interior_vec(v) @ (t_b @ theta.ravel())
+                worst = max(worst, abs(got - pairing) / scale)
+        assert worst <= 1e-13
+
     def test_divergence_refinement_to_analytic(self):
         # div(C: sym_grad v) for v = sine mode approaches
         # mu lap(v) + (lam + mu) grad div v at second order away from the edge
@@ -376,7 +395,8 @@ class TestInteriorUnknowns:
     def test_every_interior_dof_once_and_pads_zero(self, nx, ny, rng):
         g = Grid(nx, ny)
         real = g.interior_dof < 2 * g.n_nodes
-        natural = np.concatenate([g.interior_idx, g.interior_idx + g.n_nodes])
+        inner = np.flatnonzero(~g.boundary_mask.ravel())
+        natural = np.concatenate([inner, inner + g.n_nodes])
         assert np.array_equal(np.sort(g.interior_dof[real]), natural)
         # both parity blocks of a direction are padded to one size
         assert g.interior_dof.size == 8 * ((nx - 1) // 2) * ((ny - 1) // 2)
@@ -489,8 +509,9 @@ def generic_operators(g, bs, comps):
 
 
 class TestBuiltFromFactors:
-    """Each operator, written straight from its 1-D factors, equals value
-    for value what generic sparse algebra builds from the same factors."""
+    """Each operator equals value for value what generic sparse algebra
+    builds from the same 1-D factors; Gi and T_B, sliced and multiplied
+    from G, equal it array for array."""
 
     bs = [(0.5, 0.3, 0.2), (0.7, 0.0, -0.4)]
     comps = [tn.component_matrix(tn.isotropic_tensor(1.0, 2.0)),
@@ -510,6 +531,12 @@ class TestBuiltFromFactors:
             assert got.format == "csr" and got.shape == want.shape, name
             assert (got != want).nnz == 0, name
             assert np.all(got.data != 0.0), name  # no stored zeros
+        # the stored order fixes the summation order of every product by Gi
+        # and T_B, so these match the generic builds array for array
+        for name in ["Gi"] + [f"T_B{i}" for i in range(len(self.bs))]:
+            got, want = built[name], oracle[name]
+            for arr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, arr), getattr(want, arr)), (name, arr)
 
     @pytest.mark.parametrize("nx, ny", [(5, 4), (13, 9), (12, 10)])
     def test_interior_submatrix_equals_the_slices(self, nx, ny):
