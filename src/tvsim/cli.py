@@ -63,9 +63,8 @@ def _cmd_check(args):
     scenario = build_scenario(config)
     from .scenarios import admissibility
     report = admissibility(scenario)
-    flags = scenario.model_raw.classify().as_dict()
     print(f"scenario '{scenario.name}': admissible={report.passed} "
-          f"kappa={flags['variant']}")
+          f"kappa={scenario.model_raw.classify().variant}")
     for reason in report.reasons():
         print(f"  reject: {reason}")
     if report.cells_below_floor:

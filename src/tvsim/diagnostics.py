@@ -27,6 +27,9 @@ from .integrator import _safe_ratio
 from .materials import M_MIN
 
 _E = math.e
+# entropy shortfall allowed, times (1 + |S|): the log-entropy check, the
+# limits' monotonicity test and the runner's entropy laws all read it
+_INEQ_TOL_REL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -148,12 +151,13 @@ class Diagnostics:
 
 
 def log_entropy_inequality(rec_k, rec_k1, dt, tensors, d_diff, area,
-                           m_shift=M_MIN, rel_tol=1e-8):
+                           m_shift=M_MIN):
     """Per-step form of the log-weighted entropy inequality.
 
     Checks  dS_hat >= dt [ (D/4) T1 + (kD/2) T2 - c1 int |v|^2 - c2 ] - tol
     with the explicit constants c1 = 4 |B|^2 / D and
-    c2 = 2 M^2 |B|^2 |Omega| / (e^2 kD), evaluated at the end state.
+    c2 = 2 M^2 |B|^2 |Omega| / (e^2 kD), evaluated at the end state, and
+    tol = _INEQ_TOL_REL (1 + |S_hat|).
     """
     b2 = tensors.b_norm ** 2
     c1 = 4.0 * b2 / d_diff
@@ -163,7 +167,7 @@ def log_entropy_inequality(rec_k, rec_k1, dt, tensors, d_diff, area,
     v_sq = 2.0 * rec_k1.kinetic
     lhs = rec_k1.S_hat - rec_k.S_hat
     rhs = dt * (0.25 * d_diff * t1 + 0.5 * tensors.kD * t2 - c1 * v_sq - c2)
-    tol = rel_tol * (1.0 + abs(rec_k1.S_hat))
+    tol = _INEQ_TOL_REL * (1.0 + abs(rec_k1.S_hat))
     return {
         "lhs": lhs, "rhs": rhs, "margin": lhs - rhs, "tol": tol,
         "holds": bool(lhs >= rhs - tol),
@@ -171,20 +175,21 @@ def log_entropy_inequality(rec_k, rec_k1, dt, tensors, d_diff, area,
     }
 
 
-def theta_infinity(records, model, area, energy_budget=None, mono_tol=1e-8):
+def theta_infinity(records, model, area, energy_budget=None):
     """Large-time limits from a window of records near the final time.
 
     L is the window mean of S / |Omega| and theta_inf its image under the
-    inverse entropy primitive.  When an energy budget (F(0) plus cumulative
-    source work) is supplied, the energy-based cross-check solves
-    K(theta) |Omega| = budget, which is the limit value when the mechanical
-    energy has fully relaxed.
+    inverse entropy primitive; converged says that S drops by no more than
+    _INEQ_TOL_REL (1 + |S|) between neighbouring records.  When an energy
+    budget (F(0) plus cumulative source work) is supplied, the energy-based
+    cross-check solves K(theta) |Omega| = budget, which is the limit value
+    when the mechanical energy has fully relaxed.
     """
     if len(records) < 10:
         raise ConfigError("theta_infinity needs a window of at least 10 records")
     s_vals = np.array([r.S for r in records])
     drops = np.diff(s_vals)
-    converged = bool(np.all(drops >= -mono_tol * (1.0 + np.abs(s_vals[:-1]))))
+    converged = bool(np.all(drops >= -_INEQ_TOL_REL * (1.0 + np.abs(s_vals[:-1]))))
     big_l = float(s_vals.mean()) / area
     theta_inf = model.ell_inverse(big_l)
     theta_energy = math.nan

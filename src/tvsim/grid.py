@@ -234,6 +234,11 @@ class Grid:
             raise ConfigError("grid needs positive side lengths")
         self.hx = self.Lx / (self.nx - 1)
         self.hy = self.Ly / (self.ny - 1)
+        for side, h in (("x", self.hx), ("y", self.hy)):
+            # h * h, because h**2 raises on overflow
+            if not 0.0 < h * h < math.inf or not 1.0 / (h * h) < math.inf:
+                raise ConfigError(f"grid spacing h{side} = grid.L{side} / (n{side} - 1)"
+                                  f" = {h!r}: its square leaves the float range")
         self.x = np.linspace(0.0, self.Lx, self.nx)
         self.y = np.linspace(0.0, self.Ly, self.ny)
         self.X, self.Y = np.meshgrid(self.x, self.y)
@@ -444,8 +449,11 @@ def solve_spd(a, rhs, tol=1e-10, maxiter=None, x0=None, precond_apply=None,
     whose residual is that of a larger system, up to a known factor, passes
     that system's right-hand side norm over the factor.  A zero
     ref_norm returns x = 0, and x0 None starts from 0 without a product.
-    The iteration cap defaults to 10 times the number of unknowns, and
-    failure raises SolverError with the final relative residual attached.
+    The iteration cap defaults to 10 times the number of unknowns.  Failure
+    raises SolverError with the last relative residual and the iterations
+    attached: the cap reached, a reference or residual norm that is not
+    finite, or a breakdown, p . A p not finite and positive (a singular or
+    indefinite a).
     precond_apply, when given, applies an SPD approximate inverse (the
     integrator passes exact inverses of separable operators close to a, so
     iteration counts do not grow with 1/h).  Convergence is tested on the
@@ -462,6 +470,9 @@ def solve_spd(a, rhs, tol=1e-10, maxiter=None, x0=None, precond_apply=None,
     bnorm = math.sqrt(rhs @ rhs) if ref_norm is None else float(ref_norm)
     if bnorm == 0.0:
         return np.zeros(n), 0
+    if not math.isfinite(bnorm):
+        raise SolverError(f"conjugate gradients got a reference norm of {bnorm}",
+                          residual=math.nan, iterations=0)
     if x0 is None:
         x, r = np.zeros(n), rhs.copy()
     else:
@@ -471,7 +482,11 @@ def solve_spd(a, rhs, tol=1e-10, maxiter=None, x0=None, precond_apply=None,
     work = np.empty(n)
     rnorm = math.sqrt(r @ r)
     it = 0
-    while rnorm > tol * bnorm:
+    while not rnorm <= tol * bnorm:
+        if not math.isfinite(rnorm):
+            raise SolverError(f"conjugate gradients reached a residual norm of "
+                              f"{rnorm} after {it} iterations", residual=rnorm / bnorm,
+                              iterations=it)
         if it >= maxiter:
             raise SolverError(
                 f"conjugate gradients stalled at relative residual {rnorm / bnorm:.3e} "
@@ -485,7 +500,12 @@ def solve_spd(a, rhs, tol=1e-10, maxiter=None, x0=None, precond_apply=None,
             p += z
         rz = rz_new
         ap = a @ p
-        alpha = rz / float(p @ ap)
+        pap = float(p @ ap)
+        if not 0.0 < pap < math.inf:
+            raise SolverError(f"conjugate gradients broke down (p . A p = {pap}) "
+                              f"after {it} iterations", residual=rnorm / bnorm,
+                              iterations=it)
+        alpha = rz / pap
         x += np.multiply(alpha, p, out=work)
         r -= np.multiply(alpha, ap, out=work)
         rnorm = math.sqrt(r @ r)

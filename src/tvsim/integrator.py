@@ -119,9 +119,9 @@ the heat preconditioner's symbol, and the two CG solves.  The velocity warm star
 passes from one iteration to the next as the odd half's mode coefficients,
 so only the predictor's v0 is transformed into the modes.  The 1-D bases
 and coupling matrices of the velocity modes are built by the first velocity
-solve and kept (_VelocityModes); per dt only the 2 x 2 blocks per mode are
-formed, at the first solve of that dt.  The heat preconditioner's bases and
-buffers are built by the first heat solve and kept.
+solve and kept (_VelocityModes); the 2 x 2 blocks per mode are formed again
+only when dt changes.  The heat preconditioner's bases and buffers are built
+by the first heat solve and kept.
 
 The solver tolerances and caps, the dt growth and the positivity safety
 factor are module constants: the identities hold only to about _CG_TOL and
@@ -131,7 +131,7 @@ _PICARD_TOL, so a setting that loosened them could only break the structure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -303,15 +303,15 @@ class _ReducedSystem:
     V0^T M01 V1 = C2 (x) N with C2 = -(ALPHA^T c BETA + BETA^T c ALPHA),
     c = dt D + dt^2 C (module docstring).  reg, laid out (py, px, ky, kx),
     is the regularizer dt eps R per mode, dt eps (lam_x + lam_y)^2m, which
-    both halves' blocks add to their diagonal.  So M11 - M10 M00^-1 M01
-    becomes S with B0 = C2 L0^-1 C2 per even-half mode, and its
-    preconditioner M11^-1 becomes L1^-1.  nnz counts the matrix entries one
+    both halves' blocks add to their diagonal, for the step dt.  So
+    M11 - M10 M00^-1 M01 becomes S with B0 = C2 L0^-1 C2 per even-half mode,
+    and its preconditioner M11^-1 becomes L1^-1.  nnz counts the matrix entries one
     product reads: the 2 x 2 blocks of L1 and B0, and the 1-D factors of N
     and of N^T.
     """
 
-    def __init__(self, modes, c, reg):
-        self.modes = modes
+    def __init__(self, modes, dt, c, reg):
+        self.modes, self.dt = modes, dt
         self.reg = reg
         a_x, a_y = _ALPHA.T @ c @ _ALPHA, _BETA.T @ c @ _BETA
         c2 = -(_ALPHA.T @ c @ _BETA + _BETA.T @ c @ _ALPHA)
@@ -534,15 +534,12 @@ class Integrator:
         self.A_C = _StrainForm(self.Gi, self.comp_C, self.w_flat)
         self.T_B = grid.coupling_force_matrix(self.b_triple)
         self.A_N = grid.neumann_weighted()
-        # every interior node, and every pad slot, has the weight hx hy
-        self.w2_int = np.full(grid.interior_dof.size, grid.hx * grid.hy)
+        self.w_int = grid.hx * grid.hy  # the weight of every interior node
         self.D_diff = None  # set via diffusivity property
-        self._vel_modes = None  # built by the first velocity solve
-        self._vel_cache = {}
+        self._velocity = None  # the _ReducedSystem of the last dt solved
         self._heat_work = None  # refilled from A_N by each heat solve
         self._heat_diag_pos = None
         self._heat_pre = None  # built by the first heat solve (_heat_preconditioner)
-        self.dt_prev = config.dt_max
         self.last_step = None
 
     # -- setup -----------------------------------------------------------
@@ -564,7 +561,6 @@ class Integrator:
         by rho, so that the next step starts as it would have without the
         interruption (a restart from a checkpoint)."""
         kinetic, elastic, thermal, k_nodal = self._energies(state)
-        self.dt_prev = dt_prev
         self.last_step = LastStep(
             state.u.copy(), state.v.copy(), state.theta.copy(),
             F=kinetic + elastic + thermal, S=self.entropy(state), K=k_nodal,
@@ -582,23 +578,22 @@ class Integrator:
         return marks.astype(np.intp) - 1
 
     def _velocity_matrix(self, dt):
-        """The _ReducedSystem of the velocity system of dt, cached.
+        """The _ReducedSystem of the velocity system of dt.
 
-        Built at the first solve of each dt, for every eps_reg and m: only
-        the per-mode blocks change with dt, and the regularizer adds
-        dt eps (lam_x + lam_y)^2m to each mode's diagonal.
+        The system of the last dt solved is kept.  Another dt forms the
+        per-mode blocks anew, for every eps_reg and m, over the same
+        _VelocityModes, built at the first solve: only the blocks change
+        with dt, and the regularizer adds dt eps (lam_x + lam_y)^2m to each
+        mode's diagonal.
         """
-        key = float(dt)
-        if key not in self._vel_cache:
-            if len(self._vel_cache) > 8:
-                self._vel_cache.clear()
-            if self._vel_modes is None:
-                self._vel_modes = _VelocityModes(self.grid)
-            cfg, modes = self.config, self._vel_modes
-            self._vel_cache[key] = _ReducedSystem(
-                modes, dt * self.comp_D + dt * dt * self.comp_C,
+        system = self._velocity
+        if system is None or system.dt != dt:
+            cfg = self.config
+            modes = _VelocityModes(self.grid) if system is None else system.modes
+            system = self._velocity = _ReducedSystem(
+                modes, dt, dt * self.comp_D + dt * dt * self.comp_C,
                 dt * cfg.eps_reg * modes.lam ** (2 * cfg.m))
-        return self._vel_cache[key]
+        return system
 
     def _heat_preconditioner(self, c_bar):
         """Exact inverse of W (c_bar - D lap_N) in the cosine modes.
@@ -631,7 +626,7 @@ class Integrator:
         velocity right-hand side that do not depend on the thermal force."""
         g = self.grid
         return (g.interior_vec(state.v), -(self.A_C @ g.interior_vec(state.u)),
-                self.w2_int * g.interior_vec(f_field))
+                self.w_int * g.interior_vec(f_field))
 
     def velocity_step(self, state, f_field, dt, theta_force=None, x0=None,
                       tol=_CG_TOL, sources=None):
@@ -649,7 +644,7 @@ class Integrator:
         theta = state.theta if theta_force is None else theta_force
         v_int, elastic, w_f = (self._velocity_sources(state, f_field)
                                if sources is None else sources)
-        rhs = self.w2_int * v_int + dt * ((elastic + self.T_B @ theta.ravel()) + w_f)
+        rhs = self.w_int * v_int + dt * ((elastic + self.T_B @ theta.ravel()) + w_f)
         return self._solve_velocity(dt, rhs, v_int if x0 is None else x0, tol)
 
     def _solve_velocity(self, dt, rhs, x0, tol):
@@ -670,7 +665,7 @@ class Integrator:
         coefficients stay 0.
         """
         system = self._velocity_matrix(dt)
-        h, w = rhs.size // 2, self.grid.hx * self.grid.hy
+        h, w = rhs.size // 2, self.w_int
         ref = math.sqrt(rhs @ rhs)
         if ref == 0.0:
             return np.zeros(rhs.size), 0, np.zeros(h)
@@ -690,11 +685,6 @@ class Integrator:
         c = c0 + dc.reshape(modes.shape)
         even = g0 - modes.mix(system.h0, modes.couple(c))
         return modes.from_modes(even, c), iters, c.ravel()
-
-    @staticmethod
-    def displacement_step(u, v_new, dt):
-        """u+ = u + dt v+, consistent with the implicit elastic pairing."""
-        return u + dt * v_new
 
     def temperature_step(self, state, v_new, g_field, dt, theta_guess=None,
                          kappa_bar=None, tol=_CG_TOL):
@@ -773,13 +763,14 @@ class Integrator:
         cfg = self.config
         if self.D_diff is None:
             raise ConfigError("set_diffusivity must be called before stepping")
-        dt = min(cfg.dt_max, self.dt_prev * _DT_GROWTH)
+        last = self.last_step
+        # dt grows from the last accepted step's
+        dt = cfg.dt_max if last is None else min(cfg.dt_max, last.dt * _DT_GROWTH)
         if dt_request is not None:
             dt = min(dt, dt_request)
         dt = min(dt, self.adaptive_dt(state, state.v))
         if t_stop is not None and state.t + dt > t_stop + _T_STOP_SLACK:
             dt = t_stop - state.t
-        last = self.last_step
         if last is not None and not last.continues(state):
             last = None
         reasons = []
@@ -800,7 +791,6 @@ class Integrator:
         report.rejection_reasons = tuple(reasons)
         (report.wasted_picard, report.wasted_cg_velocity,
          report.wasted_cg_heat) = wasted
-        self.dt_prev = report.dt
         # the caller owns both states and may edit them: keep copies, except
         # of a start state that already is the remembered copy
         start = (state.theta.copy(), state.v.copy()) if last is None \
@@ -849,15 +839,18 @@ class Integrator:
         g_field = forcing.g(t_new, self.grid)
         theta_new, v_int, b, rho = self._picard(state, f_field, g_field, dt,
                                                 last, spent)
-        min_theta = float(theta_new.min())
-        if min_theta <= 0.0:
+        finite = np.isfinite(theta_new)
+        if not finite.all():
+            node = int(np.argmin(finite))
+            raise StepError(f"temperature not finite at node {node}", node=node, dt=dt)
+        if float(theta_new.min()) <= 0.0:
             node = int(np.argmin(theta_new))
             raise StepError(f"temperature positivity lost at node {node}",
                             node=node, dt=dt)
 
         v_full = self.grid.vec_from_interior(v_int)
-        u_new = self.displacement_step(state.u, v_full, dt)
-        new_state = FieldState(u_new, v_full, theta_new, t_new)
+        # u+ = u + dt v+, consistent with the implicit elastic pairing
+        new_state = FieldState(state.u + dt * v_full, v_full, theta_new, t_new)
 
         report, k_end = self._bookkeeping(state, new_state, f_field, g_field,
                                           dt, v_int, b, spent, last)
@@ -988,8 +981,9 @@ class Integrator:
         eps_diss = 0.0
         if self.config.eps_reg > 0:
             # dt eps <R v+, v+> in the modes: c = hx hy V^T v+
-            c = (g.hx * g.hy) * self._vel_modes.to_modes(v_int)
-            eps_diss = float(np.sum(self._velocity_matrix(dt).reg[:, None] * c * c))
+            system = self._velocity_matrix(dt)
+            c = self.w_int * system.modes.to_modes(v_int)
+            eps_diss = float(np.sum(system.reg[:, None] * c * c))
         end, k_end = self._ledger(new_state, g_field)
         if last is None:
             f_old, s_old = self.total_energy(state), self.entropy(state)

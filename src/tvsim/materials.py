@@ -23,7 +23,7 @@ closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -167,14 +167,6 @@ class HypothesisFlags:
     bounded_below_at_infinity: bool
     log_weighted_divergent: bool
     heuristic: bool = False
-
-    def as_dict(self):
-        return {
-            "variant": self.variant,
-            "bounded_below_at_infinity": self.bounded_below_at_infinity,
-            "log_weighted_divergent": self.log_weighted_divergent,
-            "heuristic": self.heuristic,
-        }
 
 
 class HeatCapacity:

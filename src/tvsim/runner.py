@@ -31,18 +31,21 @@ A restart is refused unless the run's config matches the checkpoint's outside
 the sections in _RESTART_FREE and its two files hold one valid checkpoint:
 eight finite fields, every key of a fresh checkpoint.json, and one time.
 
-Violations are counted per accepted step by one function, _broken_laws, fed
-by the integrator's ledger: an energy residual above +_ENERGY_TOL_REL * F(0),
-an entropy decrease or entropy-balance deficit beyond _INEQ_TOL_REL slack, or
-a failed log-weighted entropy inequality between the records the step
-closes.  The exit status of the CLI is nonzero unless the count is zero.
-Both slacks are constants: the integrator keeps the laws to its fixed solver
-tolerances, far inside them, so a wider slack could only hide a broken step.
+Violations are counted per accepted step against the laws of one table,
+_LAWS, fed by the integrator's ledger: an energy residual above
++_ENERGY_TOL_REL * F(0), an entropy decrease or entropy-balance deficit
+beyond the slack _INEQ_TOL_REL of tvsim.diagnostics, or a failed
+log-weighted entropy inequality between the records the step closes.  A new
+law is one more entry.  The exit status of the CLI is nonzero unless the
+count is zero.  Both slacks are constants: the integrator keeps the laws to
+its fixed solver tolerances, far inside them, so a wider slack could only
+hide a broken step.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -51,17 +54,17 @@ import os
 import numpy as np
 
 from . import __version__, mms
-from .diagnostics import (Diagnostics, WindowSample, log_entropy_inequality,
-                          theta_infinity, window_metrics)
+from .diagnostics import (_INEQ_TOL_REL, Diagnostics, WindowSample,
+                          log_entropy_inequality, theta_infinity, window_metrics)
 from .errors import AdmissibilityError, ConfigError, _number, _section
 from .grid import Grid, read_snapshot, write_atomic, write_snapshot
-from .integrator import CallableForcing, FieldState, Integrator, SolverConfig
+from .integrator import (_T_STOP_SLACK, CallableForcing, FieldState, Integrator,
+                         SolverConfig)
 from .scenarios import (_reject_non_finite, admissibility, build_scenario,
-                        builtin_scenarios, canonical_json)
+                        canonical_json)
 
 _FMT = "{:.17g}"
 _ENERGY_TOL_REL = 1e-9  # energy residual allowed above zero, times F(0)
-_INEQ_TOL_REL = 1e-8    # entropy shortfall allowed, times (1 + |S|)
 # config sections a restart may change: they name the run, steer its output
 # and set where it ends, but leave the physics of the checkpoint alone
 _RESTART_FREE = ("name", "output", "t_final")
@@ -74,6 +77,18 @@ _STEP_SUMS = {**{key: key for key in ("picard_iters", "cg_iters_velocity",
                                       "wasted_cg_velocity", "wasted_cg_heat")},
               "work_f_total": "work_f", "work_g_total": "work_g",
               "eps_dissipation_total": "eps_dissipation"}
+# the laws of the run: manifest name -> whether the step of rep breaks it,
+# given corner, the log-entropy check of the record the step closes (None if
+# it closes none), and the run's energy slack
+_LAWS = {
+    "energy": lambda rep, corner, energy_tol: rep.energy_residual > energy_tol,
+    "entropy_monotone": lambda rep, corner, energy_tol:
+        rep.S - rep.S_old < -_INEQ_TOL_REL * (1.0 + abs(rep.S_old)),
+    "entropy_balance": lambda rep, corner, energy_tol:
+        rep.entropy_residual < -_INEQ_TOL_REL * (1.0 + abs(rep.S)),
+    "log_entropy": lambda rep, corner, energy_tol:
+        corner is not None and not corner["holds"],
+}
 
 
 def _fmt_row(values):
@@ -94,8 +109,7 @@ def _new_tally(f0, theta_deviation):
     return {"steps": 0,
             **{key: 0.0 if key.endswith("_total") else 0 for key in _STEP_SUMS},
             "rejection_reasons": {},
-            "violations": dict.fromkeys(("energy", "entropy_monotone",
-                                         "entropy_balance", "log_entropy"), 0),
+            "violations": dict.fromkeys(_LAWS, 0),
             "min_theta": math.inf, "u_norm_max": 0.0, "F0": f0,
             "theta_initial_deviation": theta_deviation}
 
@@ -109,19 +123,6 @@ def _tally_step(tally, rep):
     for kind in map(_rejection_kind, rep.rejection_reasons):
         reasons[kind] = reasons.get(kind, 0) + 1
     tally["min_theta"] = min(tally["min_theta"], rep.min_theta)
-
-
-def _broken_laws(rep, corner, energy_tol):
-    """Manifest names of the laws that the step of rep breaks; corner is the
-    log-entropy check of the record the step closes, None if not recorded."""
-    tol = _INEQ_TOL_REL
-    broken = {
-        "energy": rep.energy_residual > energy_tol,
-        "entropy_monotone": rep.S - rep.S_old < -tol * (1.0 + abs(rep.S_old)),
-        "entropy_balance": rep.entropy_residual < -tol * (1.0 + abs(rep.S)),
-        "log_entropy": corner is not None and not corner["holds"],
-    }
-    return [law for law, failed in broken.items() if failed]
 
 
 def _rejection_kind(reason):
@@ -172,15 +173,16 @@ def run(config, outdir, restart_from=None):
     t_final = scenario.t_final
 
     state = scenario.initial
-    if restart_from is None:
-        theta0 = state.theta
-        tally = _new_tally(integ.total_energy(state), g.integrate(
-            np.abs(theta0 - g.integrate(theta0) / g.area)))
-    else:
+    if restart_from is not None:
         state, start, dt_prev, rho, tally = _load_checkpoint(
             restart_from, g, _physics_hash(scenario.config))
         integ.resume(state, *start, dt_prev, rho)
     state.validate(g)
+    # the start state's ledger: its record's, and a fresh run's F(0)
+    ledger = integ.ledger(state, scenario.forcing.g(state.t, g))
+    if restart_from is None:
+        tally = _new_tally(ledger.F, g.integrate(
+            np.abs(state.theta - g.integrate(state.theta) / g.area)))
     energy_tol = _ENERGY_TOL_REL * max(tally["F0"], 1e-300)
 
     windows = _WindowStore(plan.window_starts, t_final)
@@ -192,43 +194,45 @@ def run(config, outdir, restart_from=None):
         tally["u_norm_max"] = max(tally["u_norm_max"], rec.u_norm)
         return rec
 
-    pending_snapshots = sorted(t for t in plan.snapshot_times if t > state.t + 1e-12)
+    pending_snapshots = sorted(t for t in plan.snapshot_times
+                               if t > state.t + _T_STOP_SLACK)
     wrote_checkpoint = restart_from is not None
 
     # the start state's record, kept when the uninterrupted run recorded that
     # state (a fresh run always does); its CSV row is the earlier run's
-    last_rec = diag.record(state, integ.ledger(state, scenario.forcing.g(state.t, g)))
+    last_rec = diag.record(state, ledger)
     if tally["steps"] % plan.record_every == 0:
         keep(last_rec)
     first_row = len(records) if restart_from is not None else 0
 
-    while state.t < t_final - 1e-12:
+    while state.t < t_final - _T_STOP_SLACK:
         # land on the next snapshot or checkpoint time rather than step past it
         stops = pending_snapshots[:1]
         if (not wrote_checkpoint and plan.checkpoint_time is not None
-                and plan.checkpoint_time > state.t + 1e-12):
+                and plan.checkpoint_time > state.t + _T_STOP_SLACK):
             stops.append(plan.checkpoint_time)
         state, rep = integ.step(state, scenario.forcing, dt_request=t_final - state.t,
                                 t_stop=min(stops, default=None))
         _tally_step(tally, rep)
 
         corner = None
-        if tally["steps"] % plan.record_every == 0 or state.t >= t_final - 1e-12:
+        if (tally["steps"] % plan.record_every == 0
+                or state.t >= t_final - _T_STOP_SLACK):
             rec = diag.record(state, rep)
             corner = log_entropy_inequality(last_rec, rec, state.t - last_rec.t,
                                             scenario.tensors, scenario.d_diff,
-                                            g.area, scenario.m_shift,
-                                            rel_tol=_INEQ_TOL_REL)
+                                            g.area, scenario.m_shift)
             last_rec = keep(rec)
-        for law in _broken_laws(rep, corner, energy_tol):
-            tally["violations"][law] += 1
+        for law, broken in _LAWS.items():
+            if broken(rep, corner, energy_tol):
+                tally["violations"][law] += 1
 
-        while pending_snapshots and state.t >= pending_snapshots[0] - 1e-12:
+        while pending_snapshots and state.t >= pending_snapshots[0] - _T_STOP_SLACK:
             t_snap = pending_snapshots.pop(0)
             write_snapshot(os.path.join(outdir, f"snapshot_t{t_snap:.6f}.bin"),
                            state.t, _state_fields(state))
         if (not wrote_checkpoint and plan.checkpoint_time is not None
-                and state.t >= plan.checkpoint_time - 1e-12):
+                and state.t >= plan.checkpoint_time - _T_STOP_SLACK):
             _write_checkpoint(outdir, state, integ, _physics_hash(scenario.config),
                               tally)
             wrote_checkpoint = True
@@ -268,7 +272,7 @@ def run(config, outdir, restart_from=None):
         "name": scenario.name,
         "code_version": __version__,
         "config_hash": config_hash(scenario.config),
-        "kappa_hypotheses": scenario.model_raw.classify().as_dict(),
+        "kappa_hypotheses": dataclasses.asdict(scenario.model_raw.classify()),
         "admissibility": {"passed": adm.passed,
                           "K_integral": adm.K_integral,
                           "cells_below_floor": adm.cells_below_floor},
@@ -327,7 +331,7 @@ def _write_checkpoint(outdir, state, integ, physics_hash, tally):
     write_snapshot(os.path.join(outdir, "checkpoint.bin"), state.t,
                    _state_fields(state) + [last.theta_start, last.v_start[..., 0],
                                            last.v_start[..., 1]])
-    doc = _sidecar(physics_hash, integ.grid, state.t, integ.dt_prev, last.rho, tally)
+    doc = _sidecar(physics_hash, integ.grid, state.t, last.dt, last.rho, tally)
     write_atomic(os.path.join(outdir, "checkpoint.json"),
                  (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
 
@@ -507,7 +511,7 @@ def _mms_run(scenario, problem, nx, dt, dt_over_h2=None, keep_state=False):
                        cfg).set_diffusivity(scenario.d_diff)
     forcing = CallableForcing(problem.forcing_f, problem.forcing_g)
     state = problem.initial_state(g)
-    while state.t < problem.t_final - 1e-12:
+    while state.t < problem.t_final - _T_STOP_SLACK:
         state, _ = integ.step(state, forcing, dt_request=problem.t_final - state.t)
     err_u, err_theta = problem.errors(state, g)
     row = {"nx": nx, "h": g.hx, "dt": dt, "err_u": err_u, "err_theta": err_theta}
@@ -517,5 +521,4 @@ def _mms_run(scenario, problem, nx, dt, dt_over_h2=None, keep_state=False):
     return row
 
 
-__all__ = ["run", "sweep", "convergence_study", "builtin_scenarios",
-            "config_hash"]
+__all__ = ["run", "sweep", "convergence_study", "config_hash"]

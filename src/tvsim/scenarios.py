@@ -6,9 +6,8 @@ final time.  Everything a run needs is captured here so the manifest can
 reproduce the experiment exactly.
 
 The top level and the grid, material, initial, solver and output sections
-have fixed keys and refuse any other.  The solver tolerances and the slack
-of the law checks are not keys but constants of tvsim.integrator and
-tvsim.runner, because the discrete laws hold only to those values.
+have fixed keys and refuse any other.  The solver tolerances and the slacks
+of the law checks are module constants, not keys: the laws hold only to them.
 """
 
 from __future__ import annotations
@@ -42,9 +41,18 @@ class OutputPlan:
     checkpoint_time: float | None = None
     theta_floor: float = 0.0
 
-    def validate(self):
+    def validate(self, t_final):
         if self.record_every < 1:
             raise ConfigError("record_every must be >= 1")
+        # a time outside (0, t_final] would never be written
+        times = [(f"output.snapshot_times[{i}]", t)
+                 for i, t in enumerate(self.snapshot_times)]
+        if self.checkpoint_time is not None:
+            times.append(("output.checkpoint_time", self.checkpoint_time))
+        for key, t in times:
+            if not 0.0 < t <= t_final:
+                raise ConfigError(f"config key {key} must lie in (0, t_final = "
+                                  f"{t_final!r}], got {t!r}")
 
 
 @dataclass
@@ -70,6 +78,11 @@ def _theta_profile(grid, spec):
     kind = spec.get("type", "constant")
     def num(key, default):
         return _number(spec.get(key, default), f"initial.theta.{key}")
+    def width(default):
+        w = num("width", default)
+        if not w > 0.0:
+            raise ConfigError(f"config key initial.theta.width must be > 0, got {w!r}")
+        return w
     if kind == "constant":
         return np.full((grid.ny, grid.nx), num("value", 1.0))
     cx = num("cx", 0.5 * grid.Lx)
@@ -78,16 +91,15 @@ def _theta_profile(grid, spec):
     if kind == "hotspot":
         base = num("base", 1.0)
         peak = num("peak", 2.0)
-        width = num("width", 0.12)
-        return base + (peak - base) * np.exp(-r2 / (2.0 * width ** 2))
+        return base + (peak - base) * np.exp(-r2 / (2.0 * width(0.12) ** 2))
     if kind == "with_zeros":
         # smooth profile that touches zero with zero slope outside a disc
         peak = num("peak", 2.0)
-        width = num("width", 0.18)
+        w = width(0.18)
         clip = num("clip", 0.4)
         if not 0.0 < clip < 1.0:
             raise ConfigError("with_zeros profile needs clip in (0, 1)")
-        bump = np.exp(-r2 / (2.0 * width ** 2))
+        bump = np.exp(-r2 / (2.0 * w ** 2))
         return peak * (np.maximum(bump - clip, 0.0) / (1.0 - clip)) ** 2
     raise ConfigError(f"unknown initial temperature type {kind!r}")
 
@@ -181,7 +193,7 @@ def build_scenario(config):
             checkpoint_time, "output.checkpoint_time"),
         theta_floor=_number(out_cfg.get("theta_floor", 0.0), "output.theta_floor"),
     )
-    output.validate()
+    output.validate(t_final)
 
     init_cfg = _section(cfg.get("initial", {}), "initial", _INITIAL_KEYS)
     theta0 = _theta_profile(grid, _section(

@@ -85,7 +85,7 @@ def velocity_system(itg, dt):
     g, cfg = itg.grid, itg.config
     a_d = g.quadratic_form_matrix(itg.comp_D)
     a_c = g.quadratic_form_matrix(itg.comp_C)
-    m = sp.diags(itg.w2_int) + dt * a_d + dt * dt * a_c
+    m = itg.w_int * sp.identity(g.interior_dof.size) + dt * a_d + dt * dt * a_c
     if cfg.eps_reg > 0:
         m = m + dt * cfg.eps_reg * regularizer(g, cfg.m)
     return m.tocsr()

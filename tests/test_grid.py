@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -117,6 +118,13 @@ class TestGridBasics:
     def test_rejects_small_grid(self):
         with pytest.raises(ConfigError):
             Grid(3, 8)
+
+    @pytest.mark.parametrize("lx, ly, side", [(1e-300, 1.0, "Lx"), (1e300, 1.0, "Lx"),
+                                              (1.0, 1e-300, "Ly")])
+    def test_rejects_spacing_whose_square_leaves_the_float_range(self, lx, ly, side):
+        # 1 / h**2 would divide by zero or overflow building the Laplacian
+        with pytest.raises(ConfigError, match=rf"grid\.{side}\b"):
+            Grid(32, 32, Lx=lx, Ly=ly)
 
     def test_integrate_examples(self, grid):
         assert grid.integrate(np.ones((grid.ny, grid.nx))) == pytest.approx(1.0)
@@ -386,6 +394,26 @@ class TestSolveSpd:
             solve_spd(a_int, rhs, tol=1e-14, maxiter=2)
         assert err.value.residual is not None
         assert err.value.iterations == 2
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_right_hand_side_raises(self, rng, bad):
+        # the residual test rnorm > tol |rhs| is False for inf and NaN
+        rhs = rng.standard_normal(25)
+        rhs[3] = bad
+        with pytest.raises(SolverError) as err:
+            solve_spd(sp.identity(25, format="csr"), rhs)
+        assert err.value.iterations == 0
+
+    def test_non_finite_reference_norm_raises(self, rng):
+        with pytest.raises(SolverError):
+            solve_spd(sp.identity(25, format="csr"), rng.standard_normal(25),
+                      ref_norm=math.inf)
+
+    def test_zero_operator_breaks_down(self, rng):
+        # p . A p = 0: no step length, where alpha would divide by zero
+        with pytest.raises(SolverError, match="broke down") as err:
+            solve_spd(sp.csr_matrix((25, 25)), rng.standard_normal(25))
+        assert err.value.iterations == 0 and err.value.residual == 1.0
 
 
 class TestInteriorUnknowns:

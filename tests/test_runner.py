@@ -109,6 +109,12 @@ class TestRun:
         man = runner.run(short_default(t_final=0.2), str(tmp_path / "out"))
         assert man["run"]["steps"] == 20 and man["violations"]["total"] == 0
 
+    def test_a_fresh_tally_counts_every_law_of_the_table(self):
+        # the names and their order are those of the checkpoints written so far
+        laws = ["energy", "entropy_monotone", "entropy_balance", "log_entropy"]
+        assert list(runner._LAWS) == laws
+        assert list(runner._new_tally(1.0, 0.0)["violations"]) == laws
+
     def test_inadmissible_rejected_before_stepping(self, tmp_path):
         cfg = builtin_scenarios()["inadmissible-zero-cell"]
         with pytest.raises(AdmissibilityError):
@@ -787,6 +793,19 @@ class TestCli:
         rc = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
         assert rc == 0
 
+    def test_broken_down_velocity_solve_exits_3(self, tmp_path, capsys):
+        # eps_reg = 1e300 overflows the regularized symbol: every attempt's
+        # CG breaks down and is rejected, down to dt_min
+        cfg = short_default(t_final=0.1)
+        cfg["solver"]["eps_reg"] = 1e300
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith(
+            "error: step rejected below dt_min (conjugate gradients")
+
     def test_inadmissible_run_exit_code(self, tmp_path):
         rc = cli.main(["run", "inadmissible-zero-cell",
                        "--out", str(tmp_path / "x")])
@@ -848,6 +867,17 @@ class TestCli:
         (("forcing", {"type": "pulse", "tau_f": 0}), "tau_f must be > 0"),
         (("forcing", {"type": "pulse", "tau_g": 0}), "tau_g must be > 0"),
         (("forcing", {"type": "pulse", "tau_g": -1.0}), "tau_g must be > 0"),
+        # a spacing whose square underflows, a hot spot that vanishes or is
+        # 0/0 at a node, and output times that would never be written
+        (("grid.Lx", 1e-300), "grid.Lx"),
+        (("initial.theta", {"type": "hotspot", "width": 0}), "initial.theta.width"),
+        (("initial.theta", {"type": "with_zeros", "width": -0.18}),
+         "initial.theta.width"),
+        (("output.checkpoint_time", -1.0), "key output.checkpoint_time "),
+        (("output.checkpoint_time", 0.0), "key output.checkpoint_time "),
+        (("output.checkpoint_time", 0.2), "key output.checkpoint_time "),
+        (("output.snapshot_times", [0.0]), "key output.snapshot_times[0] "),
+        (("output.snapshot_times", [0.05, 0.2]), "key output.snapshot_times[1] "),
     ], ids=["missing", "not-json", "not-object", "grid", "tensors", "material",
             "output", "initial.theta", "nx-string", "t_final-string",
             "nx-fraction", "ny-fraction", "record_every-fraction",
@@ -857,7 +887,9 @@ class TestCli:
             "kappa-k0-string", "B-string", "lambda-string", "mu-string",
             "snapshot_times-scalar", "window_starts-string",
             "checkpoint_time-string", "tau_f-zero", "tau_g-zero",
-            "tau_g-negative"])
+            "tau_g-negative", "Lx-tiny", "hotspot-width-zero",
+            "with_zeros-width-negative", "checkpoint-negative", "checkpoint-zero",
+            "checkpoint-past-t_final", "snapshot-zero", "snapshot-past-t_final"])
     def test_bad_config_input_exits_3(self, tmp_path, capsys, content, named):
         path = tmp_path / "cfg.json"
         if isinstance(content, str):

@@ -80,7 +80,7 @@ def test_halves_couple_only_opposite_x_parities(case):
     assert np.abs(m - m.T).max() <= 1e-14 * np.abs(m).max()
     assert np.linalg.eigvalsh(m).min() > 0.0
     # the unknowns are laid out (py, px, iy, component, ix): q per block
-    q = itg.w2_int.size // 4
+    q = itg.grid.interior_dof.size // 4
     blocks = m.reshape(2, 2, q, 2, 2, q)
     # py, px of the row block and cy, cx of the column block
     for py, px, cy, cx in itertools.product((0, 1), repeat=4):
