@@ -27,8 +27,7 @@ from .integrator import _safe_ratio
 from .materials import M_MIN
 
 _E = math.e
-# entropy shortfall allowed, times (1 + |S|): the log-entropy check, the
-# limits' monotonicity test and the runner's entropy laws all read it
+# entropy shortfall allowed, times (1 + |S|), by every entropy check
 _INEQ_TOL_REL = 1e-8
 
 

@@ -764,7 +764,6 @@ class Integrator:
         if self.D_diff is None:
             raise ConfigError("set_diffusivity must be called before stepping")
         last = self.last_step
-        # dt grows from the last accepted step's
         dt = cfg.dt_max if last is None else min(cfg.dt_max, last.dt * _DT_GROWTH)
         if dt_request is not None:
             dt = min(dt, dt_request)
