@@ -838,14 +838,11 @@ class Integrator:
         g_field = forcing.g(t_new, self.grid)
         theta_new, v_int, b, rho = self._picard(state, f_field, g_field, dt,
                                                 last, spent)
-        finite = np.isfinite(theta_new)
-        if not finite.all():
-            node = int(np.argmin(finite))
-            raise StepError(f"temperature not finite at node {node}", node=node, dt=dt)
-        if float(theta_new.min()) <= 0.0:
+        # a NaN carries through min() and argmin finds the first one
+        if not float(theta_new.min()) > 0.0:
             node = int(np.argmin(theta_new))
-            raise StepError(f"temperature positivity lost at node {node}",
-                            node=node, dt=dt)
+            lost = "not finite" if np.isnan(theta_new.flat[node]) else "positivity lost"
+            raise StepError(f"temperature {lost} at node {node}", node=node, dt=dt)
 
         v_full = self.grid.vec_from_interior(v_int)
         # u+ = u + dt v+, consistent with the implicit elastic pairing

@@ -5,9 +5,10 @@ import scipy.sparse as sp
 from tvsim.errors import ConfigError, SolverError, StepError
 from tvsim.grid import Grid, _sbp_derivative_1d, _trapezoid_1d
 from tvsim import integrator
-from tvsim.integrator import (_CG_TOL, _CG_TOL_LOOSE, _PICARD_TOL,
-                              CallableForcing, FieldState, Forcing, Integrator,
-                              SolverConfig, _anderson_update, _inner_tol)
+from tvsim.integrator import (_CG_TOL, _CG_TOL_LOOSE, _DT_GROWTH,
+                              _PICARD_TOL, CallableForcing, FieldState,
+                              Forcing, Integrator, SolverConfig,
+                              _anderson_update, _inner_tol)
 from tvsim.materials import ConstantCapacity, DebyeLikeCapacity
 from tvsim.scenarios import build_scenario, builtin_scenarios
 from tvsim import tensors as tn
@@ -630,7 +631,7 @@ class TestFullStep:
         assert np.array_equal(st.theta, theta_before) and st.t == 0.0
 
     def test_non_finite_temperature_is_rejected(self, monkeypatch):
-        # min theta+ <= 0 is False for NaN, so positivity alone would let it pass
+        # a NaN theta+ is rejected, and named as not finite, not as a sign loss
         itg, g = make_integrator()
         picard = itg._picard
         node = 3 * g.nx + 4
@@ -921,15 +922,16 @@ class TestCarriedStep:
         st, _ = itg.step(sine_velocity_state(g), Forcing())
         st.theta[5, 5] += 0.1  # in place, in the array the step returned
         fresh, _ = make_integrator()
-        # the dt growth of itg's last step, which st does not continue
-        fresh.last_step = itg.last_step
+        # the dt that itg grows to; fresh, with no last step, is handed it
+        dt = min(itg.config.dt_max, itg.last_step.dt * _DT_GROWTH)
         starts = _predictor_spy(itg, monkeypatch)
         new, rep = itg.step(st, Forcing())
         assert starts == [None]
         assert rep.F_old == itg.total_energy(st)
         assert rep.S_old == itg.entropy(st)
         # exactly the step a fresh integrator takes from the edited state
-        new_f, rep_f = fresh.step(st, Forcing())
+        assert fresh.last_step is None
+        new_f, rep_f = fresh.step(st, Forcing(), dt_request=dt)
         assert repr(vars(rep)) == repr(vars(rep_f))
         assert np.array_equal(new.theta, new_f.theta)
 
