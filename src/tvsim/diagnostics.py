@@ -29,6 +29,8 @@ from .materials import M_MIN
 _E = math.e
 # entropy shortfall allowed, times (1 + |S|), by every entropy check
 _INEQ_TOL_REL = 1e-8
+# how far the samples of a unit window may stop short of its ends
+_WINDOW_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -214,7 +216,8 @@ def window_metrics(samples, grid, t0, theta_inf, L=math.nan):
     values are linearly interpolated so the window is exact.
     """
     times = np.array([s.t for s in samples])
-    if times.size < 3 or times[0] > t0 + 1e-9 or times[-1] < t0 + 1.0 - 1e-9:
+    if (times.size < 3 or times[0] > t0 + _WINDOW_SLACK
+            or times[-1] < t0 + 1.0 - _WINDOW_SLACK):
         raise ConfigError(f"window [{t0}, {t0 + 1}] is not covered by samples")
     if np.max(np.diff(times)) > 0.05 + 1e-12:
         raise ConfigError("window metrics need sample cadence <= 0.05")

@@ -24,7 +24,10 @@ those factors, several times faster than generic sparse algebra builds
 them.  The velocity forms live on the interior velocity unknowns
 (Grid.interior_dof) only, through Gi, the columns of G at those unknowns,
 never over all 2 n_nodes dof: Gi is one column slice of G, and the
-thermal-force matrix T_B one sparse product with Gi^T.
+thermal-force matrix T_B one sparse product with Gi^T.  The strain of every
+velocity field goes through Gi as well (sym_grad), since a velocity vanishes
+on the boundary; the grid keeps no full G, which is the tests' assembled
+oracle.
 """
 
 from __future__ import annotations
@@ -176,6 +179,24 @@ def _kron_sum(wx, lx, wy, ly):
     return _csr(vals, cols, nx * ny)
 
 
+def _strain_matrix(dx, dy):
+    """The blocks [[Dx, 0], [0, Dy], [Dy/2, Dx/2]] of G, written as one CSR
+    array from the two-entry rows of Dx and Dy."""
+    n = dx.shape[0]
+    data, index = np.empty(8 * n), np.empty(8 * n, dtype=np.int32)
+    data[:2 * n], data[2 * n:4 * n] = dx.data, dy.data
+    index[:2 * n] = dx.indices
+    np.add(dy.indices, n, out=index[2 * n:4 * n])
+    shear, shear_index = data[4 * n:].reshape(n, 4), index[4 * n:].reshape(n, 4)
+    np.multiply(dy.data.reshape(n, 2), 0.5, out=shear[:, :2])
+    np.multiply(dx.data.reshape(n, 2), 0.5, out=shear[:, 2:])
+    shear_index[:, :2] = dy.indices.reshape(n, 2)
+    np.add(dx.indices.reshape(n, 2), n, out=shear_index[:, 2:])
+    indptr = np.concatenate([np.arange(0, 4 * n, 2, dtype=np.int32),
+                             np.arange(4 * n, 8 * n + 1, 4, dtype=np.int32)])
+    return sp.csr_matrix((data, index, indptr), shape=(3 * n, 2 * n))
+
+
 def _sbp_coupling_1d(n, h, q):
     """E = P d on the interior nodes, between the parity blocks of the modes q.
 
@@ -265,10 +286,19 @@ class Grid:
         return np.stack([self.Dx() @ f, self.Dy() @ f], axis=-1).reshape(
             self.ny, self.nx, 2)
 
-    def sym_grad(self, v):
-        """Symmetric gradient G v of a vector field, components (a11, a22,
-        a12): a (ny, nx, 3) view of the component-major product."""
-        return (self.G() @ self._flat(v)).reshape(3, self.ny, self.nx).transpose(1, 2, 0)
+    def sym_grad(self, v, v_int=None):
+        """Symmetric gradient G v of a vector field that vanishes on the
+        boundary, components (a11, a22, a12): a (ny, nx, 3) view of the
+        component-major product Gi v_int.
+
+        v_int is interior_vec(v), which a caller that holds it passes in.
+        The boundary values of v are not read: on a field that vanishes
+        there, the product by Gi equals the one by G to the bit, since the
+        terms Gi leaves out are exact zeros.
+        """
+        if v_int is None:
+            v_int = self.interior_vec(v)
+        return (self._g_interior() @ v_int).reshape(3, self.ny, self.nx).transpose(1, 2, 0)
 
     def integrate(self, f):
         """Trapezoid quadrature of a scalar field."""
@@ -332,23 +362,14 @@ class Grid:
 
     def G(self):
         """Symmetric-gradient matrix: (vx, vy) dof -> (a11, a22, a12) dof,
-        the blocks [[Dx, 0], [0, Dy], [Dy/2, Dx/2]]."""
-        def build():
-            n = self.n_nodes
-            dx, dy = self.Dx(), self.Dy()
-            data, index = np.empty(8 * n), np.empty(8 * n, dtype=np.int32)
-            data[:2 * n], data[2 * n:4 * n] = dx.data, dy.data
-            index[:2 * n] = dx.indices
-            np.add(dy.indices, n, out=index[2 * n:4 * n])
-            shear, shear_index = data[4 * n:].reshape(n, 4), index[4 * n:].reshape(n, 4)
-            np.multiply(dy.data.reshape(n, 2), 0.5, out=shear[:, :2])
-            np.multiply(dx.data.reshape(n, 2), 0.5, out=shear[:, 2:])
-            shear_index[:, :2] = dy.indices.reshape(n, 2)
-            np.add(dx.indices.reshape(n, 2), n, out=shear_index[:, 2:])
-            indptr = np.concatenate([np.arange(0, 4 * n, 2, dtype=np.int32),
-                                     np.arange(4 * n, 8 * n + 1, 4, dtype=np.int32)])
-            return sp.csr_matrix((data, index, indptr), shape=(3 * n, 2 * n))
-        return self._op("G", build)
+        the blocks [[Dx, 0], [0, Dy], [Dy/2, Dx/2]].
+
+        Built afresh on every call and never cached: no run calls it, since
+        every velocity field vanishes on the boundary and its strain goes
+        through Gi.  It is the tests' assembled oracle, and a span target of
+        the benchmark's tracer.
+        """
+        return _strain_matrix(self.Dx(), self.Dy())
 
     def mat_weight_diag(self):
         """Quadrature weights for matrix fields: (w, w, 2w) per component."""
@@ -358,12 +379,12 @@ class Grid:
     def _g_interior(self):
         """Gi = G[:, interior_dof], G's columns at the interior unknowns.
 
-        G's arrays are read as a matrix one column wider, so that a pad
-        slot's column 2 n_nodes is empty.  The column slice keeps each row's
-        entries in G's stored order.
+        G's arrays, built for the slice and then dropped, are read as a
+        matrix one column wider, so that a pad slot's column 2 n_nodes is
+        empty.  The column slice keeps each row's entries in G's stored order.
         """
         def build():
-            g, n = self.G(), self.n_nodes
+            g, n = _strain_matrix(self.Dx(), self.Dy()), self.n_nodes
             wide = sp.csr_matrix((g.data, g.indices, g.indptr), shape=(3 * n, 2 * n + 1))
             return wide[:, self.interior_dof]
         return self._op("Gi", build)

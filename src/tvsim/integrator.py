@@ -379,6 +379,11 @@ class SolverConfig:
         if not 1 <= self.m <= 3:
             raise ConfigError("regularization order m must lie in 1..3")
 
+    def regularizer(self, dt, lam):
+        """dt eps lam^2m, the regularizer's weight on the velocity modes
+        where L = P^-1 d^T P d, summed over both directions, is lam."""
+        return dt * self.eps_reg * lam ** (2 * self.m)
+
 
 class Forcing:
     """Time-dependent sources: f drives the momentum, g >= 0 heats."""
@@ -588,11 +593,10 @@ class Integrator:
         """
         system = self._velocity
         if system is None or system.dt != dt:
-            cfg = self.config
             modes = _VelocityModes(self.grid) if system is None else system.modes
             system = self._velocity = _ReducedSystem(
                 modes, dt, dt * self.comp_D + dt * dt * self.comp_C,
-                dt * cfg.eps_reg * modes.lam ** (2 * cfg.m))
+                self.config.regularizer(dt, modes.lam))
         return system
 
     def _heat_preconditioner(self, c_bar):
@@ -941,10 +945,11 @@ class Integrator:
         """
         return self._ledger(state, g_field)[0]
 
-    def _ledger(self, state, g_field):
-        """ledger(state, g_field) and the nodal K(theta) of its thermal energy."""
+    def _ledger(self, state, g_field, v_int=None):
+        """ledger(state, g_field) and the nodal K(theta) of its thermal energy;
+        v_int, when given, is the interior vector of state.v."""
         theta = state.theta.ravel()
-        strain = self.grid.sym_grad(state.v)
+        strain = self.grid.sym_grad(state.v, v_int)
         strain_sq = (strain[..., 0] ** 2 + strain[..., 1] ** 2
                      + 2.0 * strain[..., 2] ** 2).ravel()
         kinetic, elastic, thermal, k_nodal = self._energies(state)
@@ -980,7 +985,7 @@ class Integrator:
             system = self._velocity_matrix(dt)
             c = self.w_int * system.modes.to_modes(v_int)
             eps_diss = float(np.sum(system.reg[:, None] * c * c))
-        end, k_end = self._ledger(new_state, g_field)
+        end, k_end = self._ledger(new_state, g_field, v_int)
         if last is None:
             f_old, s_old = self.total_energy(state), self.entropy(state)
         else:

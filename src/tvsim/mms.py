@@ -14,6 +14,13 @@ second derivatives, and the heat forcing g (constant heat capacity) follows
 from sym_grad v = sym(c' (x) grad S).  g is affine in the ramp slope s; the
 smallest s that keeps g >= margin on a 41^3 sample of the study window is
 used, so the heat forcing stays nonnegative.
+
+The sample is evaluated in blocks of 8 x-rows, with the whole t axis in each:
+in one pass its temporaries of 41^3 floats would take about 4.5 MB, the
+largest allocation of a whole convergence study, and in blocks they take
+about a quarter of that.  Every point's arithmetic and the transcendental
+calls on the x, y and t axes are those of the one pass, so the slope is the
+same to the bit.
 """
 
 from __future__ import annotations
@@ -25,6 +32,9 @@ import numpy as np
 from .errors import ConfigError
 from .integrator import FieldState
 from .tensors import isotropic_tensor
+
+_SAMPLE = 41  # points per axis of the sample that sets the ramp slope
+_SAMPLE_BLOCK = 8  # x-rows of the sample evaluated at once
 
 
 def _extract_isotropic(t4, name):
@@ -55,14 +65,22 @@ class ManufacturedProblem:
         self.t_final = t_final
         self._grid_factors = {}  # (nx, ny, Lx, Ly) -> _factors of that grid
 
-        # broadcastable axes: only the heat parts fill the whole sample
-        xg, yg, tg = np.meshgrid(np.linspace(0, lx, 41), np.linspace(0, ly, 41),
-                                 np.linspace(0, t_final, 41), indexing="ij", sparse=True)
-        g0, gs = self._heat_parts(self._shape(xg, yg)[1], np.cos(self._kx * xg), tg)
-        if gs.min() <= 0:
+        # broadcastable axes: only the heat parts fill the whole sample, a
+        # block of _SAMPLE_BLOCK x-rows at a time
+        xg, yg, tg = np.meshgrid(
+            np.linspace(0, lx, _SAMPLE), np.linspace(0, ly, _SAMPLE),
+            np.linspace(0, t_final, _SAMPLE), indexing="ij", sparse=True)
+        (s_x, s_y), cos_kx = self._shape(xg, yg)[1], np.cos(self._kx * xg)
+        gs_min, slope = math.inf, 0.0
+        for rows in range(0, _SAMPLE, _SAMPLE_BLOCK):
+            block = slice(rows, rows + _SAMPLE_BLOCK)
+            g0, gs = self._heat_parts((s_x[block], s_y[block]), cos_kx[block], tg)
+            gs_min = min(gs_min, gs.min())
+            slope = max(slope, np.max((margin - g0) / gs))
+        if gs_min <= 0:
             raise ConfigError("cannot offset the heat forcing to nonnegative; "
                               "reduce the coupling matrix")
-        self.slope = float(max(0.0, np.max((margin - g0) / gs)))
+        self.slope = float(slope)
 
     def _time_factors(self, t):
         """c, c' and c'' of u = c(t) S, each a pair of components."""

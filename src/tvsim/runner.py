@@ -54,7 +54,7 @@ import os
 import numpy as np
 
 from . import __version__, mms
-from .diagnostics import (_INEQ_TOL_REL, Diagnostics, WindowSample,
+from .diagnostics import (_INEQ_TOL_REL, _WINDOW_SLACK, Diagnostics, WindowSample,
                           log_entropy_inequality, theta_infinity, window_metrics)
 from .errors import AdmissibilityError, ConfigError, _number, _section
 from .grid import Grid, read_snapshot, write_atomic, write_snapshot
@@ -131,11 +131,14 @@ def _rejection_kind(reason):
 
 
 class _WindowStore:
-    """Keeps temperature snapshots near the requested unit windows."""
+    """Keeps temperature snapshots near the requested unit windows that a run
+    to t_final can cover.  A window that ends after t_final stays among the
+    starts, for window_metrics to report as not covered, but keeps none."""
 
     def __init__(self, starts, t_final):
         starts = sorted(set(list(starts) + ([max(0.0, t_final - 1.0)])))
-        self.ranges = [(s - 0.06, s + 1.06) for s in starts]
+        self.ranges = [(s - 0.06, s + 1.06) for s in starts
+                       if s + 1.0 - _WINDOW_SLACK <= t_final]
         self.starts = starts
         self.samples = []
 
@@ -238,9 +241,12 @@ def run(config, outdir, restart_from=None):
             wrote_checkpoint = True
 
     # -- large-time limits and windows ----------------------------------
-    tail = [r for r in records if r.t >= t_final - 1.0 - 1e-9]
+    # a record whose S is not finite (theta = 0 where the law's ell is -inf)
+    # would make the mean of S, and so L and theta_inf, meaningless
+    finite = [r for r in records if math.isfinite(r.S)]
+    tail = [r for r in finite if r.t >= t_final - 1.0 - _WINDOW_SLACK]
     if len(tail) < 10:
-        tail = records[-10:]
+        tail = finite[-10:]
     limits = theta_infinity(tail, scenario.model, g.area,
                             energy_budget=tally["F0"] + tally["work_f_total"]
                             + tally["work_g_total"])

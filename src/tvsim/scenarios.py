@@ -178,6 +178,7 @@ def build_scenario(config):
                      integral=isinstance(getattr(SolverConfig, key), int))
         for key, val in solver_cfg.items()})
     solver.validate()
+    _check_regularizer(grid, solver)
 
     out_cfg = _section(cfg.get("output", {}), "output",
                        OutputPlan.__dataclass_fields__)
@@ -212,6 +213,27 @@ def build_scenario(config):
                     tensors=tensors, model_raw=model_raw, model=model,
                     d_diff=d_diff, m_shift=m_shift, forcing=forcing, initial=initial, solver=solver,
                     output=output, t_final=t_final)
+
+
+def _check_regularizer(grid, solver):
+    """Refuse an eps_reg whose regularizer overflows the velocity solve.
+
+    Every velocity mode's 2 x 2 block carries the regularizer on its
+    diagonal, largest at dt_max and the grid's largest mode, and the
+    closed-form inverse of the block multiplies two diagonal entries, so the
+    square of that peak must be finite.
+    """
+    if solver.eps_reg == 0.0:
+        return
+    (_, lam_x), (_, lam_y) = grid.sbp_modes()
+    with np.errstate(over="ignore"):
+        peak = solver.regularizer(solver.dt_max, np.float64(lam_x.max() + lam_y.max()))
+        if not np.isfinite(peak * peak):
+            raise ConfigError(
+                f"config key solver.eps_reg = {solver.eps_reg!r} is too large: the "
+                f"regularizer dt_max * eps_reg * (lam_x + lam_y)^(2m) reaches "
+                f"{peak:.3g} at the grid's largest mode, and the velocity solve "
+                "squares it past the float range")
 
 
 def _validate_heat_source(forcing, grid, t_final):

@@ -66,16 +66,23 @@ class TestRecord:
                      "prod_diff_edge"):
             assert getattr(rec, name) == pytest.approx(0.0, abs=1e-13)
 
-    def test_constant_shear_rate(self):
+    def test_clamped_shear_rate(self):
+        # v = (a y, 0) inside, 0 on the boundary as every velocity is: its
+        # strain, from the assembled G, is the shear a/2 away from the edges
         g, tens, model, diag, itg = make_setup()
         a = 0.8
         st = rest_state(g, 1.0)
-        st.v = np.stack([a * g.Y, np.zeros_like(g.X)], axis=-1)
+        st.v[1:-1, 1:-1, 0] = a * g.Y[1:-1, 1:-1]
         rec = record(diag, itg, st)
-        s = a / math.sqrt(2.0)  # |sym_grad| of the shear field
-        assert rec.P_visc >= tens.kD * s ** 2 - 1e-12
-        assert rec.P_visc <= max_eigenvalue(tens.D4) * s ** 2 + 1e-12
-        assert rec.llogl == pytest.approx(s * math.log(s + E), rel=1e-12)
+        e = (g.G() @ g._flat(st.v)).reshape(3, g.ny, g.nx)
+        assert np.allclose(e[:, 2:-2, 2:-2], np.array([0.0, 0.0, 0.5 * a])[:, None, None],
+                           rtol=0.0, atol=1e-14)
+        strain_sq = e[0] ** 2 + e[1] ** 2 + 2.0 * e[2] ** 2
+        sq = g.integrate(strain_sq)  # theta = 1
+        assert rec.P_visc >= tens.kD * sq - 1e-12
+        assert rec.P_visc <= max_eigenvalue(tens.D4) * sq + 1e-12
+        mag = np.sqrt(strain_sq)
+        assert rec.llogl == pytest.approx(g.integrate(mag * np.log(mag + E)), rel=1e-12)
 
     def test_diffusion_production_refinement(self):
         # theta = 1 + 0.1 cos(pi x): P_diff converges to the 1-d quadrature

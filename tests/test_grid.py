@@ -47,6 +47,12 @@ def full_form(grid, comp_matrix):
     return (g.T @ sp.kron(comp_matrix, sp.diags(grid.weights.ravel())) @ g).tocsr()
 
 
+def full_sym_grad(grid, v):
+    """Oracle: G v of any vector field, boundary values included, laid out
+    as sym_grad's result."""
+    return (grid.G() @ grid._flat(v)).reshape(3, grid.ny, grid.nx).transpose(1, 2, 0)
+
+
 def stencil_d_x(grid, f):
     """The SBP x-derivative as a stencil: centered inside, one-sided ends."""
     out = np.empty_like(f)
@@ -133,9 +139,12 @@ class TestGridBasics:
 
 
 class TestSymGrad:
+    """sym_grad takes the strain of a field that vanishes on the boundary
+    through Gi; G itself, on any field, is the oracle."""
+
     def test_shear_field(self, grid):
         v = np.stack([grid.Y, np.zeros_like(grid.X)], axis=-1)
-        e = grid.sym_grad(v)
+        e = full_sym_grad(grid, v)
         assert np.allclose(e[..., 0], 0.0)
         assert np.allclose(e[..., 1], 0.0)
         assert np.allclose(e[..., 2], 0.5)
@@ -145,10 +154,21 @@ class TestSymGrad:
 
     def test_identity_field_exact(self, grid):
         v = np.stack([grid.X, grid.Y], axis=-1)
-        e = grid.sym_grad(v)
+        e = full_sym_grad(grid, v)
         assert np.allclose(e[..., 0], 1.0)
         assert np.allclose(e[..., 1], 1.0)
         assert np.allclose(e[..., 2], 0.0)
+
+    @pytest.mark.parametrize("nx, ny", [(4, 4), (5, 4), (13, 9), (12, 10), (32, 32)])
+    def test_equals_the_full_product_bitwise(self, nx, ny, rng):
+        # the terms G has and Gi lacks are exact zeros, and Gi keeps the order
+        # of each row's other terms; a caller's interior vector changes nothing
+        g = Grid(nx, ny, Lx=1.3)
+        for _ in range(5):
+            v = boundary_vanishing_field(g, rng)
+            want = full_sym_grad(g, v)
+            assert np.array_equal(g.sym_grad(v), want)
+            assert np.array_equal(g.sym_grad(v, g.interior_vec(v)), want)
 
 
 class TestDivergenceAdjoint:
@@ -467,12 +487,17 @@ class TestOneDerivative:
         g = Grid(nx, ny, Lx=1.3)
         f = rng.standard_normal((ny, nx))
         v = rng.standard_normal((ny, nx, 2))
+        w = boundary_vanishing_field(g, rng)
         a = rng.standard_normal((ny, nx, 3))
         dx, dy = (lambda h: stencil_d_x(g, h)), (lambda h: stencil_d_y(g, h))
+
+        def strain(u):
+            return np.stack([dx(u[..., 0]), dy(u[..., 1]),
+                             0.5 * (dy(u[..., 0]) + dx(u[..., 1]))], axis=-1)
         cases = [
             (g.grad(f), np.stack([dx(f), dy(f)], axis=-1)),
-            (g.sym_grad(v), np.stack([dx(v[..., 0]), dy(v[..., 1]),
-                                      0.5 * (dy(v[..., 0]) + dx(v[..., 1]))], axis=-1)),
+            (full_sym_grad(g, v), strain(v)),
+            (g.sym_grad(w), strain(w)),
         ]
         # the adjoint is the centered divergence at interior nodes, 0 elsewhere
         div = np.stack([dx(a[..., 0]) + dy(a[..., 2]),

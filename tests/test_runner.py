@@ -1,9 +1,12 @@
 import copy
+import csv
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +15,7 @@ import pytest
 import tvsim
 import tvsim.mms
 from tvsim import cli, integrator, runner
+from tvsim.diagnostics import Diagnostics
 from tvsim.errors import AdmissibilityError, ConfigError
 from tvsim.grid import read_snapshot, write_snapshot
 from tvsim.integrator import _CG_TOL, Integrator, PulseForcing
@@ -78,6 +82,27 @@ class TestScenarioBuild:
         with pytest.raises(ConfigError, match=rf"\b{name}\b"):
             build_scenario(cfg)
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_regularizer_refused_where_the_velocity_solve_overflows(self, m):
+        # the largest mode's regularizer dt_max eps (lam_x + lam_y)^2m must
+        # have a finite square: just inside, a step runs without a numpy
+        # warning; just outside, build_scenario refuses the config
+        cfg = short_default(t_final=0.1)
+        sc = build_scenario(cfg)
+        (_, lam_x), (_, lam_y) = sc.grid.sbp_modes()
+        limit = math.sqrt(np.finfo(float).max) / (
+            sc.solver.dt_max * (lam_x.max() + lam_y.max()) ** (2 * m))
+        cfg["solver"].update(m=m, eps_reg=1.01 * limit)
+        with pytest.raises(ConfigError, match=r"\bsolver\.eps_reg\b"):
+            build_scenario(cfg)
+        cfg["solver"]["eps_reg"] = 0.99 * limit
+        sc = build_scenario(cfg)
+        itg = Integrator(sc.grid, sc.tensors, sc.model, sc.solver).set_diffusivity(sc.d_diff)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, rep = itg.step(sc.initial, sc.forcing)
+        assert rep.rejections == 0
+
     def test_readme_example_config_builds(self):
         # the Configuration section of the README uses only accepted keys
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -108,6 +133,61 @@ class TestRun:
         monkeypatch.setattr(tvsim.grid.Grid, "quadratic_form_matrix", refuse)
         man = runner.run(short_default(t_final=0.2), str(tmp_path / "out"))
         assert man["run"]["steps"] == 20 and man["violations"]["total"] == 0
+
+    def test_a_run_keeps_no_full_grid_strain_matrix(self, monkeypatch):
+        # every velocity vanishes on the boundary, so the ledger, the
+        # positivity guard and the record take its strain through Gi; the
+        # full G is only the tests' oracle
+        def refuse(grid):
+            raise AssertionError("Grid.G was called")
+        monkeypatch.setattr(tvsim.grid.Grid, "G", refuse)
+        cfg = short_default(t_final=0.05)
+        cfg["grid"].update(nx=16, ny=16)
+        sc = build_scenario(cfg)
+        itg = Integrator(sc.grid, sc.tensors, sc.model, sc.solver).set_diffusivity(sc.d_diff)
+        diag = Diagnostics(sc.grid, sc.tensors, sc.model, sc.d_diff, sc.m_shift)
+        state = sc.initial
+        diag.record(state, itg.ledger(state, sc.forcing.g(state.t, sc.grid)))
+        for _ in range(3):
+            state, rep = itg.step(state, sc.forcing)
+            diag.record(state, rep)
+        assert "Gi" in sc.grid._ops and "G" not in sc.grid._ops
+
+    def test_windows_a_run_cannot_cover_keep_no_samples(self, tmp_path, monkeypatch):
+        stores = []
+
+        class Store(runner._WindowStore):
+            def __init__(self, *args):
+                super().__init__(*args)
+                stores.append(self)
+        monkeypatch.setattr(runner, "_WindowStore", Store)
+        cfg = short_default(t_final=0.1)
+        cfg["output"]["window_starts"] = [0.05]
+        man = runner.run(cfg, str(tmp_path / "out"))
+        assert stores[0].samples == []
+        assert man["windows"] == []
+        assert man["windows_skipped"] == [
+            {"t0": 0.0, "reason": "window [0.0, 1.0] is not covered by samples"},
+            {"t0": 0.05, "reason": "window [0.05, 1.05] is not covered by samples"}]
+
+    @pytest.mark.parametrize("name", ["default-relaxation", "debye-hotspot"])
+    def test_limits_average_the_finite_entropies_of_the_final_unit(self, tmp_path, name):
+        # t_final <= 1, so the final unit takes in the t = 0 record; under
+        # debye-hotspot's floored law its zero-temperature cells make S(0)
+        # = -inf, and only that record is left out
+        cfg = copy.deepcopy(builtin_scenarios()[name])
+        cfg["grid"].update(nx=16, ny=16)
+        cfg["t_final"] = 0.5
+        cfg["output"]["window_starts"] = []
+        man = runner.run(cfg, str(tmp_path / "out"))
+        with open(tmp_path / "out" / "diagnostics.csv") as fh:
+            s_vals = np.array([float(row["S"]) for row in csv.DictReader(fh)])
+        assert (s_vals[0] == -np.inf) == (name == "debye-hotspot")
+        finite = s_vals[np.isfinite(s_vals)]
+        assert finite.size == s_vals.size - (name == "debye-hotspot")
+        assert man["limits"]["L"] == float(finite.mean())  # |Omega| = 1
+        assert man["limits"]["converged"] is True
+        assert 0.0 < man["run"]["min_theta"] <= man["limits"]["theta_inf"]
 
     def test_a_fresh_tally_counts_every_law_of_the_table(self):
         # the names and their order are those of the checkpoints written so far
@@ -751,6 +831,39 @@ class TestManufactured:
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), \
                     (name, when)
 
+    @pytest.mark.parametrize("case", ["unit", "lame-coupled"])
+    def test_blocked_sample_gives_the_one_pass_slope(self, case):
+        if case == "unit":
+            tens, kappa0, d_diff, lx, ly = self.unit_tensors(), 1.0, 1.0, 1.0, 1.0
+        else:
+            tens = ElasticityTensors(D4=isotropic_tensor(0.3, 0.7),
+                                     C4=isotropic_tensor(1.2, 0.4),
+                                     B=np.array([[0.1, 0.05], [0.05, 0.2]]))
+            kappa0, d_diff, lx, ly = 1.5, 0.8, 1.3, 0.8
+        problem = ManufacturedProblem(tens, kappa0, d_diff, lx=lx, ly=ly)
+        # the whole 41^3 sample in one pass
+        xg, yg, tg = np.meshgrid(np.linspace(0, lx, 41), np.linspace(0, ly, 41),
+                                 np.linspace(0, 1.0, 41), indexing="ij", sparse=True)
+        g0, gs = problem._heat_parts(problem._shape(xg, yg)[1],
+                                     np.cos(problem._kx * xg), tg)
+        assert gs.min() > 0
+        assert problem.slope == float(max(0.0, np.max((0.01 - g0) / gs)))
+        assert problem.slope > 0
+
+    def test_construction_stays_below_2_mb(self):
+        # in one pass the sample's temporaries took about 4.5 MB
+        tens = ElasticityTensors(D4=isotropic_tensor(0.3, 0.7),
+                                 C4=isotropic_tensor(1.2, 0.4),
+                                 B=np.array([[0.1, 0.05], [0.05, 0.2]]))
+        ManufacturedProblem(tens, 1.5, 0.8)  # first-call allocations aside
+        tracemalloc.start()
+        try:
+            ManufacturedProblem(tens, 1.5, 0.8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+
     def test_anisotropic_tensor_rejected(self):
         bad = isotropic_tensor(1.0, 1.0).copy()
         bad[0, 0, 0, 0] += 0.3
@@ -793,18 +906,20 @@ class TestCli:
         rc = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
         assert rc == 0
 
-    def test_broken_down_velocity_solve_exits_3(self, tmp_path, capsys):
-        # eps_reg = 1e300 overflows the regularized symbol: every attempt's
-        # CG breaks down and is rejected, down to dt_min
+    def test_overflowing_regularizer_exits_3_before_stepping(self, tmp_path, capsys):
+        # eps_reg = 1e300 would overflow the velocity blocks' inverses; the
+        # run is refused before any numpy arithmetic can warn
         cfg = short_default(t_final=0.1)
         cfg["solver"]["eps_reg"] = 1e300
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             rc = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
         assert rc == 3
         assert capsys.readouterr().err.startswith(
-            "error: step rejected below dt_min (conjugate gradients")
+            "error: config key solver.eps_reg = 1e+300 is too large")
+        assert not (tmp_path / "out").exists()
 
     def test_inadmissible_run_exit_code(self, tmp_path):
         rc = cli.main(["run", "inadmissible-zero-cell",
