@@ -71,15 +71,14 @@ class ManufacturedProblem:
             np.linspace(0, lx, _SAMPLE), np.linspace(0, ly, _SAMPLE),
             np.linspace(0, t_final, _SAMPLE), indexing="ij", sparse=True)
         (s_x, s_y), cos_kx = self._shape(xg, yg)[1], np.cos(self._kx * xg)
-        gs_min, slope = math.inf, 0.0
+        slope = 0.0
         for rows in range(0, _SAMPLE, _SAMPLE_BLOCK):
             block = slice(rows, rows + _SAMPLE_BLOCK)
             g0, gs = self._heat_parts((s_x[block], s_y[block]), cos_kx[block], tg)
-            gs_min = min(gs_min, gs.min())
+            if gs.min() <= 0:
+                raise ConfigError("cannot offset the heat forcing to nonnegative; "
+                                  "reduce the coupling matrix")
             slope = max(slope, np.max((margin - g0) / gs))
-        if gs_min <= 0:
-            raise ConfigError("cannot offset the heat forcing to nonnegative; "
-                              "reduce the coupling matrix")
         self.slope = float(slope)
 
     def _time_factors(self, t):

@@ -445,30 +445,56 @@ class TestTemperatureStep:
                 <= 1e-12 * np.abs(r).max()
 
 
+def clamped(g, vx, vy):
+    """The velocity (vx, vy) inside and 0 on the boundary, as every velocity
+    of a run is."""
+    v = np.zeros((g.ny, g.nx, 2))
+    v[1:-1, 1:-1, 0] = vx[1:-1, 1:-1]
+    v[1:-1, 1:-1, 1] = vy[1:-1, 1:-1]
+    return v
+
+
 class TestAdaptiveDt:
     def test_unconstrained_when_no_cooling(self, rng):
+        # b = 0 everywhere: at rest, and at any velocity without coupling
         itg, g = make_integrator()
         st = rest_state(g)
-        v = np.stack([0.3 * g.X, 0.3 * g.Y], axis=-1)  # b > 0 everywhere
+        assert itg.adaptive_dt(st, np.zeros((g.ny, g.nx, 2))) == itg.config.dt_max
+        uncoupled = tn.ElasticityTensors(D4=tn.isotropic_tensor(1, 1),
+                                         C4=tn.isotropic_tensor(1, 1),
+                                         B=np.zeros((2, 2)))
+        itg, g = make_integrator(tensors=uncoupled)
+        v = clamped(g, *rng.standard_normal((2, g.ny, g.nx)))
         assert itg.adaptive_dt(st, v) == itg.config.dt_max
 
     def test_guard_formula(self):
-        # kappa = 1, b = -10 uniformly, safety 0.5 -> dt = 0.05
+        # kappa = 1 and safety 0.5, so dt = 0.5 / max(-b).  v = (-10 x, 0)
+        # inside has sym_grad = diag(-10, 0) and b = -5 at every interior
+        # node off the x = Lx edge; its jump to 0 there gives b > 0, which
+        # the guard ignores
         itg, g = make_integrator(dt=10.0, dt_min=1e-9)
         st = rest_state(g)
-        v = np.stack([-10.0 * g.X, 0.0 * g.Y], axis=-1)  # <B, sym_grad> = -5... scale
-        # sym_grad = diag(-10, 0): b = 0.5*(-10) = -5 -> dt = 0.5 * 1/5 = 0.1
+        v = clamped(g, -10.0 * g.X, 0.0 * g.Y)
+        b = itg.coupling_field(g.sym_grad(v))
+        assert b[1:-1, :-2] == pytest.approx(np.full((g.ny - 2, g.nx - 2), -5.0))
+        assert b.min() == pytest.approx(-5.0)
         assert itg.adaptive_dt(st, v) == pytest.approx(0.1)
-        v2 = np.stack([-10.0 * g.X, -10.0 * g.Y], axis=-1)  # b = -10
+        # v = (-10 x, -10 y): b = -10 off the x = Lx and y = Ly edges
+        v2 = clamped(g, -10.0 * g.X, -10.0 * g.Y)
+        b2 = itg.coupling_field(g.sym_grad(v2))
+        assert b2[1:-2, 1:-2] == pytest.approx(np.full((g.ny - 3, g.nx - 3), -10.0))
+        assert b2.min() == pytest.approx(-10.0)
         assert itg.adaptive_dt(st, v2) == pytest.approx(0.05)
 
     def test_below_dt_min_reports_node(self):
+        # the guard needs dt = 0.05 < dt_min, at a node where b = -10
         itg, g = make_integrator(dt=1.0, dt_min=0.5)
         st = rest_state(g)
-        v = np.stack([-10.0 * g.X, -10.0 * g.Y], axis=-1)
+        v = clamped(g, -10.0 * g.X, -10.0 * g.Y)
         with pytest.raises(StepError) as err:
             itg.adaptive_dt(st, v)
-        assert err.value.node is not None
+        b = itg.coupling_field(g.sym_grad(v))
+        assert b.ravel()[err.value.node] == pytest.approx(-10.0)
 
     def test_guard_implies_diagonal_positivity(self, rng):
         itg, g = make_integrator(dt=1e9 if False else 10.0, dt_min=1e-12)

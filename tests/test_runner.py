@@ -14,7 +14,7 @@ import pytest
 
 import tvsim
 import tvsim.mms
-from tvsim import cli, integrator, runner
+from tvsim import cli, integrator, runner, scenarios
 from tvsim.diagnostics import Diagnostics
 from tvsim.errors import AdmissibilityError, ConfigError
 from tvsim.grid import read_snapshot, write_snapshot
@@ -871,6 +871,16 @@ class TestManufactured:
         with pytest.raises(ConfigError):
             ManufacturedProblem(tens, 1.0, 1.0)
 
+    def test_unoffsettable_coupling_rejected(self):
+        # a strong coupling drives dg/ds = kappa0 + t <B, sym_grad v> to 0
+        # and below; the problem is refused before any division by it
+        tens = ElasticityTensors(D4=isotropic_tensor(1, 1), C4=isotropic_tensor(1, 1),
+                                 B=50.0 * np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ConfigError, match="cannot offset"):
+                ManufacturedProblem(tens, 1.0, 1.0)
+
 
 class TestCli:
     def test_run_trivial(self, tmp_path, capsys):
@@ -906,20 +916,21 @@ class TestCli:
         rc = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
         assert rc == 0
 
-    def test_overflowing_regularizer_exits_3_before_stepping(self, tmp_path, capsys):
-        # eps_reg = 1e300 would overflow the velocity blocks' inverses; the
-        # run is refused before any numpy arithmetic can warn
+    def test_broken_down_velocity_solve_exits_3(self, tmp_path, capsys,
+                                                monkeypatch):
+        # build_scenario refuses eps_reg = 1e300; past that check, the
+        # overflowing regularizer breaks every attempt's CG down, and the
+        # step is rejected down to dt_min
+        monkeypatch.setattr(scenarios, "_check_regularizer", lambda grid, solver: None)
         cfg = short_default(t_final=0.1)
         cfg["solver"]["eps_reg"] = 1e300
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
+        with np.errstate(over="ignore", invalid="ignore"):
             rc = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
         assert rc == 3
         assert capsys.readouterr().err.startswith(
-            "error: config key solver.eps_reg = 1e+300 is too large")
-        assert not (tmp_path / "out").exists()
+            "error: step rejected below dt_min (conjugate gradients")
 
     def test_inadmissible_run_exit_code(self, tmp_path):
         rc = cli.main(["run", "inadmissible-zero-cell",
@@ -993,6 +1004,8 @@ class TestCli:
         (("output.checkpoint_time", 0.2), "key output.checkpoint_time "),
         (("output.snapshot_times", [0.0]), "key output.snapshot_times[0] "),
         (("output.snapshot_times", [0.05, 0.2]), "key output.snapshot_times[1] "),
+        # a regularizer that would overflow the velocity solve
+        (("solver.eps_reg", 1e300), "key solver.eps_reg "),
     ], ids=["missing", "not-json", "not-object", "grid", "tensors", "material",
             "output", "initial.theta", "nx-string", "t_final-string",
             "nx-fraction", "ny-fraction", "record_every-fraction",
@@ -1004,7 +1017,8 @@ class TestCli:
             "checkpoint_time-string", "tau_f-zero", "tau_g-zero",
             "tau_g-negative", "Lx-tiny", "hotspot-width-zero",
             "with_zeros-width-negative", "checkpoint-negative", "checkpoint-zero",
-            "checkpoint-past-t_final", "snapshot-zero", "snapshot-past-t_final"])
+            "checkpoint-past-t_final", "snapshot-zero", "snapshot-past-t_final",
+            "eps_reg-overflowing"])
     def test_bad_config_input_exits_3(self, tmp_path, capsys, content, named):
         path = tmp_path / "cfg.json"
         if isinstance(content, str):
