@@ -7,9 +7,9 @@ order (a11, a22, a12).
 
 Every derivative comes from one first derivative, _sbp_derivative_1d:
 centered in the interior with one-sided closures at the boundary, matched to
-the trapezoid quadrature weights so that summation by parts is exact.  Its
-matrices Dx, Dy and G give grad, sym_grad and div_matrix, and for every
-field w vanishing on the boundary,
+the trapezoid quadrature weights so that summation by parts is exact.  It
+gives grad along the rows and columns of nodes, and its matrices Dx, Dy and
+G give sym_grad and div_matrix; for every field w vanishing on the boundary,
 
     sum <A, sym_grad(w)> W  +  sum div_matrix(A) . w W  =  0
 
@@ -26,8 +26,8 @@ them.  The velocity forms live on the interior velocity unknowns
 never over all 2 n_nodes dof: Gi is one column slice of G, and the
 thermal-force matrix T_B one sparse product with Gi^T.  The strain of every
 velocity field goes through Gi as well (sym_grad), since a velocity vanishes
-on the boundary; the grid keeps no full G, which is the tests' assembled
-oracle.
+on the boundary; the grid keeps no full G, the tests' assembled oracle, nor
+Dx and Dy, which only the builds of G and Gi read.
 """
 
 from __future__ import annotations
@@ -275,16 +275,19 @@ class Grid:
         # and c the component; a pad slot names 2 n_nodes, past the last dof
         oy = _parity_order(self.ny - 2)[:, None, :, None, None]
         ox = _parity_order(self.nx - 2)[None, :, None, None, :]
-        dof = (oy + 1) * self.nx + ox + 1 + np.arange(2)[:, None] * self.n_nodes
-        self.interior_dof = np.where((oy == self.ny - 2) | (ox == self.nx - 2),
-                                     2 * self.n_nodes, dof).ravel()
+        node, c = (oy + 1) * self.nx + ox + 1, np.arange(2)[:, None]
+        pad = (oy == self.ny - 2) | (ox == self.nx - 2)
+        self.interior_dof = np.where(pad, 2 * self.n_nodes, node + c * self.n_nodes).ravel()
+        # the same unknowns in the node-major layout of a (ny, nx, 2) field
+        self._interior_nodal = np.where(pad, 2 * self.n_nodes, 2 * node + c).ravel()
 
     # -- pointwise field operations (the assembled SBP matrices) ---------
     def grad(self, f):
-        """Nodal gradient (Dx f, Dy f) of a scalar field, shape (ny, nx, 2)."""
-        f = f.ravel()
-        return np.stack([self.Dx() @ f, self.Dy() @ f], axis=-1).reshape(
-            self.ny, self.nx, 2)
+        """Nodal gradient (Dx f, Dy f) of a scalar field, shape (ny, nx, 2),
+        taken with the 1-D derivatives along the rows and the columns."""
+        dx, dy = self._op("d_1d", lambda: (_sbp_derivative_1d(self.nx, self.hx),
+                                           _sbp_derivative_1d(self.ny, self.hy)))
+        return np.stack([(dx @ f.T).T, dy @ f], axis=-1)
 
     def sym_grad(self, v, v_int=None):
         """Symmetric gradient G v of a vector field that vanishes on the
@@ -316,9 +319,6 @@ class Grid:
         return self.vec_from_interior(-(self._g_interior().T @ flat) / (self.hx * self.hy))
 
     # -- flatteners -------------------------------------------------------
-    def _vec_unflat(self, flat):
-        return np.stack(flat[:2 * self.n_nodes].reshape(2, self.ny, self.nx), axis=-1)
-
     @staticmethod
     def _flat(field):
         """Component-major dof of a vector or matrix field: (vx, vy) or
@@ -328,13 +328,13 @@ class Grid:
     def interior_vec(self, v):
         """Interior degrees of freedom of a vector field, in interior_dof
         order (parity-major, 0 in the pad slots)."""
-        return np.append(self._flat(v), 0.0)[self.interior_dof]
+        return np.append(v.ravel(), 0.0)[self._interior_nodal]
 
     def vec_from_interior(self, flat_int):
         """Zero-extend interior vector dof back to the full grid."""
         out = np.zeros(2 * self.n_nodes + 1)  # the last entry takes the pads
-        out[self.interior_dof] = flat_int
-        return self._vec_unflat(out)
+        out[self._interior_nodal] = flat_int
+        return out[:-1].reshape(self.ny, self.nx, 2)
 
     # -- assembled sparse operators (cached) ------------------------------
     def _op(self, key, builder):
@@ -343,22 +343,18 @@ class Grid:
         return self._ops[key]
 
     def Dx(self):
-        """I (x) d: the SBP derivative along every row of nodes."""
-        def build():
-            d = _sbp_derivative_1d(self.nx, self.hx)
-            cols = d.indices.reshape(self.nx, 2) + np.arange(0, self.n_nodes, self.nx,
-                                                             dtype=np.int32)[:, None, None]
-            return _csr(d.data.reshape(self.nx, 2), cols, self.n_nodes)
-        return self._op("Dx", build)
+        """I (x) d: the SBP derivative along every row of nodes (not cached)."""
+        d = _sbp_derivative_1d(self.nx, self.hx)
+        cols = d.indices.reshape(self.nx, 2) + np.arange(0, self.n_nodes, self.nx,
+                                                         dtype=np.int32)[:, None, None]
+        return _csr(d.data.reshape(self.nx, 2), cols, self.n_nodes)
 
     def Dy(self):
-        """d (x) I: the SBP derivative along every column of nodes."""
-        def build():
-            d = _sbp_derivative_1d(self.ny, self.hy)
-            cols = d.indices.reshape(self.ny, 1, 2) * self.nx \
-                + np.arange(self.nx, dtype=np.int32)[:, None]
-            return _csr(d.data.reshape(self.ny, 1, 2), cols, self.n_nodes)
-        return self._op("Dy", build)
+        """d (x) I: the SBP derivative along every column of nodes (not cached)."""
+        d = _sbp_derivative_1d(self.ny, self.hy)
+        cols = d.indices.reshape(self.ny, 1, 2) * self.nx \
+            + np.arange(self.nx, dtype=np.int32)[:, None]
+        return _csr(d.data.reshape(self.ny, 1, 2), cols, self.n_nodes)
 
     def G(self):
         """Symmetric-gradient matrix: (vx, vy) dof -> (a11, a22, a12) dof,

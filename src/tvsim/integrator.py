@@ -145,7 +145,6 @@ from .grid import separable_inverse, solve_spd
 _ANDERSON_DEPTH = 2
 _CG_TOL = 1e-12          # relative residual of both CG solves
 _CG_TOL_LOOSE = 1e-4     # loosest CG tolerance (see _inner_tol)
-_CG_MAXITER_FACTOR = 10  # CG iteration cap per unknown
 _PICARD_TOL = 1e-11      # stop once |G(x) - x| <= _PICARD_TOL (1 + |G(x)|)
 _PICARD_MAX = 80         # Picard iterations before an attempt is rejected
 _DT_GROWTH = 1.2         # dt growth after an accepted step, up to dt_max
@@ -385,6 +384,7 @@ class SolverConfig:
         return dt * self.eps_reg * lam ** (2 * self.m)
 
 
+@dataclass
 class Forcing:
     """Time-dependent sources: f drives the momentum, g >= 0 heats."""
 
@@ -395,6 +395,7 @@ class Forcing:
         return np.zeros((grid.ny, grid.nx))
 
 
+@dataclass
 class PulseForcing(Forcing):
     """Time-compact mechanical pulse and exponentially decaying heat source.
 
@@ -402,17 +403,18 @@ class PulseForcing(Forcing):
     stabilization results hold along these runs; that needs tau_f, tau_g > 0.
     """
 
-    def __init__(self, amp_f=0.0, t0=1.0, tau_f=0.25, amp_g=0.0, tau_g=1.0):
-        if amp_g < 0:
+    amp_f: float = 0.0
+    t0: float = 1.0
+    tau_f: float = 0.25
+    amp_g: float = 0.0
+    tau_g: float = 1.0
+
+    def __post_init__(self):
+        if self.amp_g < 0:
             raise ConfigError("heat-source amplitude must be >= 0")
-        for key, tau in (("tau_f", tau_f), ("tau_g", tau_g)):
+        for key, tau in (("tau_f", self.tau_f), ("tau_g", self.tau_g)):
             if not tau > 0:
                 raise ConfigError(f"pulse time scale {key} must be > 0, got {tau!r}")
-        self.amp_f = amp_f
-        self.t0 = t0
-        self.tau_f = tau_f
-        self.amp_g = amp_g
-        self.tau_g = tau_g
 
     def f(self, t, grid):
         env = self.amp_f * math.exp(-((t - self.t0) / self.tau_f) ** 2)
@@ -683,7 +685,6 @@ class Integrator:
         resid = f1 - modes.mix(system.sym1, c0) - modes.couple_t(
             modes.mix(system.c2, g0) - modes.mix(system.b0, modes.couple(c0)))
         dc, iters = solve_spd(system, resid.ravel(), tol=tol,
-                              maxiter=_CG_MAXITER_FACTOR * h,
                               precond_apply=system.precondition,
                               ref_norm=ref / math.sqrt(w))
         c = c0 + dc.reshape(modes.shape)
@@ -723,9 +724,7 @@ class Integrator:
         x0 = theta_old if theta_guess is None else theta_guess.ravel()
         # weighted mean of the diagonal; exact inverse when it is constant
         pre_apply = self._heat_preconditioner(float(diag_add.sum()) / g.area)
-        theta_new, iters = solve_spd(s, rhs, tol=tol,
-                                     maxiter=_CG_MAXITER_FACTOR * rhs.size,
-                                     x0=x0, precond_apply=pre_apply)
+        theta_new, iters = solve_spd(s, rhs, tol=tol, x0=x0, precond_apply=pre_apply)
         return theta_new.reshape(g.ny, g.nx), iters, b, q
 
     def adaptive_dt(self, state, v_new):

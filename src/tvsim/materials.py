@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, _number, _numbers
+from .errors import ConfigError, _build, _typed
 
 #: smallest admissible weight shift for the log-weighted entropy, and its default
 M_MIN = math.exp(4.0)
@@ -180,9 +180,6 @@ class HeatCapacity:
 
     # -- to be provided by variants ------------------------------------
     def kappa_values(self, xi):
-        raise NotImplementedError
-
-    def describe(self):
         raise NotImplementedError
 
     def classify(self):
@@ -367,6 +364,7 @@ class HeatCapacity:
 class ConstantCapacity(HeatCapacity):
     """kappa == k0."""
 
+    variant = "constant"
     k0: float
 
     def __post_init__(self):
@@ -389,17 +387,15 @@ class ConstantCapacity(HeatCapacity):
     def _provable_lower_bound(self):
         return self.k0
 
-    def describe(self):
-        return {"variant": "constant", "k0": self.k0}
-
     def classify(self):
-        return HypothesisFlags("constant", True, True)
+        return HypothesisFlags(self.variant, True, True)
 
 
 @dataclass
 class PowerGrowthCapacity(HeatCapacity):
     """kappa(x) = k0 (1 + x)^omega with omega >= 0."""
 
+    variant = "power_growth"
     k0: float
     omega: float
 
@@ -424,17 +420,15 @@ class PowerGrowthCapacity(HeatCapacity):
     def _provable_lower_bound(self):
         return self.k0
 
-    def describe(self):
-        return {"variant": "power_growth", "k0": self.k0, "omega": self.omega}
-
     def classify(self):
-        return HypothesisFlags("power_growth", True, True)
+        return HypothesisFlags(self.variant, True, True)
 
 
 @dataclass
 class DebyeLikeCapacity(HeatCapacity):
     """kappa(x) = k0 x^3 / (x^3 + xi_d^3): cubic degeneracy at low temperature."""
 
+    variant = "debye"
     k0: float
     xi_d: float
 
@@ -473,17 +467,15 @@ class DebyeLikeCapacity(HeatCapacity):
         a3 = self.xi_d ** 3
         return (self.k0 / 3.0) * np.log((xi ** 3 + a3) / (1.0 + a3))
 
-    def describe(self):
-        return {"variant": "debye", "k0": self.k0, "xi_d": self.xi_d}
-
     def classify(self):
-        return HypothesisFlags("debye", True, True)
+        return HypothesisFlags(self.variant, True, True)
 
 
 @dataclass
 class SlowDecayCapacity(HeatCapacity):
     """kappa(x) = k0 / ln^alpha(e + x), alpha in (0, 1): decays, but slower than 1/ln."""
 
+    variant = "slow_decay"
     k0: float
     alpha: float
 
@@ -496,18 +488,16 @@ class SlowDecayCapacity(HeatCapacity):
         x = np.asarray(xi, dtype=float)
         return self.k0 / np.log(math.e + x) ** self.alpha
 
-    def describe(self):
-        return {"variant": "slow_decay", "k0": self.k0, "alpha": self.alpha}
-
     def classify(self):
         # kappa -> 0 at infinity, but kappa * ln x ~ k0 ln^(1-alpha) x -> inf
-        return HypothesisFlags("slow_decay", False, True)
+        return HypothesisFlags(self.variant, False, True)
 
 
 @dataclass
 class TabulatedCapacity(HeatCapacity):
     """Piecewise-linear kappa through sample points, clamped beyond the table."""
 
+    variant = "tabulated"
     xi_pts: np.ndarray
     kappa_pts: np.ndarray
 
@@ -531,14 +521,10 @@ class TabulatedCapacity(HeatCapacity):
     def _provable_lower_bound(self):
         return float(self.kappa_pts.min())
 
-    def describe(self):
-        return {"variant": "tabulated",
-                "xi_pts": self.xi_pts.tolist(), "kappa_pts": self.kappa_pts.tolist()}
-
     def classify(self):
         # no analytic tail: sample the clamped extension
         tail = float(self.kappa_pts[-1])
-        return HypothesisFlags("tabulated", tail > 0.0, tail > 0.0, heuristic=True)
+        return HypothesisFlags(self.variant, tail > 0.0, tail > 0.0, heuristic=True)
 
 
 class FlooredCapacity(HeatCapacity):
@@ -620,38 +606,22 @@ class FlooredCapacity(HeatCapacity):
     def _provable_lower_bound(self):
         return self.eps
 
-    def describe(self):
-        return {"variant": "floored", "eps": self.eps, "base": self.base.describe()}
-
     def classify(self):
         flags = self.base.classify()
         return HypothesisFlags(f"floored({flags.variant})", True, True,
                                heuristic=flags.heuristic)
 
 
+#: the laws a config's material.kappa.variant names
+_LAWS = {law.variant: law for law in (ConstantCapacity, PowerGrowthCapacity,
+                                      DebyeLikeCapacity, SlowDecayCapacity,
+                                      TabulatedCapacity)}
+
+
 def model_from_config(cfg):
     """Build a heat-capacity law from its config mapping (material.kappa)."""
-    try:
-        variant = cfg["variant"]
-    except (KeyError, TypeError) as exc:
-        raise ConfigError("kappa config needs a 'variant' key") from exc
-
-    def num(key):
-        return _number(cfg[key], f"material.kappa.{key}")
-
-    if variant == "constant":
-        return ConstantCapacity(k0=num("k0"))
-    if variant == "power_growth":
-        return PowerGrowthCapacity(k0=num("k0"), omega=num("omega"))
-    if variant == "debye":
-        return DebyeLikeCapacity(k0=num("k0"), xi_d=num("xi_d"))
-    if variant == "slow_decay":
-        return SlowDecayCapacity(k0=num("k0"), alpha=num("alpha"))
-    if variant == "tabulated":
-        return TabulatedCapacity(
-            xi_pts=np.array(_numbers(cfg["xi_pts"], "material.kappa.xi_pts")),
-            kappa_pts=np.array(_numbers(cfg["kappa_pts"], "material.kappa.kappa_pts")))
-    raise ConfigError(f"unknown heat-capacity variant {variant!r}")
+    variant, rest = _typed(cfg, "material.kappa", "variant", _LAWS)
+    return _build(_LAWS[variant], rest, "material.kappa")
 
 
 @dataclass(frozen=True)

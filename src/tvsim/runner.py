@@ -464,7 +464,7 @@ def convergence_study(config, levels=3, base_nx=8, dt_over_h2=8.0,
         raise ConfigError("convergence study needs at least 3 levels")
 
     scenario = build_scenario(config)
-    if scenario.model_raw.describe().get("variant") != "constant":
+    if scenario.model_raw.classify().variant != "constant":
         raise ConfigError("convergence study needs a constant heat capacity")
     problem = mms.ManufacturedProblem(scenario.tensors, scenario.model_raw.k0,
                                       scenario.d_diff, lx=scenario.grid.Lx,

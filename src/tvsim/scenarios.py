@@ -5,9 +5,11 @@ grid / tensors / material / forcing / initial / solver / output plus the
 final time.  Everything a run needs is captured here so the manifest can
 reproduce the experiment exactly.
 
-The top level and the grid, material, initial, solver and output sections
-have fixed keys and refuse any other.  The solver tolerances and the slacks
-of the law checks are module constants, not keys: the laws hold only to them.
+Every section refuses a key it does not take.  The grid, solver, output and
+forcing sections and material.kappa are read by errors._build from the
+dataclass each configures, which states each key and default once.  The
+solver tolerances and the slacks of the law checks are module constants, not
+keys: the laws hold only to them.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import materials
-from .errors import ConfigError, _number, _numbers, _section
+from .errors import ConfigError, _build, _number, _section, _typed
 from .grid import Grid
 from .integrator import FieldState, Forcing, PulseForcing, SolverConfig
 from .tensors import ElasticityTensors, tensors_from_config
@@ -28,7 +30,6 @@ from .tensors import ElasticityTensors, tensors_from_config
 # the keys of the sections whose keys do not depend on a type
 _TOP_KEYS = ("name", "grid", "tensors", "material", "forcing", "initial",
              "solver", "output", "t_final")
-_GRID_KEYS = ("nx", "ny", "Lx", "Ly")
 _MATERIAL_KEYS = ("kappa", "D", "M", "eps_kappa")
 _INITIAL_KEYS = ("theta", "velocity", "displacement")
 
@@ -74,8 +75,18 @@ class Scenario:
     t_final: float
 
 
+# the keys each initial profile type takes
+_THETA_KEYS = {"constant": ("value",),
+               "hotspot": ("cx", "cy", "base", "peak", "width"),
+               "with_zeros": ("cx", "cy", "peak", "width", "clip")}
+_VECTOR_KEYS = {"zero": (), "sine": ("amplitude",)}
+# the forcings that forcing.type names
+_FORCINGS = {"zero": Forcing, "pulse": PulseForcing}
+
+
 def _theta_profile(grid, spec):
-    kind = spec.get("type", "constant")
+    kind, spec = _typed(spec, "initial.theta", "type", _THETA_KEYS, "constant")
+    _section(spec, "initial.theta", _THETA_KEYS[kind])
     def num(key, default):
         return _number(spec.get(key, default), f"initial.theta.{key}")
     def width(default):
@@ -92,42 +103,26 @@ def _theta_profile(grid, spec):
         base = num("base", 1.0)
         peak = num("peak", 2.0)
         return base + (peak - base) * np.exp(-r2 / (2.0 * width(0.12) ** 2))
-    if kind == "with_zeros":
-        # smooth profile that touches zero with zero slope outside a disc
-        peak = num("peak", 2.0)
-        w = width(0.18)
-        clip = num("clip", 0.4)
-        if not 0.0 < clip < 1.0:
-            raise ConfigError("with_zeros profile needs clip in (0, 1)")
-        bump = np.exp(-r2 / (2.0 * w ** 2))
-        return peak * (np.maximum(bump - clip, 0.0) / (1.0 - clip)) ** 2
-    raise ConfigError(f"unknown initial temperature type {kind!r}")
+    # with_zeros: smooth profile that touches zero with zero slope outside a disc
+    peak = num("peak", 2.0)
+    w = width(0.18)
+    clip = num("clip", 0.4)
+    if not 0.0 < clip < 1.0:
+        raise ConfigError("with_zeros profile needs clip in (0, 1)")
+    bump = np.exp(-r2 / (2.0 * w ** 2))
+    return peak * (np.maximum(bump - clip, 0.0) / (1.0 - clip)) ** 2
 
 
 def _vector_profile(grid, spec, path):
-    kind = spec.get("type", "zero")
+    kind, spec = _typed(spec, path, "type", _VECTOR_KEYS, "zero")
+    _section(spec, path, _VECTOR_KEYS[kind])
     out = np.zeros((grid.ny, grid.nx, 2))
-    if kind == "zero":
-        return out
     if kind == "sine":
         amp = _number(spec.get("amplitude", 0.5), f"{path}.amplitude")
         out[..., 0] = amp * np.sin(np.pi * grid.X / grid.Lx) \
             * np.sin(np.pi * grid.Y / grid.Ly)
         out[grid.boundary_mask] = 0.0
-        return out
-    raise ConfigError(f"unknown vector profile type {kind!r}")
-
-
-def _forcing_from_config(spec):
-    kind = spec.get("type", "zero")
-    if kind == "zero":
-        return Forcing()
-    if kind == "pulse":
-        defaults = {"amp_f": 0.0, "t0": 1.0, "tau_f": 0.25, "amp_g": 0.0,
-                    "tau_g": 1.0}
-        return PulseForcing(**{key: _number(spec.get(key, val), f"forcing.{key}")
-                               for key, val in defaults.items()})
-    raise ConfigError(f"unknown forcing type {kind!r}")
+    return out
 
 
 def _reject_non_finite(node, path):
@@ -148,65 +143,43 @@ def build_scenario(config):
     _reject_non_finite(cfg, "")
     _section(cfg, "top-level", _TOP_KEYS)
     try:
-        grid_cfg = _section(cfg["grid"], "grid", _GRID_KEYS)
-        grid = Grid(nx=_number(grid_cfg["nx"], "grid.nx", integral=True),
-                    ny=_number(grid_cfg["ny"], "grid.ny", integral=True),
-                    Lx=_number(grid_cfg.get("Lx", 1.0), "grid.Lx"),
-                    Ly=_number(grid_cfg.get("Ly", 1.0), "grid.Ly"))
-        tensors = tensors_from_config(_section(cfg["tensors"], "tensors"))
+        grid = _build(Grid, cfg["grid"], "grid")
+        tensors = tensors_from_config(cfg["tensors"])
         mat = _section(cfg["material"], "material", _MATERIAL_KEYS)
-        model_raw = materials.model_from_config(
-            _section(mat["kappa"], "material.kappa"))
+        model_raw = materials.model_from_config(mat["kappa"])
         d_diff = _number(mat["D"], "material.D")
-        m_shift = _number(mat.get("M") or materials.M_MIN, "material.M")
+        m_shift = (materials.M_MIN if mat.get("M") is None
+                   else _number(mat["M"], "material.M"))
         eps_kappa = _number(mat.get("eps_kappa", 0.0), "material.eps_kappa")
         t_final = _number(cfg["t_final"], "t_final")
     except KeyError as exc:
         raise ConfigError(f"config misses required key: {exc}") from exc
     if d_diff <= 0:
         raise ConfigError("diffusivity D must be positive")
+    if m_shift < materials.M_MIN - 1e-9:
+        raise ConfigError(f"config key material.M must be >= e^4, got {m_shift!r}")
     if t_final <= 0:
         raise ConfigError("t_final must be positive")
     if eps_kappa < 0 or eps_kappa >= 1:
         raise ConfigError("eps_kappa must lie in [0, 1)")
     model = model_raw.floor(eps_kappa) if eps_kappa > 0 else model_raw
 
-    solver_cfg = _section(cfg.get("solver", {}), "solver",
-                          SolverConfig.__dataclass_fields__)
-    solver = SolverConfig(**{
-        key: _number(val, f"solver.{key}",
-                     integral=isinstance(getattr(SolverConfig, key), int))
-        for key, val in solver_cfg.items()})
+    solver = _build(SolverConfig, cfg.get("solver", {}), "solver")
     solver.validate()
     _check_regularizer(grid, solver)
 
-    out_cfg = _section(cfg.get("output", {}), "output",
-                       OutputPlan.__dataclass_fields__)
-    checkpoint_time = out_cfg.get("checkpoint_time")
-    output = OutputPlan(
-        record_every=_number(out_cfg.get("record_every", 1),
-                             "output.record_every", integral=True),
-        snapshot_times=tuple(_numbers(out_cfg.get("snapshot_times", []),
-                                      "output.snapshot_times")),
-        window_starts=tuple(_numbers(out_cfg.get("window_starts", []),
-                                     "output.window_starts")),
-        checkpoint_time=None if checkpoint_time is None else _number(
-            checkpoint_time, "output.checkpoint_time"),
-        theta_floor=_number(out_cfg.get("theta_floor", 0.0), "output.theta_floor"),
-    )
+    output = _build(OutputPlan, cfg.get("output", {}), "output")
     output.validate(t_final)
 
     init_cfg = _section(cfg.get("initial", {}), "initial", _INITIAL_KEYS)
-    theta0 = _theta_profile(grid, _section(
-        init_cfg.get("theta", {"type": "constant"}), "initial.theta"))
-    v0, u0 = (_vector_profile(grid, _section(init_cfg.get(key, {"type": "zero"}),
-                                             f"initial.{key}"), f"initial.{key}")
+    theta0 = _theta_profile(grid, init_cfg.get("theta", {}))
+    v0, u0 = (_vector_profile(grid, init_cfg.get(key, {}), f"initial.{key}")
               for key in ("velocity", "displacement"))
     initial = FieldState(u=u0, v=v0, theta=theta0, t=0.0)
     initial.validate(grid)
 
-    forcing = _forcing_from_config(_section(cfg.get("forcing", {"type": "zero"}),
-                                            "forcing"))
+    kind, rest = _typed(cfg.get("forcing", {}), "forcing", "type", _FORCINGS, "zero")
+    forcing = _build(_FORCINGS[kind], rest, "forcing")
     _validate_heat_source(forcing, grid, t_final)
 
     return Scenario(name=str(cfg.get("name", "unnamed")), config=cfg, grid=grid,

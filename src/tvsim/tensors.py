@@ -179,7 +179,8 @@ class ElasticityTensors:
 def _tensor_from_config(node, name):
     path = f"tensors.{name}"
     if isinstance(node, dict) and "isotropic" in node:
-        iso = _section(node["isotropic"], f"{path}.isotropic")
+        iso = _section(_section(node, path, ("isotropic",))["isotropic"],
+                       f"{path}.isotropic", ("lambda", "mu"))
         try:
             lam = _number(iso["lambda"], f"{path}.isotropic.lambda")
             mu = _number(iso["mu"], f"{path}.isotropic.mu")
@@ -198,7 +199,8 @@ def _tensor_from_config(node, name):
 
 def _coupling_from_config(node):
     if isinstance(node, dict) and "scale_identity" in node:
-        return _number(node["scale_identity"], "tensors.B.scale_identity") * np.eye(2)
+        scale = _section(node, "tensors.B", ("scale_identity",))["scale_identity"]
+        return _number(scale, "tensors.B.scale_identity") * np.eye(2)
     arr = np.array(_numbers(node, "tensors.B"))
     if arr.size == 3:
         return triple_to_mat(arr)
@@ -209,12 +211,13 @@ def _coupling_from_config(node):
 
 
 def tensors_from_config(cfg):
-    """Build validated ElasticityTensors from a config mapping.
+    """Build validated ElasticityTensors from a config mapping (tensors).
 
     Accepted forms per tensor: {"isotropic": {"lambda": l, "mu": m}} or an
     explicit 16-entry row-major array; B as {"scale_identity": s},
-    [b11, b22, b12] or a full 2x2 array.
+    [b11, b22, b12] or a full 2x2 array.  No form takes another key.
     """
+    cfg = _section(cfg, "tensors", ("D", "C", "B"))
     try:
         d_node = cfg["D"]
         c_node = cfg["C"]

@@ -453,6 +453,21 @@ class TestInteriorUnknowns:
         assert not v[~real].any()
         assert np.array_equal(g.vec_from_interior(v), w)
 
+    @pytest.mark.parametrize("nx, ny", [(13, 9), (13, 16)])
+    def test_gather_and_grad_equal_the_assembled_forms(self, nx, ny, rng):
+        # bit for bit: the gather through the node-major index against the
+        # component-major one, grad by 1-D derivatives against Dx and Dy
+        g = Grid(nx, ny, Lx=1.3)
+        v, f = rng.standard_normal((ny, nx, 2)), rng.standard_normal((ny, nx))
+        v_int = g.interior_vec(v)
+        assert np.array_equal(v_int, np.append(g._flat(v), 0.0)[g.interior_dof])
+        full = np.zeros(2 * g.n_nodes + 1)
+        full[g.interior_dof] = v_int
+        assert np.array_equal(g.vec_from_interior(v_int),
+                              np.stack(full[:-1].reshape(2, ny, nx), axis=-1))
+        want = np.stack([g.Dx() @ f.ravel(), g.Dy() @ f.ravel()], axis=-1)
+        assert np.array_equal(g.grad(f), want.reshape(ny, nx, 2))
+
     @pytest.mark.parametrize("nx, ny", [(13, 9), (12, 10)])
     def test_operators_follow_the_order(self, nx, ny, rng):
         g = Grid(nx, ny, Lx=1.3)
@@ -469,7 +484,8 @@ class TestInteriorUnknowns:
         comp = tn.component_matrix(tn.isotropic_tensor(1.0, 2.0))
         a_full = full_form(g, comp)
         flat = np.concatenate([w[..., 0].ravel(), w[..., 1].ravel()])
-        expected = g.interior_vec(g._vec_unflat(a_full @ flat))
+        full = (a_full @ flat).reshape(2, ny, nx)
+        expected = g.interior_vec(np.stack(full, axis=-1))
         a_int = g.quadratic_form_matrix(comp)
         assert np.abs(a_int @ g.interior_vec(w) - expected).max() \
             <= 1e-12 * np.abs(expected).max()

@@ -146,7 +146,7 @@ ALL_MODELS = [
 
 
 class TestMonotonicityAndInversion:
-    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.describe()["variant"])
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.classify().variant)
     def test_primitives_strictly_increasing(self, model):
         xs = np.geomspace(1e-3, 1e4, 60)
         for fn in (model.K, model.ell, lambda x: Lambda(model, x),
@@ -155,8 +155,8 @@ class TestMonotonicityAndInversion:
             assert np.all(np.diff(vals) > 0)
 
     @pytest.mark.parametrize("model", [m for m in ALL_MODELS
-                                       if m.describe()["variant"] != "debye"],
-                             ids=lambda m: m.describe()["variant"])
+                                       if m.classify().variant != "debye"],
+                             ids=lambda m: m.classify().variant)
     def test_inverse_round_trip(self, model):
         for xi in np.geomspace(1e-3, 1e6, 28):
             back = model.ell_inverse(float(model.ell(xi)))
@@ -194,7 +194,7 @@ class TestMonotonicityAndInversion:
 class TestCutoffEntropy:
     @pytest.mark.parametrize("m_cut", [2.0, 10.0, 100.0])
     @pytest.mark.parametrize("model", ALL_MODELS[:4],
-                             ids=lambda m: m.describe()["variant"])
+                             ids=lambda m: m.classify().variant)
     def test_sandwich(self, model, m_cut):
         for xi in np.geomspace(1e-2, 1e4, 100):
             ell = float(model.ell(xi))
@@ -224,7 +224,7 @@ class TestElementaryInequalities:
                 assert x * math.log(x) <= x * x * math.log(y) ** 2 / y + y + 1e-9
 
     @pytest.mark.parametrize("model", ALL_MODELS[:3],
-                             ids=lambda m: m.describe()["variant"])
+                             ids=lambda m: m.classify().variant)
     def test_log_entropy_dominated_by_energy(self, model):
         # ell_hat <= (4/e^2) K follows from the log bound above
         for xi in np.geomspace(1e-2, 1e6, 40):
@@ -388,7 +388,7 @@ class TestShapes:
     LAWS = [mat.DebyeLikeCapacity(1.0, 1.0), mat.DebyeLikeCapacity(1.0, 1.0).floor(1e-3),
             mat.PowerGrowthCapacity(0.05, 1.0).floor(0.2), mat.SlowDecayCapacity(1.0, 0.5)]
 
-    @pytest.mark.parametrize("model", LAWS, ids=lambda m: m.describe()["variant"])
+    @pytest.mark.parametrize("model", LAWS, ids=lambda m: m.classify().variant)
     def test_primitives_and_chord(self, model):
         a = np.array([[0.05, 0.1, 0.24, 0.26], [1.0, 2.5, 1.0, 40.0]])
         b = np.array([[0.07, 0.1, 0.25, 0.26 + 1e-12], [0.9, 2.5, 1.3, 41.0]])
@@ -407,7 +407,7 @@ class TestShapes:
             assert model.kappa_chord(float(x), float(y)) == chord.flat[i]
             assert model.kappa_chord(np.array(x), np.array(y)) == chord.flat[i]
 
-    @pytest.mark.parametrize("model", LAWS, ids=lambda m: m.describe()["variant"])
+    @pytest.mark.parametrize("model", LAWS, ids=lambda m: m.classify().variant)
     def test_inverses(self, model):
         assert model.K_inverse(float(model.K(2.5))) == pytest.approx(2.5, rel=1e-10)
         assert model.ell_inverse(float(model.ell(2.5))) == pytest.approx(2.5, rel=1e-9)

@@ -137,7 +137,8 @@ class TestRun:
     def test_a_run_keeps_no_full_grid_strain_matrix(self, monkeypatch):
         # every velocity vanishes on the boundary, so the ledger, the
         # positivity guard and the record take its strain through Gi; the
-        # full G is only the tests' oracle
+        # full G is only the tests' oracle.  Nor does the grid keep Dx and
+        # Dy: grad takes the 1-D derivatives
         def refuse(grid):
             raise AssertionError("Grid.G was called")
         monkeypatch.setattr(tvsim.grid.Grid, "G", refuse)
@@ -151,7 +152,7 @@ class TestRun:
         for _ in range(3):
             state, rep = itg.step(state, sc.forcing)
             diag.record(state, rep)
-        assert "Gi" in sc.grid._ops and "G" not in sc.grid._ops
+        assert "Gi" in sc.grid._ops and not {"G", "Dx", "Dy"} & set(sc.grid._ops)
 
     def test_windows_a_run_cannot_cover_keep_no_samples(self, tmp_path, monkeypatch):
         stores = []
@@ -932,6 +933,16 @@ class TestCli:
         assert capsys.readouterr().err.startswith(
             "error: step rejected below dt_min (conjugate gradients")
 
+    @pytest.mark.parametrize("m_shift", [0, False, 10.0])
+    def test_check_refuses_a_weight_shift_below_e4(self, tmp_path, capsys, m_shift):
+        cfg = short_default(t_final=0.1)
+        cfg["material"]["M"] = m_shift
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["check", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "key material.M " in err
+
     def test_inadmissible_run_exit_code(self, tmp_path):
         rc = cli.main(["run", "inadmissible-zero-cell",
                        "--out", str(tmp_path / "x")])
@@ -1006,6 +1017,26 @@ class TestCli:
         (("output.snapshot_times", [0.05, 0.2]), "key output.snapshot_times[1] "),
         # a regularizer that would overflow the velocity solve
         (("solver.eps_reg", 1e300), "key solver.eps_reg "),
+        # keys that the chosen type, variant or form does not take
+        (("forcing", {"type": "pulse", "amp_G": 0.2}), "forcing keys: ['amp_G']"),
+        (("forcing.amp_f", 0.5), "forcing keys: ['amp_f']"),
+        (("material.kappa.omega", 2.0), "material.kappa keys: ['omega']"),
+        (("initial.theta", {"type": "hotspot", "peek": 3.0}),
+         "initial.theta keys: ['peek']"),
+        (("initial.velocity", {"type": "zero", "amplitude": 0.5}),
+         "initial.velocity keys: ['amplitude']"),
+        (("initial.displacement.amplitud", 0.2), "initial.displacement keys: ['amplitud']"),
+        (("tensors.E", {"isotropic": {"lambda": 1.0, "mu": 1.0}}), "tensors keys: ['E']"),
+        (("tensors.D.lambda", 2.0), "tensors.D keys: ['lambda']"),
+        (("tensors.D.isotropic.nu", 0.3), "tensors.D.isotropic keys: ['nu']"),
+        (("tensors.B.scale", 1.0), "tensors.B keys: ['scale']"),
+        # a type or variant that names nothing, or none at all
+        (("forcing.type", "pulsed"), "key forcing.type "),
+        (("material.kappa", {"k0": 1.0}), "key: material.kappa.variant"),
+        # a weight shift below e^4
+        (("material.M", 0), "key material.M "),
+        (("material.M", False), "key material.M "),
+        (("material.M", 10.0), "key material.M "),
     ], ids=["missing", "not-json", "not-object", "grid", "tensors", "material",
             "output", "initial.theta", "nx-string", "t_final-string",
             "nx-fraction", "ny-fraction", "record_every-fraction",
@@ -1018,7 +1049,11 @@ class TestCli:
             "tau_g-negative", "Lx-tiny", "hotspot-width-zero",
             "with_zeros-width-negative", "checkpoint-negative", "checkpoint-zero",
             "checkpoint-past-t_final", "snapshot-zero", "snapshot-past-t_final",
-            "eps_reg-overflowing"])
+            "eps_reg-overflowing", "pulse-typo", "zero-forcing-key",
+            "constant-kappa-omega", "hotspot-typo", "zero-velocity-key",
+            "displacement-typo", "tensors-foreign", "isotropic-form-foreign",
+            "isotropic-nu", "scale_identity-foreign", "forcing-type-unknown",
+            "kappa-variant-missing", "M-zero", "M-false", "M-below-e4"])
     def test_bad_config_input_exits_3(self, tmp_path, capsys, content, named):
         path = tmp_path / "cfg.json"
         if isinstance(content, str):
