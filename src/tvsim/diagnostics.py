@@ -104,15 +104,15 @@ class Diagnostics:
         self.comp_D = tn.component_matrix(tensors.D4)
 
     def record(self, state, ledger):
-        """The record of state around its ledger: the StepReport of the step
-        that ended at state, or Integrator.ledger(state, g) for other states."""
+        """The record of state around its ledger, the StepReport of the step
+        that ended at state or Integrator.ledger(state, g): it must belong to
+        state as passed, strain included, as the record reads ledger.strain."""
         g = self.grid
         m_shift = self.m_shift
         theta = state.theta
-        v = state.v
 
-        speed2 = v[..., 0] ** 2 + v[..., 1] ** 2
-        strain = g.sym_grad(v)
+        speed2 = state.v[..., 0] ** 2 + state.v[..., 1] ** 2
+        strain = ledger.strain.reshape(g.ny, g.nx, 3)
         qd = np.einsum("ab,ija,ijb->ij", self.comp_D, strain, strain)
         strain_sq = strain[..., 0] ** 2 + strain[..., 1] ** 2 + 2.0 * strain[..., 2] ** 2
         strain_abs = np.sqrt(strain_sq)

@@ -289,19 +289,15 @@ class Grid:
                                            _sbp_derivative_1d(self.ny, self.hy)))
         return np.stack([(dx @ f.T).T, dy @ f], axis=-1)
 
-    def sym_grad(self, v, v_int=None):
+    def sym_grad(self, v):
         """Symmetric gradient G v of a vector field that vanishes on the
         boundary, components (a11, a22, a12): a (ny, nx, 3) view of the
-        component-major product Gi v_int.
-
-        v_int is interior_vec(v), which a caller that holds it passes in.
-        The boundary values of v are not read: on a field that vanishes
-        there, the product by Gi equals the one by G to the bit, since the
-        terms Gi leaves out are exact zeros.
-        """
-        if v_int is None:
-            v_int = self.interior_vec(v)
-        return (self._g_interior() @ v_int).reshape(3, self.ny, self.nx).transpose(1, 2, 0)
+        component-major product Gi interior_vec(v).  The boundary values of
+        v are not read: on a field that vanishes there, the product by Gi
+        equals the one by G to the bit, since the terms Gi leaves out are
+        exact zeros."""
+        return (self._g_interior() @ self.interior_vec(v)).reshape(
+            3, self.ny, self.nx).transpose(1, 2, 0)
 
     def integrate(self, f):
         """Trapezoid quadrature of a scalar field."""

@@ -39,12 +39,12 @@ boundary-clamped fields, and the implicit heat solve is an M-matrix, which
 also yields strictly positive temperatures under the diagonal guard.
 
 The integrator remembers its last accepted step (LastStep): copies of the
-end state, that state's F, S and nodal K(theta), the theta and v the step
-started from, its dt and the last contraction ratio of its Picard loop.
-A step whose input equals the remembered end state value for value
-(np.array_equal on u, v and theta) continues it: F_old and S_old come from
-the remembered ledger, every chord of kappa uses the remembered
-K(theta_old), and the Picard loop starts from the predictor
+end state, that state's Ledger, the theta and v the step started from, its
+dt and the last contraction ratio of its Picard loop.  A step whose input
+equals the remembered end state value for value (np.array_equal on u, v and
+theta) continues it: F_old and S_old come from the remembered ledger, every
+chord of kappa uses its K(theta_old), the positivity guard its strain, and
+-A_C u is -Gi^T times its stress; the Picard loop starts from the predictor
 x0 = theta + r (theta - theta_prev), r = dt / dt_prev, the extrapolated
 starting value implicit integrators give their Newton iterations (Hairer &
 Wanner, Solving ODEs II, IV.8).  Then the first kappa_bar is the chord over
@@ -104,20 +104,22 @@ is factorized:
   Neumann Laplacian, one dense block per direction: the five-point stencil
   couples neighbours, which have opposite parity.
 
-Work is done where it changes.  Set-up builds the strain matrix Gi, T_B and
-the weighted Neumann Laplacian A_N, and nothing else a step reads: A_C
-stays the factors it is defined by, and the heat solve keeps one work
-matrix with A_N's structure, whose data each solve refills with -D A_N plus
-its diagonal.  Once per attempt, _picard gathers u, v and f onto the
-interior unknowns and forms -A_C u (a product by Gi and one by Gi^T) and
-W f (_velocity_sources), and evaluates K(theta) unless the remembered step
-holds it; the elastic energy of the ledger takes the one product Gi u.
-Each Picard iteration pays only for what depends on the iterate x: the
-chord kappa_bar, T_B x in the velocity right-hand side, the heat system's
-strain Gi v+ (no scatter to the full grid), diagonal and right-hand side,
-the heat preconditioner's symbol, and the two CG solves.  The velocity warm start
-passes from one iteration to the next as the odd half's mode coefficients,
-so only the predictor's v0 is transformed into the modes.  The 1-D bases
+Work is done where it changes, and each strain once.  Set-up builds the
+strain matrix Gi, T_B and the weighted Neumann Laplacian A_N, and nothing
+else a step reads: A_C stays the factors it is defined by, and the heat
+solve keeps one work matrix with A_N's structure, whose data each solve
+refills with -D A_N plus its diagonal.  Once per attempt, _picard gathers v
+and f onto the interior unknowns, forms W f and -A_C u (_velocity_sources)
+and evaluates K(theta) unless the remembered step holds it.  Each Picard
+iteration pays only for what depends on the iterate x: the chord
+kappa_bar, T_B x in the velocity right-hand side, the strain e+ = Gi v+, the
+heat system's diagonal and right-hand side, the heat preconditioner's
+symbol, and the two CG solves.  The accepted iteration's e+ is the only one
+read after the loop: the end state's Ledger carries it, for its viscous
+production, the record and the next dt, beside the stress (C (x) W) Gi u+
+of the elastic energy, whose -Gi^T is the next step's -A_C u.  The velocity warm
+start passes from one iteration to the next as the odd half's mode
+coefficients, so only the predictor's v0 is transformed into the modes.  The 1-D bases
 and coupling matrices of the velocity modes are built by the first velocity
 solve and kept (_VelocityModes); the 2 x 2 blocks per mode are formed again
 only when dt changes.  The heat preconditioner's bases and buffers are built
@@ -226,9 +228,9 @@ class _StrainForm:
         return self.gi_t @ self._strain_stress(x)[1].ravel()
 
     def energy(self, x):
-        """1/2 sum over the nodes of w <M e, e>, e = Gi x."""
+        """1/2 sum over the nodes of w <M e, e>, e = Gi x, and (M (x) W) e."""
         e, s = self._strain_stress(x)
-        return 0.5 * float(np.vdot(e, s))
+        return 0.5 * float(np.vdot(e, s)), s
 
 
 class _VelocityModes:
@@ -372,11 +374,13 @@ class SolverConfig:
 
     def validate(self):
         if not (0 < self.dt_min <= self.dt_max):
-            raise ConfigError("need 0 < dt_min <= dt_max")
+            raise ConfigError(f"config key solver.dt_min must lie in (0, solver.dt_max "
+                              f"= {self.dt_max!r}], got {self.dt_min!r}")
         if self.eps_reg < 0:
-            raise ConfigError("eps_reg must be >= 0")
+            raise ConfigError(f"config key solver.eps_reg must be >= 0, got {self.eps_reg!r}")
         if not 1 <= self.m <= 3:
-            raise ConfigError("regularization order m must lie in 1..3")
+            raise ConfigError(f"config key solver.m, the regularization order m, must "
+                              f"lie in 1..3, got {self.m!r}")
 
     def regularizer(self, dt, lam):
         """dt eps lam^2m, the regularizer's weight on the velocity modes
@@ -455,7 +459,9 @@ def _safe_ratio(num, den):
 
 @dataclass
 class Ledger:
-    """Energy, entropy and the entropy productions of one state."""
+    """Energy, entropy and the entropy productions of one state, and what a
+    later step reads of it: K, the nodal K(theta) (flat); strain, Gi v laid
+    out (n_nodes, 3); stress, (C (x) W) Gi u laid out (3, n_nodes)."""
 
     kinetic: float
     elastic: float
@@ -465,6 +471,9 @@ class Ledger:
     prod_diffusion: float
     prod_viscous_lb: float
     prod_source: float
+    K: np.ndarray
+    strain: np.ndarray
+    stress: np.ndarray
 
 
 @dataclass
@@ -500,18 +509,16 @@ class StepReport(Ledger):
 class LastStep:
     """The last accepted step, kept so that the next step can continue it.
 
-    u, v and theta are copies of the end state, F, S and K (nodal K(theta),
-    flat) its ledger values; theta_start and v_start the state it began from;
-    rho the last contraction ratio of its Picard loop, which the next step's
+    u, v and theta are copies of the end state and ledger its Ledger, the
+    step's StepReport; theta_start and v_start the state it began from; rho
+    the last contraction ratio of its Picard loop, which the next step's
     first CG tolerance is forecast from.
     """
 
     u: np.ndarray
     v: np.ndarray
     theta: np.ndarray
-    F: float
-    S: float
-    K: np.ndarray
+    ledger: Ledger
     theta_start: np.ndarray
     v_start: np.ndarray
     dt: float
@@ -562,16 +569,14 @@ class Integrator:
         self._heat_pre = None
         return self
 
-    def resume(self, state, theta_start, v_start, dt_prev, rho):
+    def resume(self, state, ledger, theta_start, v_start, dt_prev, rho):
         """Take up a run at state, the end of an accepted step of dt_prev that
         began at theta_start and v_start and whose Picard loop last contracted
         by rho, so that the next step starts as it would have without the
-        interruption (a restart from a checkpoint)."""
-        kinetic, elastic, thermal, k_nodal = self._energies(state)
-        self.last_step = LastStep(
-            state.u.copy(), state.v.copy(), state.theta.copy(),
-            F=kinetic + elastic + thermal, S=self.entropy(state), K=k_nodal,
-            theta_start=theta_start, v_start=v_start, dt=dt_prev, rho=rho)
+        interruption (a restart from a checkpoint, or step itself).  ledger
+        is the Ledger of state, as Integrator.ledger gives it."""
+        self.last_step = LastStep(state.u.copy(), state.v.copy(), state.theta.copy(),
+                                  ledger, theta_start, v_start, dt_prev, rho)
 
     @staticmethod
     def _diag_positions(a):
@@ -627,11 +632,14 @@ class Integrator:
         return np.einsum("ab,...a,...b->...", self.comp_D, strain, strain)
 
     # -- step operations ----------------------------------------------------
-    def _velocity_sources(self, state, f_field):
+    def _velocity_sources(self, state, f_field, stress=None):
         """(v, -A_C u, W f) on the interior unknowns: the parts of the
-        velocity right-hand side that do not depend on the thermal force."""
+        velocity right-hand side that do not depend on the thermal force;
+        stress, when given, is the Ledger stress of state."""
         g = self.grid
-        return (g.interior_vec(state.v), -(self.A_C @ g.interior_vec(state.u)),
+        if stress is None:
+            stress = self.A_C._strain_stress(g.interior_vec(state.u))[1]
+        return (g.interior_vec(state.v), -(self.A_C.gi_t @ stress.ravel()),
                 self.w_int * g.interior_vec(f_field))
 
     def velocity_step(self, state, f_field, dt, theta_force=None, x0=None,
@@ -691,20 +699,18 @@ class Integrator:
         even = g0 - modes.mix(system.h0, modes.couple(c))
         return modes.from_modes(even, c), iters, c.ravel()
 
-    def temperature_step(self, state, v_new, g_field, dt, theta_guess=None,
+    def temperature_step(self, state, strain, g_field, dt, theta_guess=None,
                          kappa_bar=None, tol=_CG_TOL):
         """Positivity-preserving implicit heat update given the new velocity.
 
         Solves [kappa_bar/dt + b - D lap_N] theta+ = kappa_bar theta/dt + q + g
         to relative residual tol, with g_field the heat source g(t + dt),
-        shape (ny, nx).  v_new is the new velocity's interior unknowns as
-        velocity_step returns them; its strain is Gi v_new.  The system is
-        an M-matrix whenever the diagonal guard kappa_bar/dt + b > 0 holds at
-        every node; a violation raises StepError (the step is rejected, never
-        clamped).
+        shape (ny, nx).  strain is Gi v+ of the new velocity, laid out as a
+        Ledger's.  The system is an M-matrix whenever the diagonal guard
+        kappa_bar/dt + b > 0 holds at every node; a violation raises
+        StepError (the step is rejected, never clamped).
         """
         g = self.grid
-        strain = (self.Gi @ v_new).reshape(3, -1).T  # Gi is component-major
         b = self.coupling_field(strain)
         q = self.heating_field(strain)
         theta_old = state.theta.ravel()
@@ -727,16 +733,15 @@ class Integrator:
         theta_new, iters = solve_spd(s, rhs, tol=tol, x0=x0, precond_apply=pre_apply)
         return theta_new.reshape(g.ny, g.nx), iters, b, q
 
-    def adaptive_dt(self, state, v_new):
+    def adaptive_dt(self, state, strain):
         """Largest admissible dt for the positivity guard, capped at dt_max.
 
-        Requires dt <= _THETA_SAFETY kappa(theta) / max(0, -b) at every node;
-        when b >= 0 everywhere the guard does not bind.  Falling below dt_min
-        is reported with the offending node.
+        Requires dt <= _THETA_SAFETY kappa(theta) / max(0, -b) at every node
+        for b of strain, Gi state.v laid out as a Ledger's, so b >= 0 does
+        not bind.  Falling below dt_min is reported with the offending node.
         """
-        strain = self.grid.sym_grad(v_new)
         b = self.coupling_field(strain)
-        kap = self.model.kappa(state.theta)
+        kap = self.model.kappa(state.theta).ravel()
         neg = np.maximum(0.0, -b)
         dt = self.config.dt_max
         if np.any(neg > 0):
@@ -770,17 +775,19 @@ class Integrator:
         dt = cfg.dt_max if last is None else min(cfg.dt_max, last.dt * _DT_GROWTH)
         if dt_request is not None:
             dt = min(dt, dt_request)
-        dt = min(dt, self.adaptive_dt(state, state.v))
-        if t_stop is not None and state.t + dt > t_stop + _T_STOP_SLACK:
-            dt = t_stop - state.t
         if last is not None and not last.continues(state):
             last = None
+        strain = (self.grid.sym_grad(state.v).reshape(-1, 3) if last is None
+                  else last.ledger.strain)
+        dt = min(dt, self.adaptive_dt(state, strain))
+        if t_stop is not None and state.t + dt > t_stop + _T_STOP_SLACK:
+            dt = t_stop - state.t
         reasons = []
         wasted = [0, 0, 0]
         while True:
             spent = [0, 0, 0]  # Picard, CG-velocity and CG-heat iterations
             try:
-                new_state, report, k_end, rho = self._attempt(
+                new_state, report, rho = self._attempt(
                     state, forcing, dt, last, spent)
                 break
             except (StepError, SolverError) as err:
@@ -797,10 +804,7 @@ class Integrator:
         # of a start state that already is the remembered copy
         start = (state.theta.copy(), state.v.copy()) if last is None \
             else (last.theta, last.v)
-        self.last_step = LastStep(
-            new_state.u.copy(), new_state.v.copy(), new_state.theta.copy(),
-            F=report.F, S=report.S, K=k_end, theta_start=start[0],
-            v_start=start[1], dt=report.dt, rho=rho)
+        self.resume(new_state, report, *start, report.dt, rho)
         return new_state, report
 
     def _predictor(self, state, dt, last):
@@ -839,8 +843,8 @@ class Integrator:
         # one evaluation of the sources per attempt, shared by every solve
         f_field = forcing.f(t_new, self.grid)
         g_field = forcing.g(t_new, self.grid)
-        theta_new, v_int, b, rho = self._picard(state, f_field, g_field, dt,
-                                                last, spent)
+        theta_new, v_int, strain, rho = self._picard(state, f_field, g_field, dt,
+                                                     last, spent)
         # a NaN carries through min() and argmin finds the first one
         if not float(theta_new.min()) > 0.0:
             node = int(np.argmin(theta_new))
@@ -851,15 +855,15 @@ class Integrator:
         # u+ = u + dt v+, consistent with the implicit elastic pairing
         new_state = FieldState(state.u + dt * v_full, v_full, theta_new, t_new)
 
-        report, k_end = self._bookkeeping(state, new_state, f_field, g_field,
-                                          dt, v_int, b, spent, last)
-        return new_state, report, k_end, rho
+        report = self._bookkeeping(state, new_state, f_field, g_field, dt,
+                                   v_int, strain, spent, last)
+        return new_state, report, rho
 
     def _picard(self, state, f_field, g_field, dt, last, spent):
         """The fixed point theta+ = G(theta+) of one attempt, counted into spent.
 
-        Returns theta+, the interior v+ that forced it, the field b of its
-        heat solve and rho = c_k / c_(k-1), the last ratio of the changes
+        Returns theta+, the interior v+ that forced it, the strain Gi v+ its
+        heat solve read and rho = c_k / c_(k-1), the last ratio of the changes
         c_k = |G(x) - x| (before a second change: the last step's rho on a
         predicted start, 1 on a fresh one).  Each iteration's CG tolerance
         comes from _inner_tol, fed the last change and rho, or for the first
@@ -869,9 +873,10 @@ class Integrator:
         """
         model = self.model
         theta_old = state.theta.ravel()
-        sources = self._velocity_sources(state, f_field)
+        sources = self._velocity_sources(state, f_field,
+                                         None if last is None else last.ledger.stress)
         # K(theta_old) is fixed over the attempt; every chord shares it
-        k_old = model.K(theta_old) if last is None else last.K
+        k_old = model.K(theta_old) if last is None else last.ledger.K
         # the iterate x is both the thermal force and the chord point of kappa_bar
         start = self._predictor(state, dt, last)
         if start is None:
@@ -892,8 +897,9 @@ class Integrator:
             v_int, _, v_guess = self._counted(
                 spent, 1, self.velocity_step, state, f_field, dt,
                 theta_force=x, x0=v_guess, tol=tol, sources=sources)
-            theta_new, _, b, _ = self._counted(
-                spent, 2, self.temperature_step, state, v_int, g_field, dt,
+            strain = (self.Gi @ v_int).reshape(3, -1).T  # Gi is component-major
+            theta_new, _, _, _ = self._counted(
+                spent, 2, self.temperature_step, state, strain, g_field, dt,
                 theta_guess=theta_guess, kappa_bar=kappa_bar, tol=tol)
             theta_guess = theta_new
             resid = theta_new.ravel() - x
@@ -902,7 +908,7 @@ class Integrator:
                 rho = change / last_change
             scale = 1.0 + float(np.abs(theta_new).max())
             if tol == _CG_TOL and change <= _PICARD_TOL * scale:
-                return theta_new, v_int, b, rho
+                return theta_new, v_int, strain, rho
             # a change that meets the stop test forecasts no loose iteration
             loose, tol = tol > _CG_TOL, _inner_tol(rho, change, scale)
             if loose and tol == _CG_TOL:
@@ -918,13 +924,13 @@ class Integrator:
     # -- the energy / entropy ledger ----------------------------------------
     def _energies(self, state):
         """Kinetic, elastic and thermal energy with the solver's own
-        quadrature, and the nodal K(theta) (flat) the thermal energy sums."""
+        quadrature, the nodal K(theta) (flat) and the stress of Gi u."""
         g = self.grid
         kinetic = 0.5 * g.integrate(state.v[..., 0] ** 2 + state.v[..., 1] ** 2)
-        elastic = self.A_C.energy(g.interior_vec(state.u))
+        elastic, stress = self.A_C.energy(g.interior_vec(state.u))
         k_nodal = self.model.K(state.theta).ravel()
         thermal = float(np.sum(self.w_flat * k_nodal))
-        return kinetic, elastic, thermal, k_nodal
+        return kinetic, elastic, thermal, k_nodal, stress
 
     def total_energy(self, state):
         """F = kinetic + elastic + thermal with the solver's own quadrature."""
@@ -934,24 +940,20 @@ class Integrator:
         """S = integral of ell(theta) for the integrated (floored) law."""
         return float(np.sum(self.w_flat * self.model.ell(state.theta).ravel()))
 
-    def ledger(self, state, g_field):
+    def ledger(self, state, g_field, strain=None):
         """The Ledger of state, with g_field the heat source at state.t.
 
-        The productions are those the implicit step balances the entropy
+        strain, if given, is Gi v of state.v as the step's heat solve formed
+        it.  The productions are those the implicit step balances the entropy
         with: edge diffusion D (1/theta) . (W lap_N) theta, the viscous lower
         bound kD int |sym_grad v|^2 / theta and int g / theta.  Nodal ratios
         take 0/0 -> 0; a zero temperature makes the edge production infinite.
         """
-        return self._ledger(state, g_field)[0]
-
-    def _ledger(self, state, g_field, v_int=None):
-        """ledger(state, g_field) and the nodal K(theta) of its thermal energy;
-        v_int, when given, is the interior vector of state.v."""
+        if strain is None:
+            strain = self.grid.sym_grad(state.v).reshape(-1, 3)
         theta = state.theta.ravel()
-        strain = self.grid.sym_grad(state.v, v_int)
-        strain_sq = (strain[..., 0] ** 2 + strain[..., 1] ** 2
-                     + 2.0 * strain[..., 2] ** 2).ravel()
-        kinetic, elastic, thermal, k_nodal = self._energies(state)
+        strain_sq = strain[:, 0] ** 2 + strain[:, 1] ** 2 + 2.0 * strain[:, 2] ** 2
+        kinetic, elastic, thermal, k_nodal, stress = self._energies(state)
         with np.errstate(divide="ignore", invalid="ignore"):
             s_val = self.entropy(state)
             # an edge with theta = 0 next to theta > 0 makes the
@@ -964,11 +966,11 @@ class Integrator:
         return Ledger(kinetic=kinetic, elastic=elastic, thermal=thermal,
                       F=kinetic + elastic + thermal, S=s_val,
                       prod_diffusion=prod_diff, prod_viscous_lb=visc_lb,
-                      prod_source=src), k_nodal
+                      prod_source=src, K=k_nodal, strain=strain, stress=stress)
 
-    def _bookkeeping(self, state, new_state, f_field, g_field, dt, v_int, b,
+    def _bookkeeping(self, state, new_state, f_field, g_field, dt, v_int, strain,
                      spent, last):
-        """The StepReport of an accepted attempt and the end state's nodal K.
+        """The StepReport of an accepted attempt.
 
         F and S of the input state come from last, the step it continues,
         and are evaluated when there is none: a caller may edit a state
@@ -984,20 +986,20 @@ class Integrator:
             system = self._velocity_matrix(dt)
             c = self.w_int * system.modes.to_modes(v_int)
             eps_diss = float(np.sum(system.reg[:, None] * c * c))
-        end, k_end = self._ledger(new_state, g_field, v_int)
+        end = self.ledger(new_state, g_field, strain)
         if last is None:
             f_old, s_old = self.total_energy(state), self.entropy(state)
         else:
-            f_old, s_old = last.F, last.S
+            f_old, s_old = last.ledger.F, last.ledger.S
         energy_residual = end.F - f_old + eps_diss - work_f - work_g
         entropy_residual = (end.S - s_old) - dt * (
             end.prod_diffusion + end.prod_viscous_lb + end.prod_source)
 
-        report = StepReport(
+        return StepReport(
             **vars(end), t_new=new_state.t, dt=dt, picard_iters=spent[0],
             cg_iters_velocity=spent[1], cg_iters_heat=spent[2],
             work_f=work_f, work_g=work_g, eps_dissipation=eps_diss,
             energy_residual=energy_residual, entropy_residual=entropy_residual,
-            F_old=f_old, S_old=s_old, exchange_sum=float(np.sum(self.w_flat * b)),
+            F_old=f_old, S_old=s_old,
+            exchange_sum=float(np.sum(self.w_flat * self.coupling_field(strain))),
             min_theta=float(new_state.theta.min()))
-        return report, k_end

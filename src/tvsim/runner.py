@@ -179,13 +179,14 @@ def run(config, outdir, restart_from=None):
     if restart_from is not None:
         state, start, dt_prev, rho, tally = _load_checkpoint(
             restart_from, g, _physics_hash(scenario.config))
-        integ.resume(state, *start, dt_prev, rho)
     state.validate(g)
-    # the start state's ledger: its record's, and a fresh run's F(0)
+    # the start state's ledger: its record's, a fresh run's F(0), a restart's step
     ledger = integ.ledger(state, scenario.forcing.g(state.t, g))
     if restart_from is None:
         tally = _new_tally(ledger.F, g.integrate(
             np.abs(state.theta - g.integrate(state.theta) / g.area)))
+    else:
+        integ.resume(state, ledger, *start, dt_prev, rho)
     energy_tol = _ENERGY_TOL_REL * max(tally["F0"], 1e-300)
 
     windows = _WindowStore(plan.window_starts, t_final)

@@ -44,7 +44,8 @@ class OutputPlan:
 
     def validate(self, t_final):
         if self.record_every < 1:
-            raise ConfigError("record_every must be >= 1")
+            raise ConfigError(f"config key output.record_every must be >= 1, "
+                              f"got {self.record_every!r}")
         # a time outside (0, t_final] would never be written
         times = [(f"output.snapshot_times[{i}]", t)
                  for i, t in enumerate(self.snapshot_times)]
@@ -108,7 +109,7 @@ def _theta_profile(grid, spec):
     w = width(0.18)
     clip = num("clip", 0.4)
     if not 0.0 < clip < 1.0:
-        raise ConfigError("with_zeros profile needs clip in (0, 1)")
+        raise ConfigError(f"config key initial.theta.clip must lie in (0, 1), got {clip!r}")
     bump = np.exp(-r2 / (2.0 * w ** 2))
     return peak * (np.maximum(bump - clip, 0.0) / (1.0 - clip)) ** 2
 
@@ -155,13 +156,13 @@ def build_scenario(config):
     except KeyError as exc:
         raise ConfigError(f"config misses required key: {exc}") from exc
     if d_diff <= 0:
-        raise ConfigError("diffusivity D must be positive")
+        raise ConfigError(f"config key material.D must be > 0, got {d_diff!r}")
     if m_shift < materials.M_MIN - 1e-9:
         raise ConfigError(f"config key material.M must be >= e^4, got {m_shift!r}")
     if t_final <= 0:
-        raise ConfigError("t_final must be positive")
+        raise ConfigError(f"config key t_final must be > 0, got {t_final!r}")
     if eps_kappa < 0 or eps_kappa >= 1:
-        raise ConfigError("eps_kappa must lie in [0, 1)")
+        raise ConfigError(f"config key material.eps_kappa must lie in [0, 1), got {eps_kappa!r}")
     model = model_raw.floor(eps_kappa) if eps_kappa > 0 else model_raw
 
     solver = _build(SolverConfig, cfg.get("solver", {}), "solver")

@@ -179,13 +179,13 @@ class ElasticityTensors:
 def _tensor_from_config(node, name):
     path = f"tensors.{name}"
     if isinstance(node, dict) and "isotropic" in node:
-        iso = _section(_section(node, path, ("isotropic",))["isotropic"],
-                       f"{path}.isotropic", ("lambda", "mu"))
+        key = f"{path}.isotropic"
+        iso = _section(_section(node, path, ("isotropic",))["isotropic"], key, ("lambda", "mu"))
         try:
-            lam = _number(iso["lambda"], f"{path}.isotropic.lambda")
-            mu = _number(iso["mu"], f"{path}.isotropic.mu")
+            lam = _number(iso["lambda"], f"{key}.lambda")
+            mu = _number(iso["mu"], f"{key}.mu")
         except KeyError as exc:
-            raise ConfigError(f"tensor {name}: isotropic form needs lambda and mu") from exc
+            raise ConfigError(f"config misses required key: {key}.{exc.args[0]}") from exc
         return isotropic_tensor(lam, mu)
     arr = np.array(_numbers(node, path))
     if arr.size != 16:

@@ -1,14 +1,18 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from tvsim.diagnostics import Diagnostics
 from tvsim.errors import ConfigError, SolverError, StepError
 from tvsim.grid import Grid, _sbp_derivative_1d, _trapezoid_1d
 from tvsim import integrator
 from tvsim.integrator import (_CG_TOL, _CG_TOL_LOOSE, _DT_GROWTH,
                               _PICARD_TOL, CallableForcing, FieldState,
-                              Forcing, Integrator, SolverConfig,
-                              _anderson_update, _inner_tol)
+                              Forcing, Integrator, LastStep, Ledger,
+                              PulseForcing, SolverConfig, _anderson_update,
+                              _inner_tol)
 from tvsim.materials import ConstantCapacity, DebyeLikeCapacity
 from tvsim.scenarios import build_scenario, builtin_scenarios
 from tvsim import tensors as tn
@@ -24,6 +28,17 @@ def make_integrator(n=13, dt=0.01, model=None, tensors=None, d_diff=1.0, **cfg):
     model = model or ConstantCapacity(1.0)
     config = SolverConfig(dt_max=dt, **cfg)
     return Integrator(g, tens, model, config).set_diffusivity(d_diff), g
+
+
+def strain_of(itg, v_int):
+    """Gi v_int laid out (n_nodes, 3), as the heat solve takes the strain."""
+    return (itg.Gi @ v_int).reshape(3, -1).T
+
+
+def field_strain(g, v):
+    """The strain of a velocity field that vanishes on the boundary, laid
+    out (n_nodes, 3), as adaptive_dt takes it."""
+    return g.sym_grad(v).reshape(-1, 3)
 
 
 def rest_state(g, theta=1.0):
@@ -168,10 +183,10 @@ class TestElasticForm:
     def test_energy_is_the_assembled_quadratic_form(self, rng, aniso, nx, ny):
         itg, g, a_c, x = self.setup_form(aniso, nx, ny, rng)
         want = 0.5 * float(x @ (a_c @ x))
-        assert abs(itg.A_C.energy(x) - want) <= 1e-14 * abs(want)
+        assert abs(itg.A_C.energy(x)[0] - want) <= 1e-14 * abs(want)
         st = rest_state(g)
         st.u = g.vec_from_interior(x)
-        assert itg._energies(st)[1] == itg.A_C.energy(x)
+        assert itg._energies(st)[1] == itg.A_C.energy(x)[0]
 
     def test_transpose_is_a_view_of_gi(self):
         itg, g = make_integrator(n=9)
@@ -351,7 +366,7 @@ class TestTemperatureStep:
         g_const = 0.2
         g_field = np.full((g.ny, g.nx), g_const)
         dt = 0.01
-        theta_new, _, b, q = itg.temperature_step(st, v_int, g_field, dt)
+        theta_new, _, b, q = itg.temperature_step(st, strain_of(itg, v_int), g_field, dt)
         strain = g.sym_grad(g.vec_from_interior(v_int)).reshape(-1, 3)
         assert np.allclose(b, itg.coupling_field(strain), rtol=1e-14, atol=0.0)
         assert np.allclose(q, itg.heating_field(strain), rtol=1e-14, atol=0.0)
@@ -368,7 +383,8 @@ class TestTemperatureStep:
         st = rest_state(g)
         st.theta = 1.0 + rng.random((g.ny, g.nx))
         theta_new, _, _, _ = itg.temperature_step(
-            st, g.interior_vec(np.zeros((g.ny, g.nx, 2))), np.zeros((g.ny, g.nx)), 0.01)
+            st, strain_of(itg, g.interior_vec(np.zeros((g.ny, g.nx, 2)))),
+            np.zeros((g.ny, g.nx)), 0.01)
         w = g.weights
         kap = itg.model.kappa(st.theta)
         assert np.sum(w * kap * theta_new) == pytest.approx(
@@ -384,7 +400,7 @@ class TestTemperatureStep:
         tens = tn.ElasticityTensors(D4=tn.isotropic_tensor(1, 1),
                                     C4=tn.isotropic_tensor(1, 1), B=np.zeros((2, 2)))
         itg0, _ = make_integrator(tensors=tens)
-        theta_new, _, b, q = itg0.temperature_step(st, g.interior_vec(v),
+        theta_new, _, b, q = itg0.temperature_step(st, strain_of(itg0, g.interior_vec(v)),
                                                    np.zeros((g.ny, g.nx)), 0.01)
         assert np.all(b == 0.0)
         assert q.max() > 0
@@ -396,7 +412,8 @@ class TestTemperatureStep:
         a = -200.0  # b = -200 << -kappa/dt = -100
         v = np.stack([a * g.X, a * g.Y], axis=-1)
         with pytest.raises(StepError):
-            itg.temperature_step(st, g.interior_vec(v), np.zeros((g.ny, g.nx)), 0.01)
+            itg.temperature_step(st, strain_of(itg, g.interior_vec(v)),
+                                 np.zeros((g.ny, g.nx)), 0.01)
 
     def test_repeated_calls_are_bitwise_unchanged(self):
         # each solve refills one work matrix, which shares A_N's structure,
@@ -409,13 +426,15 @@ class TestTemperatureStep:
         assert np.shares_memory(work.indices, itg.A_N.indices)
         assert np.shares_memory(work.indptr, itg.A_N.indptr)
         kappa_bar = itg.model.kappa_chord(st.theta.ravel(), 1.01 * st.theta.ravel())
-        first = itg.temperature_step(st, v_int, np.full((g.ny, g.nx), 0.05), 0.01,
+        first = itg.temperature_step(st, strain_of(itg, v_int),
+                                     np.full((g.ny, g.nx), 0.05), 0.01,
                                      kappa_bar=kappa_bar)
         want = ((-0.7) * itg.A_N).data
         want[itg._heat_diag_pos] += itg.w_flat * (kappa_bar / 0.01 + first[2])
         assert np.array_equal(work.data, want)
         for _ in range(2):
-            again = itg.temperature_step(st, v_int, np.full((g.ny, g.nx), 0.05), 0.01,
+            again = itg.temperature_step(st, strain_of(itg, v_int),
+                                         np.full((g.ny, g.nx), 0.05), 0.01,
                                          kappa_bar=kappa_bar)
             assert all(np.array_equal(x, y) for x, y in zip(first, again))
             assert np.array_equal(work.data, want)
@@ -423,13 +442,14 @@ class TestTemperatureStep:
 
     @pytest.mark.parametrize("n", [13, 12])
     def test_interior_velocity_is_bitwise_the_zero_extended_field(self, n):
-        # the strain temperature_step forms from the interior unknowns is
-        # bitwise that of the zero-extended field, which adaptive_dt reads
+        # the strain the Picard loop forms from the interior unknowns is
+        # bitwise that of the zero-extended field, which a fresh ledger reads
         itg, g = make_integrator(n=n, model=DebyeLikeCapacity(1.0, 1.0).floor(1e-3))
         st = sine_velocity_state(g)
         v_int, _, _ = itg.velocity_step(st, np.zeros((g.ny, g.nx, 2)), 0.01)
         kappa_bar = itg.model.kappa_chord(st.theta.ravel(), 1.01 * st.theta.ravel())
-        _, _, b, q = itg.temperature_step(st, v_int, np.full((g.ny, g.nx), 0.05),
+        _, _, b, q = itg.temperature_step(st, strain_of(itg, v_int),
+                                          np.full((g.ny, g.nx), 0.05),
                                           0.01, kappa_bar=kappa_bar)
         strain = g.sym_grad(g.vec_from_interior(v_int)).reshape(-1, 3)
         assert np.array_equal(b, itg.coupling_field(strain))
@@ -459,13 +479,14 @@ class TestAdaptiveDt:
         # b = 0 everywhere: at rest, and at any velocity without coupling
         itg, g = make_integrator()
         st = rest_state(g)
-        assert itg.adaptive_dt(st, np.zeros((g.ny, g.nx, 2))) == itg.config.dt_max
+        at_rest = field_strain(g, np.zeros((g.ny, g.nx, 2)))
+        assert itg.adaptive_dt(st, at_rest) == itg.config.dt_max
         uncoupled = tn.ElasticityTensors(D4=tn.isotropic_tensor(1, 1),
                                          C4=tn.isotropic_tensor(1, 1),
                                          B=np.zeros((2, 2)))
         itg, g = make_integrator(tensors=uncoupled)
         v = clamped(g, *rng.standard_normal((2, g.ny, g.nx)))
-        assert itg.adaptive_dt(st, v) == itg.config.dt_max
+        assert itg.adaptive_dt(st, field_strain(g, v)) == itg.config.dt_max
 
     def test_guard_formula(self):
         # kappa = 1 and safety 0.5, so dt = 0.5 / max(-b).  v = (-10 x, 0)
@@ -478,13 +499,13 @@ class TestAdaptiveDt:
         b = itg.coupling_field(g.sym_grad(v))
         assert b[1:-1, :-2] == pytest.approx(np.full((g.ny - 2, g.nx - 2), -5.0))
         assert b.min() == pytest.approx(-5.0)
-        assert itg.adaptive_dt(st, v) == pytest.approx(0.1)
+        assert itg.adaptive_dt(st, field_strain(g, v)) == pytest.approx(0.1)
         # v = (-10 x, -10 y): b = -10 off the x = Lx and y = Ly edges
         v2 = clamped(g, -10.0 * g.X, -10.0 * g.Y)
         b2 = itg.coupling_field(g.sym_grad(v2))
         assert b2[1:-2, 1:-2] == pytest.approx(np.full((g.ny - 3, g.nx - 3), -10.0))
         assert b2.min() == pytest.approx(-10.0)
-        assert itg.adaptive_dt(st, v2) == pytest.approx(0.05)
+        assert itg.adaptive_dt(st, field_strain(g, v2)) == pytest.approx(0.05)
 
     def test_below_dt_min_reports_node(self):
         # the guard needs dt = 0.05 < dt_min, at a node where b = -10
@@ -492,7 +513,7 @@ class TestAdaptiveDt:
         st = rest_state(g)
         v = clamped(g, -10.0 * g.X, -10.0 * g.Y)
         with pytest.raises(StepError) as err:
-            itg.adaptive_dt(st, v)
+            itg.adaptive_dt(st, field_strain(g, v))
         b = itg.coupling_field(g.sym_grad(v))
         assert b.ravel()[err.value.node] == pytest.approx(-10.0)
 
@@ -503,7 +524,7 @@ class TestAdaptiveDt:
             st.theta = 0.1 + rng.random((g.ny, g.nx))
             v = np.zeros((g.ny, g.nx, 2))
             v[1:-1, 1:-1, :] = rng.standard_normal((g.ny - 2, g.nx - 2, 2))
-            dt = itg.adaptive_dt(st, v)
+            dt = itg.adaptive_dt(st, field_strain(g, v))
             strain = g.sym_grad(v)
             b = itg.coupling_field(strain)
             kap = itg.model.kappa(st.theta)
@@ -788,7 +809,8 @@ def _apply_fixed_point_map(itg, old, theta, dt):
     v_int, _, _ = itg.velocity_step(old, np.zeros((g.ny, g.nx, 2)), dt,
                                  theta_force=theta)
     kappa_bar = itg.model.kappa_chord(old.theta.ravel(), theta.ravel())
-    theta_g, _, _, _ = itg.temperature_step(old, v_int, np.zeros((g.ny, g.nx)),
+    theta_g, _, _, _ = itg.temperature_step(old, strain_of(itg, v_int),
+                                            np.zeros((g.ny, g.nx)),
                                             dt, kappa_bar=kappa_bar)
     return theta_g
 
@@ -927,7 +949,86 @@ def _predictor_spy(itg, monkeypatch):
     return starts
 
 
+class _CountedProducts:
+    """A matrix that counts the products taken by it."""
+
+    def __init__(self, a):
+        self.a, self.calls = a, 0
+
+    def __matmul__(self, x):
+        self.calls += 1
+        return self.a @ x
+
+
+def _counting(monkeypatch, cls, name, calls):
+    """Replace cls.name by a wrapper that counts its calls into calls[name]."""
+    fn = getattr(cls, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(cls, name, counted)
+
+
+class TestOneStrainPerStep:
+    def test_continued_steps_form_each_strain_once(self, monkeypatch):
+        # the accepted heat solve's strain Gi v+ feeds the ledger, the record
+        # and the next dt, and the ledger's stress the next -A_C u: per
+        # continued step Gi takes one product of v+ per Picard iteration,
+        # the elastic form one strain product, and neither the step nor the
+        # record of its end state calls sym_grad
+        sc = build_scenario(builtin_scenarios()["default-relaxation"])
+        assert (sc.grid.nx, sc.grid.ny) == (32, 32)
+        itg = Integrator(sc.grid, sc.tensors, sc.model,
+                         sc.solver).set_diffusivity(sc.d_diff)
+        diag = Diagnostics(sc.grid, sc.tensors, sc.model, sc.d_diff, sc.m_shift)
+        state, _ = itg.step(sc.initial, sc.forcing)
+        gi = _CountedProducts(itg.Gi)
+        monkeypatch.setattr(itg, "Gi", gi)
+        calls = dict.fromkeys(("sym_grad", "interior_vec", "_strain_stress"), 0)
+        _counting(monkeypatch, Grid, "sym_grad", calls)
+        _counting(monkeypatch, Grid, "interior_vec", calls)
+        _counting(monkeypatch, integrator._StrainForm, "_strain_stress", calls)
+        for _ in range(12):
+            gi.calls = 0
+            calls.update(dict.fromkeys(calls, 0))
+            state, rep = itg.step(state, sc.forcing)
+            diag.record(state, rep)
+            assert rep.rejections == 0
+            assert gi.calls == rep.picard_iters
+            assert calls["sym_grad"] == 0
+            assert calls["_strain_stress"] == 1
+            # v and f for the velocity sources, u+ for the elastic energy,
+            # and the predictor's v0
+            assert calls["interior_vec"] <= 4
+
+
 class TestCarriedStep:
+    def test_resume_remembers_the_step_it_takes_up(self):
+        # a restart rebuilds the LastStep of the interrupted run, its ledger
+        # (strain and stress included) through the same ledger call
+        forcing = PulseForcing(amp_f=1.0, t0=0.0, amp_g=0.5)
+        a, g = make_integrator(model=DebyeLikeCapacity(1.0, 1.0).floor(1e-3))
+        st, _ = a.step(sine_velocity_state(g), forcing)
+        last = a.last_step
+        b, _ = make_integrator(model=a.model)
+        b.resume(st.copy(), b.ledger(st, forcing.g(st.t, g)), last.theta_start.copy(),
+                 last.v_start.copy(), last.dt, last.rho)
+        for f in fields(LastStep):
+            want, got = getattr(last, f.name), getattr(b.last_step, f.name)
+            if f.name == "ledger":
+                for lf in fields(Ledger):
+                    assert np.array_equal(getattr(got, lf.name),
+                                          getattr(want, lf.name)), lf.name
+            else:
+                assert np.array_equal(got, want), f.name
+        new_a, rep_a = a.step(st, forcing)
+        new_b, rep_b = b.step(st.copy(), forcing)
+        assert rep_a.picard_iters > 1
+        assert repr(vars(rep_a)) == repr(vars(rep_b))
+        for name in ("u", "v", "theta"):
+            assert np.array_equal(getattr(new_a, name), getattr(new_b, name))
+
     def test_equal_state_continues_the_step(self, monkeypatch):
         # equal values in other arrays continue the step as the same arrays do
         a, g = make_integrator()

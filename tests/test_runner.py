@@ -1037,6 +1037,17 @@ class TestCli:
         (("material.M", 0), "key material.M "),
         (("material.M", False), "key material.M "),
         (("material.M", 10.0), "key material.M "),
+        # range checks of single keys
+        (("material.D", -1), "key material.D "),
+        (("material.eps_kappa", 2), "key material.eps_kappa "),
+        (("t_final", -1), "key t_final "),
+        (("solver.dt_min", 1), "key solver.dt_min "),
+        (("solver.m", 5), "key solver.m,"),
+        (("solver.eps_reg", -1), "key solver.eps_reg "),
+        (("output.record_every", 0), "key output.record_every "),
+        (("initial.theta", {"type": "with_zeros", "clip": 1.5}),
+         "key initial.theta.clip "),
+        (("tensors.D.isotropic", {"lambda": 1.0}), "key: tensors.D.isotropic.mu"),
     ], ids=["missing", "not-json", "not-object", "grid", "tensors", "material",
             "output", "initial.theta", "nx-string", "t_final-string",
             "nx-fraction", "ny-fraction", "record_every-fraction",
@@ -1053,7 +1064,10 @@ class TestCli:
             "constant-kappa-omega", "hotspot-typo", "zero-velocity-key",
             "displacement-typo", "tensors-foreign", "isotropic-form-foreign",
             "isotropic-nu", "scale_identity-foreign", "forcing-type-unknown",
-            "kappa-variant-missing", "M-zero", "M-false", "M-below-e4"])
+            "kappa-variant-missing", "M-zero", "M-false", "M-below-e4",
+            "D-negative", "eps_kappa-two", "t_final-negative", "dt_min-above-dt_max",
+            "m-five", "eps_reg-negative", "record_every-zero", "with_zeros-clip",
+            "isotropic-mu-missing"])
     def test_bad_config_input_exits_3(self, tmp_path, capsys, content, named):
         path = tmp_path / "cfg.json"
         if isinstance(content, str):
